@@ -16,7 +16,6 @@ from .errors import (
     IdentityLawViolation,
     InvalidSubcategory,
     MissingIdentity,
-    MixedParents,
     NonAssociative,
     TypeMismatch,
     UndefinedComposite,
@@ -61,7 +60,10 @@ class FiniteCategory:
         "_outof",
         "_principal",
         "_sieves",
+        "_realized",
+        "_rep_sheaves",
         "_hash",
+        "__weakref__",
     )
 
     def __init__(self, objects, morphisms, dom, cod, identity, table):
@@ -91,7 +93,10 @@ class FiniteCategory:
                 mask |= 1 << self.table[(f, g)]
             principal.append(mask)
         self._principal = tuple(principal)
+        # memos filled by sieves.py, Subcategory.realize and sheaf.py
         self._sieves = {}
+        self._realized = {}
+        self._rep_sheaves = {}
         self._hash = hash(
             (
                 self.objects,
@@ -276,76 +281,6 @@ def validate_category(objects, morphisms, identities, composites):
     return FiniteCategory(objects, names, dom, cod, identity, table)
 
 
-def opposite(category):
-    """The opposite category; names are preserved, arrows reversed."""
-    table = {(f, g): h for (g, f), h in category.table.items()}
-    return FiniteCategory(
-        category.objects,
-        category.morphisms,
-        category.cod,
-        category.dom,
-        category.identity,
-        table,
-    )
-
-
-@dataclass(frozen=True)
-class SliceCategory:
-    """slice(C, c) together with its projection back to C.
-
-    Slice objects are the arrows of C into c (by parent morphism index);
-    a slice morphism (f -> g) is a parent arrow h with g after h == f.
-    """
-
-    category: FiniteCategory
-    base: int
-    object_arrows: tuple  # slice object index -> parent morphism index
-    morphism_arrows: tuple  # slice morphism index -> parent morphism index
-
-    def project_object(self, i):
-        return self.object_arrows[i]
-
-    def project_morphism(self, i):
-        return self.morphism_arrows[i]
-
-
-def slice_category(category, c):
-    """The slice of the category over object index c."""
-    objs = category.into(c)
-    obj_names = [category.morphisms[f] for f in objs]
-    pos = {f: i for i, f in enumerate(objs)}
-    mors = []
-    names = []
-    doms = []
-    cods = []
-    for tgt in objs:
-        for h in category.into(category.dom[tgt]):
-            src = category.compose(tgt, h)
-            mors.append((h, src, tgt))
-            names.append(
-                "%s[%s>%s]"
-                % (
-                    category.morphisms[h],
-                    category.morphisms[src],
-                    category.morphisms[tgt],
-                )
-            )
-            doms.append(pos[src])
-            cods.append(pos[tgt])
-    mor_pos = {m: i for i, m in enumerate(mors)}
-    identity = [None] * len(objs)
-    for i, f in enumerate(objs):
-        identity[i] = mor_pos[(category.identity[category.dom[f]], f, f)]
-    table = {}
-    for j, (h2, src2, tgt2) in enumerate(mors):
-        for i, (h1, src1, tgt1) in enumerate(mors):
-            if tgt1 != src2:
-                continue
-            table[(j, i)] = mor_pos[(category.compose(h2, h1), src1, tgt2)]
-    cat = FiniteCategory(obj_names, names, doms, cods, identity, table)
-    return SliceCategory(cat, c, tuple(objs), tuple(m[0] for m in mors))
-
-
 @dataclass(frozen=True)
 class Subcategory:
     """A subcategory of a parent category, stored as index masks.
@@ -411,15 +346,12 @@ class RealizedSubcategory:
         )
 
 
-_REALIZE_CACHE = {}
-
-
 def _realize(sub):
-    key = (id(sub.parent), sub.objects_mask, sub.morphisms_mask)
-    hit = _REALIZE_CACHE.get(key)
-    if hit is not None and hit.parent is sub.parent:
-        return hit
     parent = sub.parent
+    key = (sub.objects_mask, sub.morphisms_mask)
+    hit = parent._realized.get(key)
+    if hit is not None:
+        return hit
     objs = tuple(bits(sub.objects_mask))
     mors = tuple(bits(sub.morphisms_mask))
     obj_pos = {c: i for i, c in enumerate(objs)}
@@ -438,7 +370,7 @@ def _realize(sub):
         table,
     )
     out = RealizedSubcategory(parent, cat, objs, mors)
-    _REALIZE_CACHE[key] = out
+    parent._realized[key] = out
     return out
 
 
@@ -499,27 +431,6 @@ def full_subcategory_from_mask(parent, objects_mask):
 
 def whole_subcategory(parent):
     return full_subcategory_from_mask(parent, (1 << len(parent.objects)) - 1)
-
-
-class EmptyIntersection(MixedParents):
-    pass
-
-
-def intersect_subcategories(subs):
-    """Objectwise/arrowwise intersection; always a subcategory again."""
-    subs = tuple(subs)
-    if not subs:
-        raise EmptyIntersection("no subcategories given")
-    parent = subs[0].parent
-    for s in subs[1:]:
-        if s.parent is not parent and s.parent != parent:
-            raise MixedParents("subcategories have different parents")
-    omask = subs[0].objects_mask
-    mmask = subs[0].morphisms_mask
-    for s in subs[1:]:
-        omask &= s.objects_mask
-        mmask &= s.morphisms_mask
-    return subcategory_from_masks(parent, omask, mmask)
 
 
 @dataclass(frozen=True)
@@ -690,24 +601,3 @@ def _splits(category, e, c):
                 ):
                     return True
     return False
-
-
-def connected_components(category):
-    """Partition of objects under the zig-zag closure of arrows."""
-    n = len(category.objects)
-    root = list(range(n))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for f in range(len(category.morphisms)):
-        a, b = find(category.dom[f]), find(category.cod[f])
-        if a != b:
-            root[max(a, b)] = min(a, b)
-    groups = {}
-    for c in range(n):
-        groups.setdefault(find(c), []).append(c)
-    return tuple(tuple(v) for _, v in sorted(groups.items()))

@@ -47,10 +47,6 @@ class UnknownName(FinsiteError):
     pass
 
 
-class MixedParents(FinsiteError):
-    """Subcategories being combined do not share a parent category."""
-
-
 class CodomainMismatch(FinsiteError):
     """A family of arrows meant to share a codomain does not."""
 

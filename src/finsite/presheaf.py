@@ -214,9 +214,6 @@ def presheaf_isos(P, Q):
 
 def are_isomorphic(P, Q):
     """First natural isomorphism found, or None."""
-    if P.sizes != Q.sizes:
-        # sizes are canonical, but isomorphic presheaves always match here
-        pass
     isos = presheaf_isos(P, Q)
     return isos[0] if isos else None
 

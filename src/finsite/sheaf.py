@@ -1,10 +1,12 @@
 """Sheaves on a finite site: matching families, the plus construction,
-sheafification, subcanonicity, and map classification.
+sheafification and subcanonicity.
 
 The associated sheaf functor is the plus construction applied twice,
-unconditionally.  Values of the plus construction at an object are
-equivalence classes of (covering sieve, matching family) pairs, two pairs
-being identified when they agree on a common covering refinement.
+unconditionally.  The plus construction is a colimit of matching families
+over the covering sieves on c, and on a finite site that colimit is attained
+at the least covering sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and
+Logic, III.5): P+(c) is the set of matching families for P on M_c, in
+ascending order.  The sheaf condition is likewise checked on M_c alone.
 """
 
 from __future__ import annotations
@@ -13,9 +15,7 @@ from dataclasses import dataclass
 
 from .category import bits
 from .errors import NotASheaf
-from .presheaf import NatTransformation, Presheaf, compose_nat, presheaf_homs, yoneda
-from .sieves import pullback_mask
-from .topology import enumerate_topologies
+from .presheaf import NatTransformation, Presheaf, compose_nat, yoneda
 
 
 def matching_families(category, P, c, mask):
@@ -88,114 +88,55 @@ class SheafVerdict:
 
 
 def is_sheaf(category, J, P):
-    """Exactly one amalgamation per matching family on every covering sieve.
+    """Exactly one amalgamation per matching family on each M_c.
 
-    Maximal sieves are skipped: their families are the elements of P(c) and
-    always amalgamate uniquely.
+    A presheaf that is a sheaf for every M_d is one for every covering
+    sieve, since each contains M_c.  Maximal M_c are skipped: their families
+    are the elements of P(c) and always amalgamate uniquely.
     """
-    for c in range(len(category.objects)):
-        top = category.maximal_sieve(c)
-        for S in J.covering_masks(c):
-            if S == top:
-                continue
-            for family in matching_families(category, P, c, S):
-                n = len(amalgamations(category, P, c, S, family))
-                if n != 1:
-                    return SheafVerdict(False, (c, S, family, n))
+    for c, S in enumerate(J.minimal):
+        if S == category.maximal_sieve(c):
+            continue
+        for family in matching_families(category, P, c, S):
+            n = len(amalgamations(category, P, c, S, family))
+            if n != 1:
+                return SheafVerdict(False, (c, S, family, n))
     return SheafVerdict(True)
 
 
 def _plus(category, J, P):
-    """One plus construction step, with its unit map."""
+    """One plus construction step, with its unit map.
+
+    h: d -> c sends a family on M_c to its values at h-after-g for g in M_d,
+    which lies in h^*M_c; the unit sends x to its restrictions along M_c.
+    """
     n_obj = len(category.objects)
-    pairs_per_obj = []
-    class_of = []  # per object: dict pair -> class index
-    reps = []  # per object: list of class representative pairs
-    for c in range(n_obj):
-        pairs = []
-        fams = {}
-        for S in J.covering_masks(c):
-            fams[S] = matching_families(category, P, c, S)
-            for fam in fams[S]:
-                pairs.append((S, fam))
-        # union-find over pairs: equivalent when some covering refinement
-        # of both sieves sees equal restrictions
-        parent = list(range(len(pairs)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        covers = J.covering_masks(c)
-        arrow_pos = {}
-        for S in covers:
-            arrow_pos[S] = {f: i for i, f in enumerate(bits(S))}
-        for i in range(len(pairs)):
-            Si, xi = pairs[i]
-            for j in range(i + 1, len(pairs)):
-                Sj, xj = pairs[j]
-                if find(i) == find(j):
-                    continue
-                inter = Si & Sj
-                for T in covers:
-                    if T & ~inter:
-                        continue
-                    pi, pj = arrow_pos[Si], arrow_pos[Sj]
-                    if all(
-                        xi[pi[f]] == xj[pj[f]] for f in bits(T)
-                    ):
-                        ri, rj = find(i), find(j)
-                        parent[max(ri, rj)] = min(ri, rj)
-                        break
-        groups = {}
-        for i in range(len(pairs)):
-            groups.setdefault(find(i), []).append(i)
-        ordered = sorted(
-            groups.values(), key=lambda idxs: min(pairs[i] for i in idxs)
-        )
-        lookup = {}
-        rep_list = []
-        for k, idxs in enumerate(ordered):
-            rep_list.append(min(pairs[i] for i in idxs))
-            for i in idxs:
-                lookup[pairs[i]] = k
-        pairs_per_obj.append(pairs)
-        class_of.append(lookup)
-        reps.append(rep_list)
-
-    sizes = tuple(len(r) for r in reps)
+    fams = [
+        sorted(matching_families(category, P, c, J.minimal[c]))
+        for c in range(n_obj)
+    ]
+    index = [{fam: k for k, fam in enumerate(f)} for f in fams]
+    pos = [{f: i for i, f in enumerate(bits(M))} for M in J.minimal]
     actions = []
     for h in range(len(category.morphisms)):
         d, c = category.dom[h], category.cod[h]
-        tab = []
-        for S, fam in reps[c]:
-            arrows = tuple(bits(S))
-            pos = {f: i for i, f in enumerate(arrows)}
-            Sd = pullback_mask(category, S, h)
-            fam_d = tuple(
-                fam[pos[category.compose(h, g)]] for g in bits(Sd)
+        at = [pos[c][category.compose(h, g)] for g in bits(J.minimal[d])]
+        actions.append(
+            tuple(index[d][tuple(fam[i] for i in at)] for fam in fams[c])
+        )
+    plus = Presheaf(category, tuple(len(f) for f in fams), tuple(actions))
+    unit = NatTransformation(
+        P,
+        plus,
+        tuple(
+            tuple(
+                index[c][tuple(P.apply(f, x) for f in bits(J.minimal[c]))]
+                for x in range(P.sizes[c])
             )
-            tab.append(class_of[d][(Sd, fam_d)])
-        actions.append(tuple(tab))
-    plus = Presheaf(category, sizes, tuple(actions))
-
-    unit_comps = []
-    for c in range(n_obj):
-        top = category.maximal_sieve(c)
-        arrows = tuple(bits(top))
-        comp = []
-        for x in range(P.sizes[c]):
-            fam = tuple(P.apply(f, x) for f in arrows)
-            comp.append(class_of[c][(top, fam)])
-        unit_comps.append(tuple(comp))
-    unit = NatTransformation(P, plus, tuple(unit_comps))
+            for c in range(n_obj)
+        ),
+    )
     return plus, unit
-
-
-def plus_construction(category, J, P):
-    return _plus(category, J, P)
 
 
 def sheafify(category, J, P):
@@ -205,17 +146,14 @@ def sheafify(category, J, P):
     return twice, compose_nat(unit2, unit1)
 
 
-_REP_CACHE = {}
-
-
 def representable_sheaf(category, J, c):
-    """Sheafification of the representable at object index c."""
-    key = (id(category), J.covering, c)
-    hit = _REP_CACHE.get(key)
-    if hit is not None and hit[0] is category:
-        return hit[1]
-    sheaf, _ = sheafify(category, J, yoneda(category, c))
-    _REP_CACHE[key] = (category, sheaf)
+    """Sheafification of the representable at object index c, memoised on
+    the category."""
+    key = (J.covering, c)
+    sheaf = category._rep_sheaves.get(key)
+    if sheaf is None:
+        sheaf, _ = sheafify(category, J, yoneda(category, c))
+        category._rep_sheaves[key] = sheaf
     return sheaf
 
 
@@ -233,76 +171,6 @@ def is_subcanonical(category, J):
         if not is_sheaf(category, J, yoneda(category, c)):
             return SubcanonicalVerdict(False, category.objects[c])
     return SubcanonicalVerdict(True)
-
-
-def canonical_topology(category, lattice=None, max_assignments=None):
-    """Largest subcanonical topology: join of all subcanonical elements,
-    re-verified to be subcanonical itself."""
-    if lattice is None:
-        lattice = enumerate_topologies(category, max_assignments)
-    members = [
-        i
-        for i, J in enumerate(lattice.elements)
-        if is_subcanonical(category, J)
-    ]
-    best = members[0]
-    for i in members[1:]:
-        best = lattice.join(best, i)
-    J = lattice.elements[best]
-    assert is_subcanonical(category, J), (
-        "join of subcanonical topologies lost subcanonicity"
-    )
-    return J
-
-
-def sheaf_hom(P, Q):
-    """Natural transformations between sheaves; same data as presheaf maps."""
-    return presheaf_homs(P, Q)
-
-
-@dataclass(frozen=True)
-class MapFlags:
-    mono: bool
-    epi: bool
-    iso: bool
-
-
-def is_locally_surjective(category, J, t):
-    """Every section of the target is covered by sections in the image."""
-    P, Q = t.source, t.target
-    images = [set(comp) for comp in t.components]
-    for c in range(len(category.objects)):
-        for y in range(Q.sizes[c]):
-            if not any(
-                all(
-                    Q.apply(f, y) in images[category.dom[f]]
-                    for f in bits(S)
-                )
-                for S in J.covering_masks(c)
-            ):
-                return False
-    return True
-
-
-def classify_map(category, J, t):
-    """Mono/epi/iso of a map of J-sheaves.
-
-    Monos are componentwise injections; epis are J-locally surjective maps;
-    isos are componentwise bijections.
-    """
-    mono = t.is_componentwise_injective()
-    iso = mono and t.is_componentwise_surjective()
-    epi = iso or is_locally_surjective(category, J, t)
-    return MapFlags(mono, epi, iso)
-
-
-def sheaf_coproduct(category, J, P, Q):
-    """Coproduct in the sheaf category: objectwise sum, then sheafified."""
-    from .presheaf import coproduct_presheaf
-
-    R, in1, in2 = coproduct_presheaf(P, Q)
-    sheafed, unit = sheafify(category, J, R)
-    return sheafed, compose_nat(unit, in1), compose_nat(unit, in2)
 
 
 def require_sheaf(category, J, P, what="presheaf"):

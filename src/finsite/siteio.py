@@ -68,12 +68,20 @@ def _check_type(value, types, where):
     return value
 
 
+def _check_names(names, where):
+    """Names are JSON strings; a list or a number is not a name."""
+    for name in names:
+        if type(name) is not str:
+            raise ParseError("%s must be str, got %r" % (where, name))
+
+
 def parse_category(data):
     """Build a validated category from the "category" block."""
     _check_type(data, (dict,), "category block")
     objects = _check_type(
         _require(data, "objects", "category block"), (list,), "objects"
     )
+    _check_names(objects, "object name")
     raw_morphisms = _check_type(
         _require(data, "morphisms", "category block"), (list,), "morphisms"
     )
@@ -84,10 +92,12 @@ def parse_category(data):
             raise ParseError(
                 "morphism entry must be [name, dom, cod], got %r" % (entry,)
             )
+        _check_names(entry, "name in a morphism entry")
         morphisms.append(tuple(entry))
     identities = _check_type(
         _require(data, "identities", "category block"), (dict,), "identities"
     )
+    _check_names(identities.values(), "identity")
     raw_composites = _check_type(
         data.get("composites", []), (list,), "composites"
     )
@@ -99,6 +109,7 @@ def parse_category(data):
                 "composite entry must be [g, f, h] meaning g after f = h, got %r"
                 % (entry,)
             )
+        _check_names(entry, "name in a composite entry")
         g, f, h = entry
         if (g, f) in composites:
             raise ParseError("composite (%r after %r) listed twice" % (g, f))
@@ -117,7 +128,7 @@ def parse_topology(category, data):
         )
     kind = keys[0]
     if kind == "named":
-        name = data["named"]
+        name = _check_type(data["named"], (str,), "named topology")
         if name not in NAMED_TOPOLOGIES:
             raise ParseError(
                 "unknown named topology %r (have %s)"
@@ -134,6 +145,7 @@ def parse_topology(category, data):
         for arrows in sieves:
             _check_type(arrows, (list,), "sieve of %r" % obj_name)
             mask = 0
+            _check_names(arrows, "arrow in a sieve")
             for arrow_name in arrows:
                 f = category.mor_index(arrow_name)
                 if category.cod[f] != c:
@@ -169,8 +181,10 @@ def parse_topology(category, data):
 def parse_subcategory(category, data, where):
     _check_type(data, (dict,), where)
     objects = _check_type(_require(data, "objects", where), (list,), where)
+    _check_names(objects, "object name")
     if "morphisms" in data:
         morphisms = _check_type(data["morphisms"], (list,), where)
+        _check_names(morphisms, "morphism name")
     else:
         # default to the full subcategory on the listed objects
         objs = {category.obj_index(o) for o in objects}
@@ -188,7 +202,7 @@ def parse_presheaf(category, data, where):
     sizes = [None] * len(category.objects)
     for obj_name, size in sizes_map.items():
         c = category.obj_index(obj_name)
-        if not isinstance(size, int) or size < 0:
+        if type(size) is not int or size < 0:
             raise ParseError("%s: size of %r must be a nonnegative int" % (where, obj_name))
         sizes[c] = size
     for c, size in enumerate(sizes):
@@ -203,6 +217,8 @@ def parse_presheaf(category, data, where):
     for mor_name, table in actions_map.items():
         f = category.mor_index(mor_name)
         _check_type(table, (list,), "%s action %r" % (where, mor_name))
+        if not all(type(x) is int for x in table):
+            raise ParseError("%s: action of %r must list ints" % (where, mor_name))
         actions[f] = tuple(table)
     for f in range(len(category.morphisms)):
         if actions[f] is None:
@@ -255,6 +271,8 @@ def load_site(path):
             text = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError("%s is not ASCII text: %s" % (path, exc)) from None
     return parse_site(text)
 
 

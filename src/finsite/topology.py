@@ -3,13 +3,21 @@
 A topology is stored as, for each object, the sorted tuple of covering sieve
 masks.  Everything downstream relies on that canonical form for equality,
 hashing, and deterministic output.
+
+On a finite category the covering sieves on c are closed upward and under
+intersection, so they are exactly the sieves containing one least covering
+sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  Each
+topology carries these as `minimal`, and the search, the lattice and the
+sheaf, density and object checks work with M_c alone.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
 from itertools import product
+from operator import and_
 
 from .category import bits
 from .errors import (
@@ -33,6 +41,18 @@ ENV_MAX_ASSIGNMENTS = "FINSITE_MAX_ASSIGNMENTS"
 class GrothendieckTopology:
     category: object
     covering: tuple  # per object index, sorted tuple of sieve masks
+    # per object index, the least covering sieve: the intersection of covering
+    minimal: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "minimal",
+            tuple(
+                reduce(and_, masks, self.category.maximal_sieve(c))
+                for c, masks in enumerate(self.covering)
+            ),
+        )
 
     def covers(self, c, mask):
         return mask in self.covering[c]
@@ -105,17 +125,16 @@ def is_topology(category, covering):
     return TopologyVerdict(True)
 
 
-def topology(category, covering, check=True):
+def topology(category, covering):
     cov = _normalize(category, covering)
-    if check:
-        verdict = is_topology(category, cov)
-        if not verdict:
-            raise TopologyAxiomViolation(
-                "covering assignment violates %s at %r"
-                % (verdict.axiom, verdict.witness),
-                verdict.axiom,
-                verdict.witness,
-            )
+    verdict = is_topology(category, cov)
+    if not verdict:
+        raise TopologyAxiomViolation(
+            "covering assignment violates %s at %r"
+            % (verdict.axiom, verdict.witness),
+            verdict.axiom,
+            verdict.witness,
+        )
     return GrothendieckTopology(category, cov)
 
 
@@ -253,9 +272,10 @@ class TopologyLattice:
     """All topologies on a category with meet/join/implication tables.
 
     Elements are sorted by their covering tuples, so indices are stable
-    across runs.  The order is containment of covering sets; meet is the
-    objectwise intersection, join the least enumerated upper bound, and
-    implication the Heyting adjoint computed by lattice scan.
+    across runs.  The order is containment of covering sets, that is reverse
+    containment of minimal sieves; meet is the objectwise union of minimal
+    sieves, join the least enumerated upper bound, and implication the
+    Heyting adjoint computed by lattice scan.
     """
 
     def __init__(self, category, elements):
@@ -265,13 +285,12 @@ class TopologyLattice:
         )
         self._index = {J.covering: i for i, J in enumerate(self.elements)}
         n = len(self.elements)
-        sets = [
-            [set(masks) for masks in J.covering] for J in self.elements
-        ]
+        mins = [J.minimal for J in self.elements]
+        by_minimal = {m: i for i, m in enumerate(mins)}
         leq = [[False] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                leq[i][j] = all(a <= b for a, b in zip(sets[i], sets[j]))
+                leq[i][j] = not any(b & ~a for a, b in zip(mins[i], mins[j]))
         self._leq = leq
         self.bottom = next(
             i for i in range(n) if all(leq[i][j] for j in range(n))
@@ -282,11 +301,9 @@ class TopologyLattice:
         meet = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(n):
-                cov = tuple(
-                    tuple(sorted(a & b))
-                    for a, b in zip(sets[i], sets[j])
-                )
-                meet[i][j] = self._index[cov]
+                meet[i][j] = by_minimal[
+                    tuple(a | b for a, b in zip(mins[i], mins[j]))
+                ]
         self.meet_table = meet
         join = [[0] * n for _ in range(n)]
         for i in range(n):
@@ -352,13 +369,35 @@ def count_candidate_assignments(category):
     return total
 
 
+def _is_minimal_assignment(category, minimal):
+    """Are the sieves minimal[c] the least covering sieves of a topology?
+
+    Stable: h^*M_c contains M_dom(h) for every arrow h into c.  Transitive:
+    M_c is generated by the composites f after k with f in M_c and k in
+    M_dom(f).  The covering sieves are then the sieves containing M_c.
+    """
+    for c, M in enumerate(minimal):
+        for h in category.into(c):
+            if minimal[category.dom[h]] & ~pullback_mask(category, M, h):
+                return False
+    for c, M in enumerate(minimal):
+        composites = [
+            category.compose(f, k)
+            for f in bits(M)
+            for k in bits(minimal[category.dom[f]])
+        ]
+        if generate_mask(category, composites) != M:
+            return False
+    return True
+
+
 def enumerate_topologies(category, max_assignments=None):
     """Enumerate Groth(C) and return it as a TopologyLattice.
 
-    Candidates are assignments of covering sets containing each maximal
-    sieve; stability is checked before the (more expensive) transitivity
-    axiom.  Refuses with SizeBoundExceeded when the candidate count passes
-    the bound (argument, FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
+    Searches the product of the sieves on each object for the minimal
+    covering sieves, kept when stable and transitive.  Refuses with
+    SizeBoundExceeded when the count of covering-set assignments passes the
+    bound (argument, FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
     """
     bound = _resolve_bound(max_assignments)
     required = count_candidate_assignments(category)
@@ -369,36 +408,13 @@ def enumerate_topologies(category, max_assignments=None):
             bound,
         )
     n_obj = len(category.objects)
-    optional = []
-    for c in range(n_obj):
-        top = category.maximal_sieve(c)
-        optional.append([m for m in sieve_masks_on(category, c) if m != top])
-    per_object = []
-    for c in range(n_obj):
-        tops = (category.maximal_sieve(c),)
-        choices = []
-        k = len(optional[c])
-        for pick in range(1 << k):
-            extra = tuple(optional[c][i] for i in range(k) if pick >> i & 1)
-            choices.append(tuple(sorted(tops + extra)))
-        per_object.append(choices)
-
+    sieves = [sieve_masks_on(category, c) for c in range(n_obj)]
     found = []
-    for assignment in product(*per_object):
-        sets = [set(masks) for masks in assignment]
-        ok = True
-        for c in range(n_obj):
-            for S in assignment[c]:
-                for h in category.into(c):
-                    if pullback_mask(category, S, h) not in sets[category.dom[h]]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        if is_topology(category, assignment):
-            found.append(GrothendieckTopology(category, assignment))
+    for minimal in product(*sieves):
+        if _is_minimal_assignment(category, minimal):
+            covering = tuple(
+                tuple(S for S in sieves[c] if not M & ~S)
+                for c, M in enumerate(minimal)
+            )
+            found.append(GrothendieckTopology(category, covering))
     return TopologyLattice(category, found)

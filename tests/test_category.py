@@ -3,14 +3,10 @@
 import pytest
 
 from finsite.category import (
-    connected_components,
     full_subcategory,
     has_right_ore,
-    intersect_subcategories,
     is_cartesian,
     is_cauchy_complete,
-    opposite,
-    slice_category,
     subcategory,
     validate_category,
     whole_subcategory,
@@ -30,7 +26,6 @@ from finsite.errors import (
     IdentityLawViolation,
     InvalidSubcategory,
     MissingIdentity,
-    MixedParents,
     NonAssociative,
     TypeMismatch,
     UndefinedComposite,
@@ -200,44 +195,6 @@ def test_poset_builder_closes_transitively():
         poset_category(("0", "1"), (("0", "1"), ("1", "0")))
 
 
-def test_opposite_swaps_and_involutes():
-    cat = arrow()
-    op = opposite(cat)
-    f = op.mor_index("f")
-    assert op.dom[f] == op.obj_index("b")
-    assert op.cod[f] == op.obj_index("a")
-    assert relawed(op) == op
-    assert opposite(op) == cat
-
-
-def test_opposite_of_group_keeps_table_transposed():
-    cat = z2()
-    op = opposite(cat)
-    s = cat.mor_index("s")
-    assert op.compose(s, s) == cat.compose(s, s)
-
-
-def test_slice_over_apex():
-    sliced = slice_category(vee(), vee().obj_index("z"))
-    cat = sliced.category
-    # objects: id_z, x->z, y->z; morphisms: three identities plus the two
-    # factorizations of the legs through id_z
-    assert len(cat.objects) == 3
-    assert len(cat.morphisms) == 5
-    assert relawed(cat) == cat
-    # projection sends a slice morphism to its underlying arrow
-    for i in range(len(cat.morphisms)):
-        assert sliced.project_morphism(i) < len(vee().morphisms)
-
-
-def test_slice_of_terminal_object_recovers_category_size():
-    # square has terminal s; slice over s has one object per object of the base
-    sq = square()
-    sliced = slice_category(sq, sq.obj_index("s"))
-    assert len(sliced.category.objects) == len(sq.objects)
-    assert relawed(sliced.category) == sliced.category
-
-
 def test_subcategory_masks_and_membership():
     cat = arrow()
     left = subcategory(cat, ("a",), ("id_a",))
@@ -295,17 +252,6 @@ def test_realize_is_cached_and_consistent():
     assert r1 is r2
     for d in range(len(r1.category.objects)):
         assert r1.local_object(r1.parent_object(d)) == d
-
-
-def test_intersection_of_subcategories():
-    cat = square()
-    a = full_subcategory(cat, ("p", "q", "s"))
-    b = full_subcategory(cat, ("q", "r", "s"))
-    both = intersect_subcategories((a, b))
-    assert {cat.objects[c] for c in both.object_indices()} == {"q", "s"}
-    other = full_subcategory(vee(), ("x",))
-    with pytest.raises(MixedParents):
-        intersect_subcategories((a, other))
 
 
 def test_cartesian_search_on_posets():
@@ -380,9 +326,3 @@ def test_cauchy_completeness_and_idempotent_splitting():
         },
     )
     assert is_cauchy_complete(split)
-
-
-def test_connected_components():
-    assert connected_components(discrete2()) == ((0,), (1,))
-    assert connected_components(vee()) == ((0, 1, 2),)
-    assert connected_components(point()) == ((0,),)

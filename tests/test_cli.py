@@ -216,6 +216,39 @@ def test_exit_code_3_for_unreadable_input(tmp_path, capsys):
     assert code == 3 and "invalid JSON" in err
 
 
+def assert_parse_error(code, err):
+    assert code == 3
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_exit_code_3_for_non_ascii_site_file(tmp_path, capsys):
+    doc = json.loads(serialize_site(named_site("arrow-j2")))
+    doc["name"] = "caf\u00e9"
+    path = tmp_path / "utf8.json"
+    path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(path))
+    assert_parse_error(code, err)
+    assert "not ASCII" in err
+
+
+def test_exit_code_3_for_a_list_as_morphism_name(capsys, site_file):
+    def listed(doc):
+        doc["category"]["morphisms"][2][0] = ["f"]
+
+    code, _, err = run(capsys, "validate", site_file("arrow-j2", listed))
+    assert_parse_error(code, err)
+    assert "must be str" in err
+
+
+def test_exit_code_3_for_a_boolean_presheaf_size(capsys, site_file):
+    def boolean(doc):
+        doc["presheaves"]["P"]["sizes"]["a"] = True
+
+    code, _, err = run(capsys, "validate", site_file("arrow-j2", boolean))
+    assert_parse_error(code, err)
+    assert "nonnegative int" in err
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "finsite.cli", "--format", "json",

@@ -1,6 +1,8 @@
 """Matching families, the sheaf condition, sheafification, canonicity."""
 
+import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -10,6 +12,7 @@ from finsite.corpus import arrow, idem, named_site, point, vee, z2
 from finsite.errors import NotASheaf
 from finsite.presheaf import (
     Presheaf,
+    compose_nat,
     coproduct_presheaf,
     presheaf_homs,
     random_presheaf,
@@ -17,18 +20,13 @@ from finsite.presheaf import (
     yoneda,
 )
 from finsite.sheaf import (
+    _plus,
     amalgamations,
-    canonical_topology,
-    classify_map,
-    is_locally_surjective,
     is_sheaf,
     is_subcanonical,
     matching_families,
-    plus_construction,
     representable_sheaf,
     require_sheaf,
-    sheaf_coproduct,
-    sheaf_hom,
     sheafify,
 )
 from finsite.topology import enumerate_topologies, trivial_topology
@@ -110,8 +108,9 @@ def test_sheafify_output_is_a_sheaf_and_collapses():
     F, unit = sheafify(cat, J, P)
     assert is_sheaf(cat, J, F)
     assert F.sizes == (1, 1)
-    flags = classify_map(cat, J, unit)
-    assert flags.epi and not flags.mono and not flags.iso
+    # the two elements over b collapse onto the one section
+    assert unit.is_componentwise_surjective()
+    assert not unit.is_componentwise_injective()
 
 
 def test_unit_is_iso_on_sheaves():
@@ -120,7 +119,7 @@ def test_unit_is_iso_on_sheaves():
     F = yoneda(cat, cat.obj_index("b"))
     G, unit = sheafify(cat, J, F)
     assert unit.is_componentwise_bijective()
-    once, unit1 = plus_construction(cat, J, F)
+    once, unit1 = _plus(cat, J, F)
     assert unit1.is_componentwise_bijective()
 
 
@@ -156,6 +155,17 @@ def test_representable_sheaf_is_cached():
     assert is_sheaf(cat, J, one)
 
 
+def test_memos_are_released_with_their_category():
+    site = named_site("square-cover")
+    cat, J = site.category, site.topology
+    representable_sheaf(cat, J, 0)
+    site.subcategories["sides"].realize()
+    ref = weakref.ref(cat)
+    del site, cat, J
+    gc.collect()
+    assert ref() is None
+
+
 def test_subcanonical_verdicts():
     site = named_site("arrow-j2")
     bad = is_subcanonical(site.category, site.topology)
@@ -165,9 +175,21 @@ def test_subcanonical_verdicts():
         assert is_subcanonical(site.category, site.topology)
 
 
+def canonical_index(cat, lattice):
+    """Lattice index of the join of the subcanonical topologies."""
+    members = [
+        i for i, J in enumerate(lattice.elements) if is_subcanonical(cat, J)
+    ]
+    best = members[0]
+    for i in members[1:]:
+        best = lattice.join(best, i)
+    return best
+
+
 def test_canonical_topology_on_the_arrow():
     cat = arrow()
-    J = canonical_topology(cat)
+    lattice = enumerate_topologies(cat)
+    J = lattice.elements[canonical_index(cat, lattice)]
     a, b = cat.obj_index("a"), cat.obj_index("b")
     assert set(J.covering_masks(a)) == {0, cat.maximal_sieve(a)}
     assert set(J.covering_masks(b)) == {cat.maximal_sieve(b)}
@@ -177,8 +199,8 @@ def test_canonical_topology_is_largest_subcanonical():
     for build in (point, arrow, z2, idem, vee):
         cat = build()
         lattice = enumerate_topologies(cat)
-        J = canonical_topology(cat, lattice)
-        top = lattice.index_of(J)
+        top = canonical_index(cat, lattice)
+        assert is_subcanonical(cat, lattice.elements[top])
         for i, K in enumerate(lattice.elements):
             if is_subcanonical(cat, K):
                 assert lattice.leq(i, top)
@@ -186,48 +208,18 @@ def test_canonical_topology_is_largest_subcanonical():
                 assert i != top
 
 
-def test_local_surjectivity_without_pointwise():
-    site = named_site("arrow-j2")
-    cat, J = site.category, site.topology
-    from finsite.presheaf import NatTransformation
-
-    ya = yoneda(cat, cat.obj_index("a"))
-    yb = yoneda(cat, cat.obj_index("b"))
-    t = NatTransformation(ya, yb, ((0,), ()))
-    assert not t.is_componentwise_surjective()
-    assert is_locally_surjective(cat, J, t)
-    flags = classify_map(cat, J, t)
-    assert flags.mono and flags.epi and not flags.iso
-
-
-def test_epi_under_trivial_topology_means_surjective():
-    cat = arrow()
-    J = trivial_topology(cat)
-    P = yoneda(cat, cat.obj_index("b"))
-    R, in1, _ = coproduct_presheaf(P, P)
-    flags = classify_map(cat, J, in1)
-    assert flags.mono and not flags.epi and not flags.iso
-
-
 def test_sheaf_coproduct_respects_empty_cover():
     site = named_site("arrow-emptycover")
     cat, J = site.category, site.topology
     T = terminal_presheaf(cat)
     assert is_sheaf(cat, J, T)
-    R, in1, in2 = sheaf_coproduct(cat, J, T, T)
+    S, in1, in2 = coproduct_presheaf(T, T)
+    R, unit = sheafify(cat, J, S)
+    in1, in2 = compose_nat(unit, in1), compose_nat(unit, in2)
     assert is_sheaf(cat, J, R)
     # the empty sieve covers a, so sections over a are forced to a point
     assert R.sizes == (1, 2)
     assert in1.components[1] != in2.components[1]
-
-
-def test_sheaf_hom_matches_presheaf_homs():
-    cat = z2()
-    J = trivial_topology(cat)
-    reg = yoneda(cat, 0)
-    assert {t.components for t in sheaf_hom(reg, reg)} == {
-        t.components for t in presheaf_homs(reg, reg)
-    }
 
 
 def test_require_sheaf_raises_with_witness():
