@@ -29,7 +29,6 @@ from .errors import NotDense
 from .objects import (
     is_atom,
     is_indecomposable,
-    is_indecomposable_projective,
     is_supercompact_object,
     rep_is_coherent,
     rep_is_compact,
@@ -37,7 +36,13 @@ from .objects import (
     rep_is_regular,
     rep_is_supercompact,
 )
-from .presheaf import Presheaf, are_isomorphic, terminal_presheaf, yoneda
+from .presheaf import (
+    Presheaf,
+    are_isomorphic,
+    compatible_families,
+    terminal_presheaf,
+    yoneda,
+)
 from .sheaf import is_subcanonical, representable_sheaf, sheafify
 from .sieves import Sieve, generate_mask, is_sieve_connected
 from .topology import induced_topology, trivial_topology
@@ -175,70 +180,33 @@ def right_kan_extension(parent, realized, G):
     """Pointwise right Kan extension of G along the subcategory inclusion.
 
     The value at a parent object c is the set of compatible families over
-    pairs (d, f) with d a subcategory object and f: d -> c in the parent;
-    compatibility transports values along subcategory arrows.
+    pairs (d, f) with d a subcategory object and f: d -> c in the parent,
+    where compatibility transports values along subcategory arrows.  The
+    families come from `compatible_families`, in ascending order over the
+    pairs sorted by d and then f.
     """
     Dcat = realized.category
-    n_par = len(parent.objects)
     pair_lists = []
     pair_index = []
-    for c in range(n_par):
-        pairs = []
-        for d in range(len(Dcat.objects)):
-            for f in parent.hom(realized.parent_object(d), c):
-                pairs.append((d, f))
-        pair_lists.append(pairs)
-        pair_index.append({p: i for i, p in enumerate(pairs)})
-
-    # subcategory arrows by local index with their parent images
-    sub_arrows = [
-        (h, realized.parent_morphism(h))
-        for h in range(len(Dcat.morphisms))
-    ]
-
     values = []
-    for c in range(n_par):
-        pairs = pair_lists[c]
-        index = pair_index[c]
-        constraints = [[] for _ in pairs]
+    for c in range(len(parent.objects)):
+        pairs = [
+            (d, f)
+            for d in range(len(Dcat.objects))
+            for f in parent.hom(realized.parent_object(d), c)
+        ]
+        index = {p: i for i, p in enumerate(pairs)}
+        edges = [[] for _ in pairs]
         for i, (d, f) in enumerate(pairs):
-            for h_local, h in sub_arrows:
-                if Dcat.cod[h_local] != d:
-                    continue
-                d2 = Dcat.dom[h_local]
-                j = index[(d2, parent.compose(f, h))]
-                constraints[i].append((h_local, j))
-        assignment = [None] * len(pairs)
-        found = []
-
-        def consistent(i):
-            for h_local, j in constraints[i]:
-                if assignment[j] is not None:
-                    if assignment[j] != G.apply(h_local, assignment[i]):
-                        return False
-            for k in range(len(pairs)):
-                if assignment[k] is None:
-                    continue
-                for h_local, j in constraints[k]:
-                    if j == i and assignment[i] != G.apply(
-                        h_local, assignment[k]
-                    ):
-                        return False
-            return True
-
-        def place(i):
-            if i == len(pairs):
-                found.append(tuple(assignment))
-                return
-            d, _ = pairs[i]
-            for x in range(G.sizes[d]):
-                assignment[i] = x
-                if consistent(i):
-                    place(i + 1)
-            assignment[i] = None
-
-        place(0)
-        values.append(sorted(found))
+            # h: d2 -> d carries the value at (d, f) to the one at (d2, f h)
+            for h in Dcat.into(d):
+                if not Dcat.is_identity(h):
+                    fh = parent.compose(f, realized.parent_morphism(h))
+                    edges[i].append((G.actions[h], index[(Dcat.dom[h], fh)]))
+        pair_lists.append(pairs)
+        pair_index.append(index)
+        sizes = [G.sizes[d] for d, _ in pairs]
+        values.append(tuple(compatible_families(sizes, edges)))
 
     value_index = [
         {v: i for i, v in enumerate(vals)} for vals in values
@@ -382,12 +350,9 @@ def _rigid_transfer(category, J):
     for c in irr:
         restricted = functors.restrict(representable_sheaf(category, J, c))
         local = realized.local_object(c)
+        # a presheaf isomorphic to a representable is a retract of one, so
+        # it is an indecomposable projective without a separate search
         if are_isomorphic(restricted, yoneda(realized.category, local)) is None:
-            all_ok = False
-            break
-        if not is_indecomposable_projective(
-            realized.category, sub_trivial, restricted
-        ):
             all_ok = False
             break
     return {

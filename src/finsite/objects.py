@@ -234,27 +234,23 @@ def is_indecomposable_projective(category, J, P):
     """P is a retract of some representable (presheaf context only).
 
     In presheaf categories the retracts of representables are exactly the
-    indecomposable projectives, found here by exhaustive section/retraction
-    search.
+    indecomposable projectives.  By Yoneda, the maps y(c) -> P are the
+    elements x of P(c), acting as h |-> P(h)x, so P is a retract of y(c)
+    when some section s: P -> y(c) and some x in P(c) have P(s(p))x = p for
+    every element p of P.
     """
     if J.covering != trivial_topology(category).covering:
         raise WrongTopology(
             "indecomposable projectives are computed over the trivial topology"
         )
-    from .presheaf import identity_nat
-
-    ident = identity_nat(P)
     for c in range(len(category.objects)):
-        rep = yoneda(category, c)
-        sections = presheaf_homs(P, rep)
-        if not sections:
-            continue
-        retractions = presheaf_homs(rep, P)
-        for s in sections:
-            for r in retractions:
-                from .presheaf import compose_nat
-
-                if compose_nat(r, s) == ident:
+        for s in presheaf_homs(P, yoneda(category, c)):
+            for x in range(P.sizes[c]):
+                if all(
+                    P.apply(category.hom(d, c)[i], x) == p
+                    for d, comp in enumerate(s.components)
+                    for p, i in enumerate(comp)
+                ):
                     return True
     return False
 

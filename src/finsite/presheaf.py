@@ -4,12 +4,17 @@ A presheaf stores, per object, an integer size (elements are 0..size-1) and,
 per morphism f: a -> b, a function table of length size(b) with entries below
 size(a).  Functoriality is checked at construction, so downstream code can
 trust every instance.
+
+A natural map P -> Q is a compatible family on the elements of P: each
+element x of P(c) takes a value in Q(c), and each f: a -> b requires the
+value at P(f)x to be Q(f) of the value at x.  `compatible_families` is the
+one solver for such searches; matching families and the right Kan extension
+use it as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import PresheafLawError
 
@@ -149,73 +154,110 @@ def yoneda(category, c):
     return Presheaf(category, sizes, tuple(actions))
 
 
-def _candidate_components(P, Q, c, bijective_only):
-    n, m = P.sizes[c], Q.sizes[c]
-    if bijective_only:
-        if n != m:
+def compatible_families(sizes, edges):
+    """Every assignment v with v[i] < sizes[i] and v[j] == tab[v[i]] for each
+    edge (tab, j) in edges[i], in ascending lexicographic order.
+
+    The search branches on the lowest unassigned node, tries its values in
+    ascending order and propagates forced values along the edges, failing at
+    the first conflict.  Every node below the branched one is assigned by
+    then, which gives the order.  Branch points live on an explicit stack, so
+    the depth of the search is not bounded by the recursion limit.  Entries
+    of each tab must lie below the size of the edge's target node.
+    """
+    n = len(sizes)
+    value = [None] * n
+    trail = []  # assigned nodes, in assignment order
+    branches = []  # (node, value, length of trail before it)
+    i, x = 0, 0
+    while True:
+        while i < n and value[i] is not None:
+            i += 1
+        if i == n:
+            yield tuple(value)
+        elif x < sizes[i]:
+            branches.append((i, x, len(trail)))
+            if _propagate(edges, value, trail, i, x):
+                x = 0
+                continue
+        if not branches:
             return
-        from itertools import permutations
-
-        for perm in permutations(range(m)):
-            yield perm
-        return
-    if n == 0:
-        yield ()
-        return
-    if m == 0:
-        return
-    for tab in product(range(m), repeat=n):
-        yield tab
+        i, x, mark = branches.pop()
+        for j in trail[mark:]:
+            value[j] = None
+        del trail[mark:]
+        x += 1
 
 
-def _homs(P, Q, bijective_only):
+def _propagate(edges, value, trail, i, x):
+    """Assign x to node i and every value it forces; False on a conflict."""
+    value[i] = x
+    k = len(trail)
+    trail.append(i)
+    while k < len(trail):
+        u = trail[k]
+        k += 1
+        xu = value[u]
+        for tab, j in edges[u]:
+            y = tab[xu]
+            if value[j] is None:
+                value[j] = y
+                trail.append(j)
+            elif value[j] != y:
+                return False
+    return True
+
+
+def _natural_maps(P, Q):
+    """Natural maps P -> Q as compatible families on the elements of P.
+
+    Element x of P(c) is a node with values in Q(c); f: a -> b ties node
+    (b, x) to node (a, P(f)x) through Q(f), which is naturality at f.
+    """
     cat = P.category
-    if P.category != Q.category:
+    if cat != Q.category:
         raise PresheafLawError("presheaves live on different categories")
-    n_obj = len(cat.objects)
-    # morphisms whose endpoints are both assigned once object c is placed
-    ready = [[] for _ in range(n_obj)]
+    start = [0]
+    for n in P.sizes:
+        start.append(start[-1] + n)
+    sizes = [Q.sizes[c] for c, n in enumerate(P.sizes) for _ in range(n)]
+    edges = [[] for _ in sizes]
     for f in range(len(cat.morphisms)):
-        ready[max(cat.dom[f], cat.cod[f])].append(f)
-    out = []
-    comps = [None] * n_obj
-
-    def natural_at(f):
+        if cat.is_identity(f):
+            continue
         a, b = cat.dom[f], cat.cod[f]
-        Pa, Qa = P.actions[f], Q.actions[f]
-        ca, cb = comps[a], comps[b]
-        return all(Qa[cb[x]] == ca[Pa[x]] for x in range(P.sizes[b]))
+        for x, y in enumerate(P.actions[f]):
+            edges[start[b] + x].append((Q.actions[f], start[a] + y))
+    return (
+        NatTransformation(
+            P, Q, tuple(v[start[c]:start[c + 1]] for c in range(len(P.sizes)))
+        )
+        for v in compatible_families(sizes, edges)
+    )
 
-    def place(c):
-        if c == n_obj:
-            out.append(
-                NatTransformation(P, Q, tuple(tuple(x) for x in comps))
-            )
-            return
-        for tab in _candidate_components(P, Q, c, bijective_only):
-            comps[c] = tab
-            if all(natural_at(f) for f in ready[c]):
-                place(c + 1)
-        comps[c] = None
 
-    place(0)
-    return tuple(out)
+def _natural_isos(P, Q):
+    maps = _natural_maps(P, Q)  # checks the categories before the sizes
+    if P.sizes != Q.sizes:
+        return iter(())
+    return (t for t in maps if t.is_componentwise_bijective())
 
 
 def presheaf_homs(P, Q):
-    """Every natural transformation P -> Q, in a canonical order."""
-    return _homs(P, Q, False)
+    """Every natural transformation P -> Q, in ascending order of their
+    concatenated components."""
+    return tuple(_natural_maps(P, Q))
 
 
 def presheaf_isos(P, Q):
-    """Every componentwise-bijective natural transformation P -> Q."""
-    return _homs(P, Q, True)
+    """Every componentwise-bijective natural transformation P -> Q, in the
+    order of presheaf_homs."""
+    return tuple(_natural_isos(P, Q))
 
 
 def are_isomorphic(P, Q):
-    """First natural isomorphism found, or None."""
-    isos = presheaf_isos(P, Q)
-    return isos[0] if isos else None
+    """The first natural isomorphism in the order of presheaf_isos, or None."""
+    return next(_natural_isos(P, Q), None)
 
 
 # ---------------------------------------------------------------------------

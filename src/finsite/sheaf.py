@@ -15,7 +15,13 @@ from dataclasses import dataclass
 
 from .category import bits
 from .errors import NotASheaf
-from .presheaf import NatTransformation, Presheaf, compose_nat, yoneda
+from .presheaf import (
+    NatTransformation,
+    Presheaf,
+    compatible_families,
+    compose_nat,
+    yoneda,
+)
 
 
 def matching_families(category, P, c, mask):
@@ -23,48 +29,22 @@ def matching_families(category, P, c, mask):
 
     A family assigns to each arrow f in the sieve an element of P(dom f),
     compatibly: the value at f-after-g is the g-image of the value at f.
-    Families are returned as tuples aligned with the ascending arrow indices
-    of the mask.
+    Families are the compatible families on the arrows of the sieve, returned
+    as tuples aligned with the ascending arrow indices of the mask, in
+    ascending order.
     """
     arrows = tuple(bits(mask))
-    if not arrows:
-        return ((),)
     pos = {f: i for i, f in enumerate(arrows)}
-    # (i, g, j): value at arrows[j] must be P(g) applied to value at arrows[i]
-    constraints = [[] for _ in arrows]
-    for f in arrows:
-        for g in category.into(category.dom[f]):
-            h = category.compose(f, g)
-            constraints[pos[f]].append((g, pos[h]))
-    values = [None] * len(arrows)
-    out = []
-
-    def consistent(i):
-        f = arrows[i]
-        for g, j in constraints[i]:
-            if values[j] is not None:
-                if values[j] != P.apply(g, values[i]):
-                    return False
-        for k in range(len(arrows)):
-            if values[k] is None:
-                continue
-            for g, j in constraints[k]:
-                if j == i and values[i] != P.apply(g, values[k]):
-                    return False
-        return True
-
-    def place(i):
-        if i == len(arrows):
-            out.append(tuple(values))
-            return
-        for x in range(P.sizes[category.dom[arrows[i]]]):
-            values[i] = x
-            if consistent(i):
-                place(i + 1)
-        values[i] = None
-
-    place(0)
-    return tuple(out)
+    edges = [
+        [
+            (P.actions[g], pos[category.compose(f, g)])
+            for g in category.into(category.dom[f])
+            if not category.is_identity(g)
+        ]
+        for f in arrows
+    ]
+    sizes = [P.sizes[category.dom[f]] for f in arrows]
+    return tuple(compatible_families(sizes, edges))
 
 
 def amalgamations(category, P, c, mask, family):
@@ -112,7 +92,7 @@ def _plus(category, J, P):
     """
     n_obj = len(category.objects)
     fams = [
-        sorted(matching_families(category, P, c, J.minimal[c]))
+        matching_families(category, P, c, J.minimal[c])
         for c in range(n_obj)
     ]
     index = [{fam: k for k, fam in enumerate(f)} for f in fams]

@@ -22,6 +22,7 @@ from operator import and_
 from .category import bits
 from .errors import (
     InvalidSubcategory,
+    ParseError,
     RightOreFails,
     SizeBoundExceeded,
     TopologyAxiomViolation,
@@ -264,7 +265,12 @@ def _resolve_bound(max_assignments):
         return max_assignments
     env = os.environ.get(ENV_MAX_ASSIGNMENTS)
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ParseError(
+                "%s must be an integer, got %r" % (ENV_MAX_ASSIGNMENTS, env)
+            ) from None
     return DEFAULT_MAX_ASSIGNMENTS
 
 

@@ -1,5 +1,8 @@
 """Site classes, comparison along dense subcategories, the report bundle."""
 
+import random
+from itertools import product
+
 import pytest
 
 from finsite.classify import (
@@ -19,9 +22,11 @@ from finsite.classify import (
     right_kan_extension,
     separating_set_check,
 )
-from finsite.corpus import arrow, named_site, vee
+from finsite.category import full_subcategory_from_mask
+from finsite.corpus import arrow, corpus, named_site, vee
+from finsite.density import is_dense
 from finsite.errors import NotDense
-from finsite.presheaf import are_isomorphic, yoneda
+from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
 from finsite.sheaf import is_sheaf, representable_sheaf
 from finsite.topology import trivial_topology
 
@@ -133,6 +138,65 @@ def test_right_kan_values_are_compatible_families():
     ran = right_kan_extension(cat, fun.realized, G)
     # one compatible family per object: both legs have singleton values
     assert ran.sizes == (1, 1, 1)
+
+
+def brute_right_kan(parent, realized, G):
+    """Sizes and action tables of the right Kan extension, by filtering
+    every assignment of values to the pairs (d, f: d -> c)."""
+    D = realized.category
+
+    def pairs(c):
+        return [
+            (d, f)
+            for d in range(len(D.objects))
+            for f in parent.hom(realized.parent_object(d), c)
+        ]
+
+    values = []
+    for c in range(len(parent.objects)):
+        ps = pairs(c)
+        found = []
+        for combo in product(*(range(G.sizes[d]) for d, _ in ps)):
+            val = dict(zip(ps, combo))
+            if all(
+                val[(D.dom[h], parent.compose(f, realized.parent_morphism(h)))]
+                == G.apply(h, val[(d, f)])
+                for d, f in ps
+                for h in range(len(D.morphisms))
+                if D.cod[h] == d
+            ):
+                found.append(combo)
+        values.append(found)
+    actions = []
+    for m in range(len(parent.morphisms)):
+        c2, c = parent.dom[m], parent.cod[m]
+        tab = []
+        for alpha in values[c]:
+            val = dict(zip(pairs(c), alpha))
+            beta = tuple(val[(d, parent.compose(m, g))] for d, g in pairs(c2))
+            tab.append(values[c2].index(beta))
+        actions.append(tuple(tab))
+    return tuple(len(v) for v in values), tuple(actions)
+
+
+def test_right_kan_extension_matches_brute_force():
+    rng = random.Random(60)
+    checked = 0
+    for site in corpus(seed=0, random_count=4):
+        cat, J = site.category, site.topology
+        for mask in range(1, 1 << len(cat.objects)):
+            sub = full_subcategory_from_mask(cat, mask)
+            if not is_dense(cat, J, sub):
+                continue
+            realized = sub.realize()
+            for _ in range(2):
+                G = random_presheaf(realized.category, rng, max_value=2)
+                ran = right_kan_extension(cat, realized, G)
+                assert (ran.sizes, ran.actions) == brute_right_kan(
+                    cat, realized, G
+                ), site.name
+                checked += 1
+    assert checked >= 40
 
 
 def test_restriction_lands_in_the_induced_site():

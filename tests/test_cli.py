@@ -207,6 +207,13 @@ def test_exit_code_2_for_size_bounds(capsys):
     assert code == 2 and "candidate assignments" in err
 
 
+def test_exit_code_3_for_a_non_integer_bound_variable(capsys, monkeypatch):
+    monkeypatch.setenv("FINSITE_MAX_ASSIGNMENTS", "abc")
+    code, _, err = run(capsys, "topologies", SQUARE)
+    assert code == 3 and "Traceback" not in err
+    assert "FINSITE_MAX_ASSIGNMENTS" in err and "'abc'" in err
+
+
 def test_exit_code_3_for_unreadable_input(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 3

@@ -1,8 +1,10 @@
 """Subobject lattices and the object-level property zoo."""
 
+import random
+
 import pytest
 
-from finsite.corpus import arrow, discrete2, named_site, z2
+from finsite.corpus import arrow, corpus, discrete2, named_site, z2
 from finsite.errors import NotASheaf, WrongTopology
 from finsite.objects import (
     closed_hull,
@@ -18,7 +20,15 @@ from finsite.objects import (
     rep_is_supercompact,
     subobjects,
 )
-from finsite.presheaf import coproduct_presheaf, terminal_presheaf, yoneda
+from finsite.presheaf import (
+    compose_nat,
+    coproduct_presheaf,
+    identity_nat,
+    presheaf_homs,
+    random_presheaf,
+    terminal_presheaf,
+    yoneda,
+)
 from finsite.topology import trivial_topology
 
 
@@ -137,6 +147,34 @@ def test_indecomposable_projectives():
     with pytest.raises(WrongTopology):
         is_indecomposable_projective(j2.category, j2.topology,
                                      yoneda(j2.category, 0))
+
+
+def retract_of_representable(cat, P):
+    """Search every section P -> y(c) against every retraction y(c) -> P."""
+    ident = identity_nat(P)
+    for c in range(len(cat.objects)):
+        rep = yoneda(cat, c)
+        for s in presheaf_homs(P, rep):
+            for r in presheaf_homs(rep, P):
+                if compose_nat(r, s) == ident:
+                    return True
+    return False
+
+
+def test_indecomposable_projectives_match_the_retraction_search():
+    rng = random.Random(70)
+    verdicts = []
+    for site in corpus(seed=0, random_count=4):
+        cat = site.category
+        J = trivial_topology(cat)
+        samples = [yoneda(cat, c) for c in range(len(cat.objects))]
+        samples += [random_presheaf(cat, rng) for _ in range(6)]
+        samples.append(terminal_presheaf(cat))
+        for P in samples:
+            verdict = is_indecomposable_projective(cat, J, P)
+            assert verdict == retract_of_representable(cat, P), site.name
+            verdicts.append(verdict)
+    assert True in verdicts and False in verdicts
 
 
 def test_regularity_probes_and_their_flags():

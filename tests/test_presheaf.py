@@ -11,6 +11,7 @@ from finsite.presheaf import (
     NatTransformation,
     Presheaf,
     are_isomorphic,
+    compatible_families,
     compose_nat,
     coproduct_presheaf,
     equalizer_presheaf,
@@ -116,8 +117,47 @@ def test_homs_match_brute_force():
         for _ in range(4):
             P = random_presheaf(cat, rng, max_value=2)
             Q = random_presheaf(cat, rng, max_value=2)
-            got = {t.components for t in presheaf_homs(P, Q)}
-            assert got == set(brute_homs(P, Q))
+            for source, target in ((P, Q), (P, P)):
+                brute = sorted(brute_homs(source, target))
+                got = [t.components for t in presheaf_homs(source, target)]
+                assert got == brute
+                bijective = [
+                    comps for comps in brute
+                    if all(sorted(comp) == list(range(n))
+                           for comp, n in zip(comps, target.sizes))
+                ]
+                isos = [t.components for t in presheaf_isos(source, target)]
+                assert isos == bijective
+                first = are_isomorphic(source, target)
+                assert (first and first.components) == (
+                    bijective[0] if bijective else None
+                )
+
+
+def test_compatible_families_match_brute_force():
+    rng = random.Random(44)
+    for _ in range(40):
+        n = rng.randint(0, 5)
+        sizes = [rng.randint(0, 3) for _ in range(n)]
+        edges = [[] for _ in range(n)]
+        for i in range(n):
+            for _ in range(rng.randint(0, 2)):
+                j = rng.randrange(n)
+                if sizes[j]:
+                    tab = tuple(rng.randrange(sizes[j]) for _ in range(sizes[i]))
+                    edges[i].append((tab, j))
+        brute = [
+            v for v in product(*(range(m) for m in sizes))
+            if all(v[j] == tab[v[i]] for i in range(n) for tab, j in edges[i])
+        ]
+        assert list(compatible_families(sizes, edges)) == brute
+
+
+def test_hom_search_depth_is_not_bounded_by_recursion():
+    cat = point()
+    P = Presheaf(cat, (1500,), (tuple(range(1500)),))
+    homs = presheaf_homs(P, terminal_presheaf(cat))
+    assert [t.components for t in homs] == [((0,) * 1500,)]
 
 
 def test_naturality_is_validated():
