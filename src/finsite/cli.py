@@ -277,7 +277,7 @@ def build_parser():
         "--max-assignments",
         type=int,
         default=None,
-        help="override the candidate-assignment bound",
+        help="override the bound on candidate sieves the topology search tries",
     )
     p.set_defaults(func=cmd_topologies)
 

@@ -9,6 +9,12 @@ intersection, so they are exactly the sieves containing one least covering
 sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  Each
 topology carries these as `minimal`, and the search, the lattice and the
 sheaf, density and object checks work with M_c alone.
+
+`enumerate_topologies` is a depth-first search over the objects that assigns
+M_c one object at a time and prunes a partial assignment at the first failed
+condition, so its work follows the topologies found rather than the product
+of the sieves.  Its size bound counts the candidate sieves it tries.  The
+lattice computes order, meet and join on demand from the minimal sieves.
 """
 
 from __future__ import annotations
@@ -16,8 +22,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
-from operator import and_
+from operator import and_, or_
 
 from .category import bits
 from .errors import (
@@ -275,13 +280,15 @@ def _resolve_bound(max_assignments):
 
 
 class TopologyLattice:
-    """All topologies on a category with meet/join/implication tables.
+    """All topologies on a category, ordered by inclusion of covering sets.
 
     Elements are sorted by their covering tuples, so indices are stable
-    across runs.  The order is containment of covering sets, that is reverse
-    containment of minimal sieves; meet is the objectwise union of minimal
-    sieves, join the least enumerated upper bound, and implication the
-    Heyting adjoint computed by lattice scan.
+    across runs; `bottom` is the trivial topology and `top` the maximal one.
+    No table is built up front: the order, meet and join are computed on
+    demand from the least covering sieves.  J_i <= J_j when M_j lies inside
+    M_i at every object, the meet is the topology whose minimal sieves are
+    the objectwise unions, and the join is the meet of all upper bounds.  The
+    Heyting implication table is built by lattice scan on first use.
     """
 
     def __init__(self, category, elements):
@@ -290,38 +297,13 @@ class TopologyLattice:
             sorted(elements, key=lambda J: J.covering)
         )
         self._index = {J.covering: i for i, J in enumerate(self.elements)}
-        n = len(self.elements)
-        mins = [J.minimal for J in self.elements]
-        by_minimal = {m: i for i, m in enumerate(mins)}
-        leq = [[False] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                leq[i][j] = not any(b & ~a for a, b in zip(mins[i], mins[j]))
-        self._leq = leq
-        self.bottom = next(
-            i for i in range(n) if all(leq[i][j] for j in range(n))
-        )
-        self.top = next(
-            i for i in range(n) if all(leq[j][i] for j in range(n))
-        )
-        meet = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                meet[i][j] = by_minimal[
-                    tuple(a | b for a, b in zip(mins[i], mins[j]))
-                ]
-        self.meet_table = meet
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                uppers = [
-                    k for k in range(n) if leq[i][k] and leq[j][k]
-                ]
-                best = uppers[0]
-                for k in uppers[1:]:
-                    best = meet[best][k]
-                join[i][j] = best
-        self.join_table = join
+        self._minimal = tuple(J.minimal for J in self.elements)
+        self._by_minimal = {m: i for i, m in enumerate(self._minimal)}
+        objects = range(len(category.objects))
+        self.bottom = self._by_minimal[
+            tuple(category.maximal_sieve(c) for c in objects)
+        ]
+        self.top = self._by_minimal[tuple(0 for _ in objects)]
         self._implication = None
 
     def __len__(self):
@@ -334,13 +316,21 @@ class TopologyLattice:
             raise KeyError("topology is not an element of this lattice") from None
 
     def leq(self, i, j):
-        return self._leq[i][j]
+        return not any(
+            b & ~a for a, b in zip(self._minimal[i], self._minimal[j])
+        )
 
     def meet(self, i, j):
-        return self.meet_table[i][j]
+        return self._by_minimal[
+            tuple(a | b for a, b in zip(self._minimal[i], self._minimal[j]))
+        ]
 
     def join(self, i, j):
-        return self.join_table[i][j]
+        best = self.top
+        for k in range(len(self.elements)):
+            if self.leq(i, k) and self.leq(j, k):
+                best = self.meet(best, k)
+        return best
 
     @property
     def implication_table(self):
@@ -350,14 +340,12 @@ class TopologyLattice:
             for i in range(n):
                 for j in range(n):
                     candidates = [
-                        k
-                        for k in range(n)
-                        if self._leq[self.meet_table[k][i]][j]
+                        k for k in range(n) if self.leq(self.meet(k, i), j)
                     ]
                     best = candidates[0]
                     for k in candidates[1:]:
-                        best = self.join_table[best][k]
-                    assert self._leq[self.meet_table[best][i]][j], (
+                        best = self.join(best, k)
+                    assert self.leq(self.meet(best, i), j), (
                         "implication fell outside its defining set"
                     )
                     impl[i][j] = best
@@ -369,58 +357,114 @@ class TopologyLattice:
 
 
 def count_candidate_assignments(category):
+    """Number of covering-set assignments, 2^(|Sieves(c)| - 1) per object.
+
+    A size measure of the category, used to pick corpus and benchmark sites;
+    the topology search itself is bounded by the sieves it tries.
+    """
     total = 1
     for c in range(len(category.objects)):
         total *= 1 << (len(sieve_masks_on(category, c)) - 1)
     return total
 
 
-def _is_minimal_assignment(category, minimal):
-    """Are the sieves minimal[c] the least covering sieves of a topology?
-
-    Stable: h^*M_c contains M_dom(h) for every arrow h into c.  Transitive:
-    M_c is generated by the composites f after k with f in M_c and k in
-    M_dom(f).  The covering sieves are then the sieves containing M_c.
-    """
-    for c, M in enumerate(minimal):
-        for h in category.into(c):
-            if minimal[category.dom[h]] & ~pullback_mask(category, M, h):
-                return False
-    for c, M in enumerate(minimal):
-        composites = [
-            category.compose(f, k)
-            for f in bits(M)
-            for k in bits(minimal[category.dom[f]])
-        ]
-        if generate_mask(category, composites) != M:
-            return False
-    return True
-
-
 def enumerate_topologies(category, max_assignments=None):
     """Enumerate Groth(C) and return it as a TopologyLattice.
 
-    Searches the product of the sieves on each object for the minimal
-    covering sieves, kept when stable and transitive.  Refuses with
-    SizeBoundExceeded when the count of covering-set assignments passes the
-    bound (argument, FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
+    A topology is found as its least covering sieves M_c: stable (M_d lies
+    inside h^*M_c for every h: d -> c) and transitive (M_c is generated by
+    the composites f after k with f in M_c and k in M_dom(f)).  The search
+    assigns M_c object by object, fewest arrows in first, and cuts a partial
+    assignment as soon as a stability condition between two assigned objects
+    fails; transitivity at c is checked once every domain of an arrow into c
+    is assigned.  Branch points are kept on an explicit stack, so the depth
+    is not bounded by the recursion limit.  Raises SizeBoundExceeded once
+    the candidate sieves tried pass the bound (argument,
+    FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
     """
     bound = _resolve_bound(max_assignments)
-    required = count_candidate_assignments(category)
-    if required > bound:
-        raise SizeBoundExceeded(
-            "%d candidate assignments exceed the bound %d" % (required, bound),
-            required,
-            bound,
-        )
-    n_obj = len(category.objects)
-    sieves = [sieve_masks_on(category, c) for c in range(n_obj)]
+    cat = category
+    n_obj = len(cat.objects)
+    dom, cod = cat.dom, cat.cod
+    sieves = [sieve_masks_on(cat, c) for c in range(n_obj)]
+    order = sorted(range(n_obj), key=lambda c: (len(cat.into(c)), c))
+    depth_of = {c: depth for depth, c in enumerate(order)}
+    arrows = [h for h in range(len(cat.morphisms)) if not cat.is_identity(h)]
+    # per call: the arrows of each sieve, h^*M for each sieve M on cod(h),
+    # and f.M = {f after k : k in M} for each sieve M on dom(f)
+    members = [
+        {M: tuple(f for f in cat.into(c) if M >> f & 1) for M in sieves[c]}
+        for c in range(n_obj)
+    ]
+    pullback = {
+        h: {M: pullback_mask(cat, M, h) for M in sieves[cod[h]]}
+        for h in arrows
+    }
+    image = [
+        {
+            M: generate_mask(cat, [cat.compose(f, k) for k in ks])
+            for M, ks in members[dom[f]].items()
+        }
+        for f in range(len(cat.morphisms))
+    ]
+    # the stability and transitivity conditions decided at each depth
+    stable_at = [[] for _ in order]
+    for h in arrows:
+        stable_at[max(depth_of[dom[h]], depth_of[cod[h]])].append(h)
+    closed_at = [[] for _ in order]
+    for c in range(n_obj):
+        closed_at[
+            max([depth_of[c]] + [depth_of[dom[f]] for f in cat.into(c)])
+        ].append(c)
+
+    minimal = [0] * n_obj
+
+    def transitive(c):
+        M = minimal[c]
+        composites = (image[f][minimal[dom[f]]] for f in members[c][M])
+        return reduce(or_, composites, 0) == M
+
+    choice = [-1] * n_obj
+    tried = 0
     found = []
-    for minimal in product(*sieves):
-        if _is_minimal_assignment(category, minimal):
-            covering = tuple(
-                tuple(S for S in sieves[c] if not M & ~S)
-                for c, M in enumerate(minimal)
+    depth = 0
+    while depth >= 0:
+        if depth == n_obj:
+            found.append(tuple(minimal))
+            depth -= 1
+            continue
+        c = order[depth]
+        choice[depth] += 1
+        if choice[depth] == len(sieves[c]):
+            choice[depth] = -1
+            depth -= 1
+            continue
+        tried += 1
+        if tried > bound:
+            raise SizeBoundExceeded(
+                "%d candidate assignments tried exceed the bound %d"
+                % (tried, bound),
+                tried,
+                bound,
             )
-            found.append(GrothendieckTopology(category, covering))
-    return TopologyLattice(category, found)
+        minimal[c] = sieves[c][choice[depth]]
+        if any(
+            minimal[dom[h]] & ~pullback[h][minimal[cod[h]]]
+            for h in stable_at[depth]
+        ):
+            continue
+        if all(transitive(e) for e in closed_at[depth]):
+            depth += 1
+    return TopologyLattice(
+        cat,
+        [
+            GrothendieckTopology(
+                cat,
+                tuple(
+                    tuple(S for S in sieves[c] if not M & ~S)
+                    for c, M in enumerate(assignment)
+                ),
+            )
+            for assignment in found
+        ],
+    )

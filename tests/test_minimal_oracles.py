@@ -6,19 +6,36 @@ or for the plus construction over every (covering sieve, matching family)
 pair with the colimit identification done by pairwise comparison.  They run
 on every topology of every corpus category with at most 12 morphisms, plus
 the chain 0 < 1 < 2 < 3, on seeded random presheaves and subcategories.
+
+The topology search itself is checked against the filter of the whole
+product of sieves, the sieves against the filter of all arrow subsets, and
+the on-demand lattice operations against eagerly built tables.
 """
 
+import itertools
 import random
 
 import pytest
 
-from finsite.category import bits, subcategory_from_masks
-from finsite.corpus import corpus, poset_category
+from finsite.category import bits, subcategory_from_masks, validate_category
+from finsite.corpus import (
+    corpus,
+    idem,
+    monoid_category,
+    poset_category,
+    random_path_category,
+    random_poset_category,
+)
 from finsite.density import is_dense
 from finsite.objects import closed_hull, rep_is_irreducible, rep_is_supercompact
 from finsite.presheaf import random_presheaf
 from finsite.sheaf import _plus, amalgamations, is_sheaf, matching_families
-from finsite.sieves import generate_mask, pullback_mask
+from finsite.sieves import (
+    generate_mask,
+    is_right_closed,
+    pullback_mask,
+    sieve_masks_on,
+)
 from finsite.topology import enumerate_topologies
 
 
@@ -262,3 +279,177 @@ def test_closed_hull_matches_the_covering_scan():
                 assert closed_hull(cat, J, A, seed) == scan_closed_hull(
                     cat, J, A, seed
                 )
+
+
+# ---------------------------------------------------------------------------
+# The topology search, the sieves and the lattice operations.
+
+
+def subset_sieves(cat, c):
+    """Sieves on c: every subset of the arrows into c that is right closed."""
+    arrows = cat.into(c)
+    out = []
+    for pick in range(1 << len(arrows)):
+        mask = 0
+        for i, f in enumerate(arrows):
+            if pick >> i & 1:
+                mask |= 1 << f
+        if is_right_closed(cat, mask):
+            out.append(mask)
+    return tuple(sorted(out))
+
+
+def is_minimal_assignment(cat, minimal):
+    """Stable: h^*M_c contains M_dom(h) for every arrow h into c.  Transitive:
+    M_c is generated by the composites f after k with f in M_c and k in
+    M_dom(f)."""
+    for c, M in enumerate(minimal):
+        for h in cat.into(c):
+            if minimal[cat.dom[h]] & ~pullback_mask(cat, M, h):
+                return False
+    for c, M in enumerate(minimal):
+        composites = [
+            cat.compose(f, k) for f in bits(M) for k in bits(minimal[cat.dom[f]])
+        ]
+        if generate_mask(cat, composites) != M:
+            return False
+    return True
+
+
+def product_filter_topologies(cat):
+    """Sorted coverings of every topology, by filtering the whole product of
+    the sieves on each object for stable, transitive least covering sieves."""
+    sieves = [subset_sieves(cat, c) for c in range(len(cat.objects))]
+    out = []
+    for minimal in itertools.product(*sieves):
+        if is_minimal_assignment(cat, minimal):
+            out.append(
+                tuple(
+                    tuple(S for S in sieves[c] if not M & ~S)
+                    for c, M in enumerate(minimal)
+                )
+            )
+    return tuple(sorted(out))
+
+
+def eager_tables(lat):
+    """leq, meet, join and implication tables built up front by scanning the
+    lattice, with meet as the objectwise union of minimal sieves."""
+    n = len(lat.elements)
+    mins = [J.minimal for J in lat.elements]
+    by_minimal = {m: i for i, m in enumerate(mins)}
+    leq = [
+        [not any(b & ~a for a, b in zip(mins[i], mins[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    meet = [
+        [by_minimal[tuple(a | b for a, b in zip(mins[i], mins[j]))] for j in range(n)]
+        for i in range(n)
+    ]
+    join = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            uppers = [k for k in range(n) if leq[i][k] and leq[j][k]]
+            best = uppers[0]
+            for k in uppers[1:]:
+                best = meet[best][k]
+            join[i][j] = best
+    impl = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            candidates = [k for k in range(n) if leq[meet[k][i]][j]]
+            best = candidates[0]
+            for k in candidates[1:]:
+                best = join[best][k]
+            impl[i][j] = best
+    return leq, meet, join, impl
+
+
+def chain(n):
+    names = ["c%d" % i for i in range(n)]
+    return poset_category(names, [(a, b) for a, b in zip(names, names[1:])])
+
+
+def cyclic_group(n):
+    names = ["e"] + ["a%d" % i for i in range(1, n)]
+    table = {
+        (names[i], names[j]): names[(i + j) % n] for i in range(n) for j in range(n)
+    }
+    return monoid_category(names, "e", table)
+
+
+def map_monoid(maps):
+    """Monoid of self-maps of range(k) under composition; maps[0] is the unit."""
+    name = {m: "m" + "".join(map(str, m)) for m in maps}
+    table = {
+        (name[g], name[f]): name[tuple(g[x] for x in f)] for g in maps for f in maps
+    }
+    return monoid_category([name[m] for m in maps], name[maps[0]], table)
+
+
+def orbit_quotient():
+    """An object d with a Z2 action t and its quotient f: d -> c (f t = f).
+    c comes first in the search, and the sieve {f} on c is transitive only
+    once d is assigned its maximal sieve."""
+    return validate_category(
+        ("c", "d"),
+        (("id_c", "c", "c"), ("id_d", "d", "d"), ("t", "d", "d"), ("f", "d", "c")),
+        {"c": "id_c", "d": "id_d"},
+        {("t", "t"): "id_d", ("f", "t"): "f"},
+    )
+
+
+def _search_categories():
+    out = []
+    for site in corpus(seed=0, random_count=4):
+        out.append((site.name, site.category))
+    out += [("chain4", chain(4)), ("chain5", chain(5))]
+    out.append(
+        ("2^2", poset_category(("00", "01", "10", "11"), (
+            ("00", "01"), ("00", "10"), ("01", "11"), ("10", "11"))))
+    )
+    for seed in range(16):
+        out.append(("poset%d" % seed, random_poset_category(random.Random(seed), 14)))
+        out.append(("path%d" % seed, random_path_category(random.Random(seed), 14)))
+    out += [("idem", idem()), ("orbit", orbit_quotient())]
+    out += [("Z%d" % n, cyclic_group(n)) for n in range(2, 7)]
+    out += [
+        ("K4", map_monoid([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])),
+        ("S3", map_monoid(list(itertools.permutations(range(3))))),
+        ("T2", map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)])),
+    ]
+    seen = []
+    for name, cat in out:
+        if cat not in seen:
+            seen.append(cat)
+            yield pytest.param(cat, id=name)
+
+
+SEARCH_CATEGORIES = list(_search_categories())
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_search_matches_the_product_filter(cat):
+    got = tuple(J.covering for J in enumerate_topologies(cat).elements)
+    assert got == product_filter_topologies(cat)
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_sieves_match_the_subset_filter(cat):
+    for c in range(len(cat.objects)):
+        assert sieve_masks_on(cat, c) == subset_sieves(cat, c)
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_lattice_operations_match_eager_tables(cat):
+    lat = enumerate_topologies(cat)
+    n = len(lat)
+    leq, meet, join, impl = eager_tables(lat)
+    assert all(leq[lat.bottom][k] and leq[k][lat.top] for k in range(n))
+    for i in range(n):
+        for j in range(n):
+            assert lat.leq(i, j) == leq[i][j]
+            assert lat.meet(i, j) == meet[i][j]
+            assert lat.join(i, j) == join[i][j]
+    if n <= 16:
+        assert lat.implication_table == impl

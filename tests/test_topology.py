@@ -11,6 +11,7 @@ from finsite.corpus import (
     idem,
     parallel_pair,
     point,
+    poset_category,
     square,
     vee,
     z2,
@@ -285,14 +286,63 @@ def test_index_of_roundtrips():
 
 
 def test_candidate_bound_enforced():
+    # the search tries 68 candidate sieves on the square; the bound counts them
     cat = square()
-    needed = count_candidate_assignments(cat)
-    assert needed == 1024
+    assert count_candidate_assignments(cat) == 1024
+    needed = 68
     with pytest.raises(SizeBoundExceeded) as info:
         enumerate_topologies(cat, max_assignments=needed - 1)
     assert info.value.required == needed
     assert info.value.bound == needed - 1
     assert len(enumerate_topologies(cat, max_assignments=needed).elements) > 0
+
+
+def chain(n):
+    names = ["c%d" % i for i in range(n)]
+    return poset_category(names, [(a, b) for a, b in zip(names, names[1:])])
+
+
+def boolean_lattice(k):
+    names = [format(i, "0%db" % k) for i in range(1 << k)]
+    return poset_category(
+        names,
+        [
+            (names[i], names[i | 1 << b])
+            for i in range(1 << k)
+            for b in range(k)
+            if not i >> b & 1
+        ],
+    )
+
+
+@pytest.mark.parametrize(
+    "build,count",
+    [
+        (lambda: chain(6), 64),
+        (lambda: chain(7), 128),
+        (lambda: chain(8), 256),
+        (lambda: boolean_lattice(3), 256),
+    ],
+    ids=["chain6", "chain7", "chain8", "2^3"],
+)
+def test_enumeration_past_the_covering_set_count(build, count):
+    # each has more than 2^16 covering-set assignments, yet the search tries
+    # few enough sieves to finish under the default bound
+    cat = build()
+    assert count_candidate_assignments(cat) > 1 << 16
+    assert len(enumerate_topologies(cat)) == count
+
+
+def test_default_bound_refuses_the_boolean_lattice_2_4():
+    with pytest.raises(SizeBoundExceeded) as info:
+        enumerate_topologies(boolean_lattice(4))
+    assert info.value.required == info.value.bound + 1 == (1 << 16) + 1
+
+
+def test_search_depth_is_not_bounded_by_recursion():
+    cat = poset_category(["x%d" % i for i in range(1500)], [])
+    with pytest.raises(SizeBoundExceeded):
+        enumerate_topologies(cat, max_assignments=4000)
 
 
 def test_candidate_bound_from_environment(monkeypatch):
