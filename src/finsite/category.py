@@ -34,10 +34,6 @@ def bits(mask):
         i += 1
 
 
-def bit_count(mask):
-    return bin(mask).count("1")
-
-
 class FiniteCategory:
     """A finite category given by a total composition table.
 

@@ -45,7 +45,7 @@ from .presheaf import (
 )
 from .sheaf import is_subcanonical, representable_sheaf, sheafify
 from .sieves import Sieve, generate_mask, is_sieve_connected
-from .topology import induced_topology, trivial_topology
+from .topology import atomic_topology, induced_topology, trivial_topology
 
 TRANSFER = "site-to-representable transfer"
 SEPARATING = "separating-set characterization"
@@ -79,13 +79,11 @@ def is_locally_connected_site(category, J):
 
 def is_atomic_site(category, J):
     """The right Ore condition holds and J is the atomic topology."""
-    from .topology import atomic_topology
-
     ore = has_right_ore(category)
     if not ore:
         return SiteVerdict(False, ("right-ore", ore.counterexample))
     atomic = atomic_topology(category)
-    if J.covering != atomic.covering:
+    if J.minimal != atomic.minimal:
         return SiteVerdict(False, ("covering-differs",))
     return SiteVerdict(True)
 
@@ -344,7 +342,7 @@ def _rigid_transfer(category, J):
     realized = functors.realized
     sub_trivial = trivial_topology(realized.category)
     induced_trivial = (
-        functors.sub_topology.covering == sub_trivial.covering
+        functors.sub_topology.minimal == sub_trivial.minimal
     )
     all_ok = True
     for c in irr:

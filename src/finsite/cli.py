@@ -8,6 +8,7 @@ topology axioms, missing structure), 2 search-space bound exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -253,7 +254,10 @@ def cmd_corpus(args):
             _emit(args, manifest)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, so every call of `main` shares it."""
     parser = argparse.ArgumentParser(
         prog="finsite",
         description="Grothendieck topologies, sheaves and site classification "
@@ -321,8 +325,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.func(args)
     except ParseError as exc:

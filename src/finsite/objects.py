@@ -239,7 +239,7 @@ def is_indecomposable_projective(category, J, P):
     when some section s: P -> y(c) and some x in P(c) have P(s(p))x = p for
     every element p of P.
     """
-    if J.covering != trivial_topology(category).covering:
+    if J.minimal != trivial_topology(category).minimal:
         raise WrongTopology(
             "indecomposable projectives are computed over the trivial topology"
         )

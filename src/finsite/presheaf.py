@@ -94,9 +94,6 @@ class NatTransformation:
                         "naturality fails at %r" % (cat.morphisms[f],)
                     )
 
-    def component(self, c):
-        return self.components[c]
-
     def apply(self, c, x):
         return self.components[c][x]
 

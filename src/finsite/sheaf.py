@@ -129,7 +129,7 @@ def sheafify(category, J, P):
 def representable_sheaf(category, J, c):
     """Sheafification of the representable at object index c, memoised on
     the category."""
-    key = (J.covering, c)
+    key = (J.minimal, c)
     sheaf = category._rep_sheaves.get(key)
     if sheaf is None:
         sheaf, _ = sheafify(category, J, yoneda(category, c))

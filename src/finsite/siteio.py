@@ -19,6 +19,7 @@ from .category import (
 )
 from .errors import ParseError, UnknownName, UnknownObject
 from .presheaf import Presheaf
+from .sieves import is_right_closed
 from .topology import (
     GrothendieckTopology,
     atomic_topology,
@@ -174,6 +175,15 @@ def parse_topology(category, data):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )
+        for mask in masks:
+            if not is_right_closed(category, mask):
+                raise ParseError(
+                    "coverage of %r lists %r, which is not a sieve"
+                    % (
+                        category.objects[c],
+                        [category.morphisms[f] for f in bits(mask)],
+                    )
+                )
         covering.append(tuple(sorted(masks)))
     return topology(category, tuple(covering))
 

@@ -1,43 +1,37 @@
 """Grothendieck topologies on a finite category, and the lattice of all of them.
 
-A topology is stored as, for each object, the sorted tuple of covering sieve
-masks.  Everything downstream relies on that canonical form for equality,
-hashing, and deterministic output.
-
 On a finite category the covering sieves on c are closed upward and under
 intersection, so they are exactly the sieves containing one least covering
-sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  Each
-topology carries these as `minimal`, and the search, the lattice and the
-sheaf, density and object checks work with M_c alone.
+sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  A
+topology is stored as these minimal sieves, one mask per object; the sorted
+tuple of covering sieve masks of each object is derived from them on first
+use, and is what reports and site files list.
 
 `enumerate_topologies` is a depth-first search over the objects that assigns
 M_c one object at a time and prunes a partial assignment at the first failed
 condition, so its work follows the topologies found rather than the product
 of the sieves.  Its size bound counts the candidate sieves it tries.  The
-lattice computes order, meet and join on demand from the minimal sieves.
+smallest topology in which given sieves cover, used for generated topologies
+and for lattice joins, is one fixed point on the minimal sieves.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from operator import and_, or_
 
-from .category import bits
+from .category import bits, has_right_ore
 from .errors import (
+    CodomainMismatch,
     InvalidSubcategory,
     ParseError,
     RightOreFails,
     SizeBoundExceeded,
     TopologyAxiomViolation,
 )
-from .sieves import (
-    Sieve,
-    generate_mask,
-    pullback_mask,
-    sieve_masks_on,
-)
+from .sieves import generate_mask, pullback_mask, sieve_masks_on
 
 DEFAULT_MAX_ASSIGNMENTS = 1 << 16
 ENV_MAX_ASSIGNMENTS = "FINSITE_MAX_ASSIGNMENTS"
@@ -46,33 +40,25 @@ ENV_MAX_ASSIGNMENTS = "FINSITE_MAX_ASSIGNMENTS"
 @dataclass(frozen=True)
 class GrothendieckTopology:
     category: object
-    covering: tuple  # per object index, sorted tuple of sieve masks
-    # per object index, the least covering sieve: the intersection of covering
-    minimal: tuple = field(init=False, repr=False, compare=False)
+    minimal: tuple  # per object index, the mask of the least covering sieve
 
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "minimal",
-            tuple(
-                reduce(and_, masks, self.category.maximal_sieve(c))
-                for c, masks in enumerate(self.covering)
-            ),
+    @cached_property
+    def covering(self):
+        """Per object index, the ascending masks of the covering sieves:
+        the sieves that contain the least one."""
+        return tuple(
+            tuple(S for S in sieve_masks_on(self.category, c) if not M & ~S)
+            for c, M in enumerate(self.minimal)
         )
 
     def covers(self, c, mask):
-        return mask in self.covering[c]
+        return not self.minimal[c] & ~mask
 
     def covering_masks(self, c):
         return self.covering[c]
 
-    def covering_sieves(self, c):
-        return tuple(Sieve(c, m) for m in self.covering[c])
-
     def leq(self, other):
-        return all(
-            set(a) <= set(b) for a, b in zip(self.covering, other.covering)
-        )
+        return not any(b & ~a for a, b in zip(self.minimal, other.minimal))
 
     def describe(self):
         """Name-level view: object name -> list of sorted arrow-name lists."""
@@ -95,16 +81,12 @@ class TopologyVerdict:
         return self.ok
 
 
-def _normalize(category, covering):
-    return tuple(tuple(sorted(set(masks))) for masks in covering)
-
-
 def is_topology(category, covering):
     """Check the three axioms; report the first violated one with a witness.
 
     covering: per object, an iterable of sieve masks.
     """
-    cov = _normalize(category, covering)
+    cov = [sorted(set(masks)) for masks in covering]
     n_obj = len(category.objects)
     if len(cov) != n_obj:
         return TopologyVerdict(False, "shape", (len(cov), n_obj))
@@ -131,8 +113,48 @@ def is_topology(category, covering):
     return TopologyVerdict(True)
 
 
+def _least(category, covering):
+    """Per object, the intersection of the given covering masks."""
+    return tuple(
+        reduce(and_, masks, category.maximal_sieve(c))
+        for c, masks in enumerate(covering)
+    )
+
+
+def _close(category, minimal):
+    """Least covering sieves of the smallest topology in which minimal[c]
+    covers c for every object c.
+
+    Shrinks the sieves until they are stable (M_d inside h^*M_c for every
+    h: d -> c) and transitive (M_c generated by the composites f after k with
+    f in M_c and k in M_dom(f)).  Both steps are monotone and any topology in
+    which the given sieves cover has its least sieves inside every iterate,
+    so the fixed point is the greatest such assignment.
+    """
+    cat = category
+    M = list(minimal)
+    changed = True
+    while changed:
+        changed = False
+        for h in range(len(cat.morphisms)):
+            d = cat.dom[h]
+            S = M[d] & pullback_mask(cat, M[cat.cod[h]], h)
+            if S != M[d]:
+                M[d] = S
+                changed = True
+        for c in range(len(M)):
+            S = generate_mask(
+                cat,
+                [cat.compose(f, k) for f in bits(M[c]) for k in bits(M[cat.dom[f]])],
+            )
+            if S != M[c]:
+                M[c] = S
+                changed = True
+    return tuple(M)
+
+
 def topology(category, covering):
-    cov = _normalize(category, covering)
+    cov = tuple(tuple(masks) for masks in covering)
     verdict = is_topology(category, cov)
     if not verdict:
         raise TopologyAxiomViolation(
@@ -141,33 +163,28 @@ def topology(category, covering):
             verdict.axiom,
             verdict.witness,
         )
-    return GrothendieckTopology(category, cov)
+    return GrothendieckTopology(category, _least(category, cov))
 
 
 def trivial_topology(category):
     """Only maximal sieves cover."""
     return GrothendieckTopology(
         category,
-        tuple(
-            (category.maximal_sieve(c),) for c in range(len(category.objects))
-        ),
+        tuple(category.maximal_sieve(c) for c in range(len(category.objects))),
     )
 
 
 def maximal_topology(category):
     """Every sieve covers."""
-    return GrothendieckTopology(
-        category,
-        tuple(
-            sieve_masks_on(category, c) for c in range(len(category.objects))
-        ),
-    )
+    return GrothendieckTopology(category, (0,) * len(category.objects))
 
 
 def atomic_topology(category):
-    """All nonempty sieves cover; requires the right Ore condition."""
-    from .category import has_right_ore
+    """All nonempty sieves cover; requires the right Ore condition.
 
+    Under it the nonempty sieves on c are closed under intersection, so the
+    least covering sieve is the intersection of all of them.
+    """
     ore = has_right_ore(category)
     if not ore:
         raise RightOreFails(
@@ -175,66 +192,31 @@ def atomic_topology(category):
             % (ore.counterexample,),
             ore.counterexample,
         )
-    cov = tuple(
-        tuple(m for m in sieve_masks_on(category, c) if m)
-        for c in range(len(category.objects))
+    return GrothendieckTopology(
+        category,
+        tuple(
+            reduce(and_, (m for m in sieve_masks_on(category, c) if m))
+            for c in range(len(category.objects))
+        ),
     )
-    out = GrothendieckTopology(category, cov)
-    assert is_topology(category, cov), "atomic covering failed the axioms"
-    return out
 
 
 def generated_topology(category, families):
     """Smallest topology whose covering sets contain the generated sieves.
 
     families: mapping object index -> iterable of arrow-index families.
-    Computed as a fixed-point closure under the three axioms; agreement with
-    the meet of all enumerated topologies containing the generators is left
-    to the tests.
     """
-    n_obj = len(category.objects)
-    cov = [set() for _ in range(n_obj)]
-    for c in range(n_obj):
-        cov[c].add(category.maximal_sieve(c))
+    start = [category.maximal_sieve(c) for c in range(len(category.objects))]
     for c, fams in families.items():
         for fam in fams:
             for f in fam:
                 if category.cod[f] != c:
-                    from .errors import CodomainMismatch
-
                     raise CodomainMismatch(
                         "family member %r does not end at %r"
                         % (category.morphisms[f], category.objects[c])
                     )
-            cov[c].add(generate_mask(category, fam))
-
-    all_sieves = [sieve_masks_on(category, c) for c in range(n_obj)]
-    changed = True
-    while changed:
-        changed = False
-        for c in range(n_obj):
-            for S in tuple(cov[c]):
-                for h in category.into(c):
-                    pb = pullback_mask(category, S, h)
-                    d = category.dom[h]
-                    if pb not in cov[d]:
-                        cov[d].add(pb)
-                        changed = True
-        for c in range(n_obj):
-            for S in all_sieves[c]:
-                if S in cov[c]:
-                    continue
-                for R in tuple(cov[c]):
-                    if all(
-                        pullback_mask(category, S, g) in cov[category.dom[g]]
-                        for g in bits(R)
-                    ):
-                        cov[c].add(S)
-                        changed = True
-                        break
-    out = GrothendieckTopology(category, _normalize(category, cov))
-    assert is_topology(category, out.covering), "closure failed the axioms"
-    return out
+            start[c] &= generate_mask(category, fam)
+    return GrothendieckTopology(category, _close(category, start))
 
 
 def induced_topology(category, J, sub):
@@ -255,14 +237,14 @@ def induced_topology(category, J, sub):
             gen = generate_mask(category, parent_arrows)
             if J.covers(parent_obj, gen):
                 masks.append(S)
-        cov.append(tuple(sorted(masks)))
-    verdict = is_topology(cat, tuple(cov))
+        cov.append(masks)
+    verdict = is_topology(cat, cov)
     if not verdict:
         raise InvalidSubcategory(
             "induced covering violates %s at %r; the subcategory is not dense enough"
             % (verdict.axiom, verdict.witness)
         )
-    return GrothendieckTopology(cat, tuple(cov))
+    return GrothendieckTopology(cat, _least(cat, cov))
 
 
 def _resolve_bound(max_assignments):
@@ -282,28 +264,22 @@ def _resolve_bound(max_assignments):
 class TopologyLattice:
     """All topologies on a category, ordered by inclusion of covering sets.
 
-    Elements are sorted by their covering tuples, so indices are stable
-    across runs; `bottom` is the trivial topology and `top` the maximal one.
-    No table is built up front: the order, meet and join are computed on
-    demand from the least covering sieves.  J_i <= J_j when M_j lies inside
+    Elements are sorted by their minimal sieves, which is the order of their
+    covering tuples (M_c is the first mask of covering[c]), so indices are
+    stable across runs; `bottom` is the trivial topology and `top` the
+    maximal one.  No table is built up front: J_i <= J_j when M_j lies inside
     M_i at every object, the meet is the topology whose minimal sieves are
-    the objectwise unions, and the join is the meet of all upper bounds.  The
-    Heyting implication table is built by lattice scan on first use.
+    the objectwise unions, and the join closes the objectwise intersections
+    into the smallest topology in which they cover.  The Heyting implication
+    table is built by lattice scan on first use.
     """
 
     def __init__(self, category, elements):
         self.category = category
-        self.elements = tuple(
-            sorted(elements, key=lambda J: J.covering)
-        )
-        self._index = {J.covering: i for i, J in enumerate(self.elements)}
-        self._minimal = tuple(J.minimal for J in self.elements)
-        self._by_minimal = {m: i for i, m in enumerate(self._minimal)}
-        objects = range(len(category.objects))
-        self.bottom = self._by_minimal[
-            tuple(category.maximal_sieve(c) for c in objects)
-        ]
-        self.top = self._by_minimal[tuple(0 for _ in objects)]
+        self.elements = tuple(sorted(elements, key=lambda J: J.minimal))
+        self._index = {J.minimal: i for i, J in enumerate(self.elements)}
+        self.bottom = self._index[trivial_topology(category).minimal]
+        self.top = self._index[maximal_topology(category).minimal]
         self._implication = None
 
     def __len__(self):
@@ -311,26 +287,20 @@ class TopologyLattice:
 
     def index_of(self, J):
         try:
-            return self._index[J.covering]
+            return self._index[J.minimal]
         except KeyError:
             raise KeyError("topology is not an element of this lattice") from None
 
     def leq(self, i, j):
-        return not any(
-            b & ~a for a, b in zip(self._minimal[i], self._minimal[j])
-        )
+        return self.elements[i].leq(self.elements[j])
 
     def meet(self, i, j):
-        return self._by_minimal[
-            tuple(a | b for a, b in zip(self._minimal[i], self._minimal[j]))
-        ]
+        pairs = zip(self.elements[i].minimal, self.elements[j].minimal)
+        return self._index[tuple(a | b for a, b in pairs)]
 
     def join(self, i, j):
-        best = self.top
-        for k in range(len(self.elements)):
-            if self.leq(i, k) and self.leq(j, k):
-                best = self.meet(best, k)
-        return best
+        pairs = zip(self.elements[i].minimal, self.elements[j].minimal)
+        return self._index[_close(self.category, [a & b for a, b in pairs])]
 
     @property
     def implication_table(self):
@@ -456,15 +426,5 @@ def enumerate_topologies(category, max_assignments=None):
         if all(transitive(e) for e in closed_at[depth]):
             depth += 1
     return TopologyLattice(
-        cat,
-        [
-            GrothendieckTopology(
-                cat,
-                tuple(
-                    tuple(S for S in sieves[c] if not M & ~S)
-                    for c, M in enumerate(assignment)
-                ),
-            )
-            for assignment in found
-        ],
+        cat, [GrothendieckTopology(cat, assignment) for assignment in found]
     )

@@ -256,6 +256,28 @@ def test_exit_code_3_for_a_boolean_presheaf_size(capsys, site_file):
     assert "nonnegative int" in err
 
 
+def test_exit_code_3_for_a_coverage_entry_that_is_not_a_sieve(capsys, site_file):
+    # in Z2 = {e, s} neither {e} nor {s} is closed under composing with s
+    def singletons(doc):
+        doc["topology"] = {"coverage": {"*": [["e"], ["s"], ["e", "s"]]}}
+
+    code, _, err = run(capsys, "validate", site_file("z2-trivial", singletons))
+    assert_parse_error(code, err)
+    assert "coverage of '*' lists ['e'], which is not a sieve" in err
+
+
+def test_consecutive_calls_keep_their_own_options(capsys, site_file):
+    path = site_file("arrow-j2")
+    code, out, _ = run(capsys, "--format", "json", "validate", path)
+    assert code == 0 and json.loads(out)["ok"] is True
+    code, out, _ = run(capsys, "validate", path)
+    assert code == 0 and "ok: yes" in out
+    code, _, _ = run(capsys, "topologies", SQUARE, "--max-assignments", "10")
+    assert code == 2
+    code, out, _ = run(capsys, "topologies", SQUARE)
+    assert code == 0 and "count: " in out
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "finsite.cli", "--format", "json",

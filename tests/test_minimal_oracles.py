@@ -8,16 +8,25 @@ on every topology of every corpus category with at most 12 morphisms, plus
 the chain 0 < 1 < 2 < 3, on seeded random presheaves and subcategories.
 
 The topology search itself is checked against the filter of the whole
-product of sieves, the sieves against the filter of all arrow subsets, and
-the on-demand lattice operations against eagerly built tables.
+product of sieves, the sieves against the filter of all arrow subsets, the
+on-demand lattice operations against eagerly built tables (the join as the
+meet of all upper bounds), and generated topologies against the fixed point
+of the covering sets under the axioms over every sieve.
 """
 
 import itertools
 import random
+from functools import reduce
+from operator import and_
 
 import pytest
 
-from finsite.category import bits, subcategory_from_masks, validate_category
+from finsite.category import (
+    bits,
+    has_right_ore,
+    subcategory_from_masks,
+    validate_category,
+)
 from finsite.corpus import (
     corpus,
     idem,
@@ -36,7 +45,13 @@ from finsite.sieves import (
     pullback_mask,
     sieve_masks_on,
 )
-from finsite.topology import enumerate_topologies
+from finsite.topology import (
+    TopologyLattice,
+    atomic_topology,
+    enumerate_topologies,
+    generated_topology,
+    is_topology,
+)
 
 
 def _categories():
@@ -453,3 +468,78 @@ def test_lattice_operations_match_eager_tables(cat):
             assert lat.join(i, j) == join[i][j]
     if n <= 16:
         assert lat.implication_table == impl
+
+
+def fixed_point_generated(cat, families):
+    """Covering sets of the smallest topology in which the generated sieves
+    cover: close the covering sets under stability and transitivity, over
+    every sieve on every object, until nothing changes."""
+    n_obj = len(cat.objects)
+    cov = [{cat.maximal_sieve(c)} for c in range(n_obj)]
+    for c, fams in families.items():
+        for fam in fams:
+            cov[c].add(generate_mask(cat, fam))
+    changed = True
+    while changed:
+        changed = False
+        for c in range(n_obj):
+            for S in tuple(cov[c]):
+                for h in cat.into(c):
+                    pb = pullback_mask(cat, S, h)
+                    if pb not in cov[cat.dom[h]]:
+                        cov[cat.dom[h]].add(pb)
+                        changed = True
+        for c in range(n_obj):
+            for S in sieve_masks_on(cat, c):
+                if S in cov[c]:
+                    continue
+                if any(
+                    all(pullback_mask(cat, S, g) in cov[cat.dom[g]] for g in bits(R))
+                    for R in tuple(cov[c])
+                ):
+                    cov[c].add(S)
+                    changed = True
+    return tuple(tuple(sorted(masks)) for masks in cov)
+
+
+def random_families(cat, rng):
+    families = {}
+    for c in range(len(cat.objects)):
+        if rng.random() < 0.6:
+            families[c] = [
+                [f for f in cat.into(c) if rng.random() < 0.5]
+                for _ in range(rng.randrange(1, 3))
+            ]
+    return families
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_generated_topology_matches_the_covering_fixed_point(cat):
+    rng = random.Random(repr(cat.morphisms))
+    for _ in range(12):
+        families = random_families(cat, rng)
+        J = generated_topology(cat, families)
+        want = fixed_point_generated(cat, families)
+        assert J.covering == want
+        assert J.minimal == tuple(reduce(and_, masks) for masks in want)
+        assert is_topology(cat, J.covering)
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_lattice_order_is_the_order_of_covering_tuples(cat):
+    elements = list(enumerate_topologies(cat).elements)
+    random.Random(repr(cat.morphisms)).shuffle(elements)
+    lat = TopologyLattice(cat, elements)
+    assert lat.elements == tuple(sorted(elements, key=lambda J: J.covering))
+
+
+def test_atomic_topology_satisfies_the_axioms():
+    ore = [p.values[0] for p in SEARCH_CATEGORIES if has_right_ore(p.values[0])]
+    assert len(ore) >= 10
+    for cat in ore:
+        J = atomic_topology(cat)
+        assert is_topology(cat, J.covering)
+        assert J.covering == tuple(
+            tuple(m for m in sieve_masks_on(cat, c) if m)
+            for c in range(len(cat.objects))
+        )

@@ -281,7 +281,7 @@ def test_index_of_roundtrips():
     lattice = enumerate_topologies(arrow())
     for i, J in enumerate(lattice.elements):
         assert lattice.index_of(J) == i
-    rebuilt = GrothendieckTopology(arrow(), lattice.elements[0].covering)
+    rebuilt = GrothendieckTopology(arrow(), lattice.elements[0].minimal)
     assert lattice.index_of(rebuilt) == 0
 
 
