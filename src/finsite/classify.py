@@ -35,6 +35,7 @@ from .objects import (
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
+    subobjects,
 )
 from .presheaf import (
     Presheaf,
@@ -245,7 +246,7 @@ class ComparisonFunctors:
             F.actions[realized.parent_morphism(f)]
             for f in range(len(realized.category.morphisms))
         )
-        return Presheaf(realized.category, sizes, actions)
+        return Presheaf._trusted(realized.category, sizes, actions)
 
     def extend(self, G):
         """Right Kan extension along the inclusion, then sheafify."""
@@ -367,12 +368,13 @@ REPORT_SCHEMA = "finsite-report/1"
 
 def _object_properties(category, J, c):
     rep = representable_sheaf(category, J, c)
+    lattice = subobjects(category, J, rep)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
     compact = rep_is_compact(category, J, c)
     return {
-        "atom": is_atom(category, J, rep),
-        "indecomposable": is_indecomposable(category, J, rep),
+        "atom": lattice.is_atom(),
+        "indecomposable": lattice.is_indecomposable(),
         "supercompact": is_supercompact_object(category, J, rep),
         "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
         "irreducible": rep_is_irreducible(category, J, c),

@@ -8,13 +8,25 @@ covering sieve.  For subpresheaves of a sheaf, closed is the same as being a
 sheaf, which the tests cross-check.  Elements are stored as per-object int
 masks over A's value sets.
 
-Every covering sieve on c contains the least one, M_c, so the local closure
-and the sieve-level criteria for representables look at M_c alone.
+The hull works on one mask over all of A's elements.  The least
+subpresheaf holding a selection is the union of the orbits of its elements,
+the orbit of x in A(c) being the restrictions A(f)x along every f into c;
+A keeps these masks once computed.  Every covering sieve on c contains the
+least one, M_c, so the local closure and the sieve-level criteria for
+representables look at M_c alone, and an object whose M_c is maximal never
+gains an element locally.  Closing a subpresheaf is idempotent (the axioms
+of the topology make the closure a closed subpresheaf), so it takes one pass
+over the elements.
+
+Sub(A) is a Heyting algebra, so a subobject has a complement exactly when
+its pseudo-complement (the largest subobject disjoint from it) is one;
+indecomposability tests that for each element instead of every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .category import bits
 from .errors import WrongTopology
@@ -23,43 +35,64 @@ from .sheaf import representable_sheaf, require_sheaf
 from .topology import trivial_topology
 
 
-def _action_close(category, A, masks):
-    masks = list(masks)
-    changed = True
-    while changed:
-        changed = False
-        for f in range(len(category.morphisms)):
-            a, b = category.dom[f], category.cod[f]
-            for x in bits(masks[b]):
-                y = A.apply(f, x)
-                if not masks[a] >> y & 1:
-                    masks[a] |= 1 << y
-                    changed = True
-    return masks
-
-
-def _local_close_step(category, J, A, masks):
-    changed = False
-    for c in range(len(category.objects)):
-        for x in range(A.sizes[c]):
-            if masks[c] >> x & 1:
+def _local_steps(category, J, A):
+    """Per element (c, x) at an object whose M_c lacks the identity, its
+    global bit and the mask of the pairs (dom f, A(f)x) for f in M_c; memoised
+    on A.  Where M_c holds the identity it is the maximal sieve, and x lies
+    locally in a selection only if it lies in it, so those objects never add
+    an element."""
+    steps = A._hull_steps.get(J.minimal)
+    if steps is None:
+        start, _ = A._orbits
+        steps = []
+        for c, M in enumerate(J.minimal):
+            if M >> category.identity[c] & 1:
                 continue
-            if all(
-                masks[category.dom[f]] >> A.apply(f, x) & 1
-                for f in bits(J.minimal[c])
-            ):
-                masks[c] |= 1 << x
-                changed = True
-    return changed
+            at = [(start[category.dom[f]], A.actions[f]) for f in bits(M)]
+            for x in range(A.sizes[c]):
+                need = 0
+                for offset, tab in at:
+                    need |= 1 << offset + tab[x]
+                steps.append((start[c] + x, need))
+        steps = A._hull_steps[J.minimal] = tuple(steps)
+    return steps
+
+
+def _close_locally(steps, sub):
+    """The closure of the subpresheaf `sub` (a union of orbits): sub with
+    every element whose restrictions along M_c all lie in sub.
+
+    One pass suffices.  The result is a subpresheaf, because M_d lies in
+    h^*M_c for every h: d -> c, and it is closed, because M_c is generated
+    by the composites f after k with f in M_c and k in M_dom(f).
+    """
+    closed = sub
+    for i, need in steps:
+        if not need & ~sub:
+            closed |= 1 << i
+    return closed
+
+
+def _split_mask(A, mask):
+    start, _ = A._orbits
+    return tuple(
+        mask >> offset & (1 << n) - 1 for offset, n in zip(start, A.sizes)
+    )
 
 
 def closed_hull(category, J, A, masks):
-    """Smallest closed subpresheaf of A containing the given elements."""
-    masks = list(masks)
-    while True:
-        masks = _action_close(category, A, masks)
-        if not _local_close_step(category, J, A, masks):
-            return tuple(masks)
+    """Smallest closed subpresheaf of A containing the given elements.
+
+    The least subpresheaf holding a selection is the union of the orbits of
+    its elements; its closure adds each element x of A(c) whose restrictions
+    along M_c all lie in it.
+    """
+    start, orbits = A._orbits
+    closed = 0
+    for offset, mask in zip(start, masks):
+        for x in bits(mask):
+            closed |= orbits[offset + x]
+    return _split_mask(A, _close_locally(_local_steps(category, J, A), closed))
 
 
 @dataclass(frozen=True)
@@ -90,7 +123,7 @@ class SubobjectLattice:
     def top(self):
         return tuple((1 << n) - 1 for n in self.ambient.sizes)
 
-    @property
+    @cached_property
     def zero(self):
         return closed_hull(
             self.category, self.topology, self.ambient, (0,) * len(self.ambient.sizes)
@@ -110,51 +143,74 @@ class SubobjectLattice:
     def leq(self, x, y):
         return all(a & ~b == 0 for a, b in zip(x, y))
 
+    def pseudo_complement(self, x):
+        """The largest subobject y with x meet y = zero.
+
+        Sub(A) is a Heyting algebra, so the join of all such y is one of
+        them; being the largest, it has the most elements.
+        """
+        zero = self.zero
+        return max(
+            (y for y in self.elements if self.meet(x, y) == zero),
+            key=lambda y: sum(m.bit_count() for m in y),
+        )
+
+    def is_atom(self):
+        """Exactly two subobjects (and hence a strict bottom below A)."""
+        return len(self.elements) == 2
+
+    def is_indecomposable(self):
+        """Nonzero, and no complemented subobject besides zero and A.
+
+        In a Heyting algebra a complement of x, if there is one, is its
+        pseudo-complement, so x is complemented exactly when x joined with
+        its pseudo-complement is A: one hull per element.
+        """
+        zero, top = self.zero, self.top
+        if zero == top:
+            return False
+        return not any(
+            self.join(x, self.pseudo_complement(x)) == top
+            for x in self.elements
+            if x != zero and x != top
+        )
+
 
 def subobjects(category, J, A):
     """Enumerate every subobject of the sheaf A.
 
     Walks the closed sets of the hull operator: starting from the smallest
-    one, adjoin each absent element and close again until nothing new
-    appears.
+    one, adjoin each absent element with its orbit and close again until
+    nothing new appears.  Works on masks over all of A's elements at once.
     """
     require_sheaf(category, J, A, "ambient object")
-    bottom = closed_hull(category, J, A, (0,) * len(A.sizes))
+    _, orbits = A._orbits
+    steps = _local_steps(category, J, A)
+    bottom = _close_locally(steps, 0)
     seen = {bottom}
     frontier = [bottom]
     while frontier:
         current = frontier.pop()
-        for c in range(len(category.objects)):
-            for x in range(A.sizes[c]):
-                if current[c] >> x & 1:
-                    continue
-                grown = list(current)
-                grown[c] |= 1 << x
-                new = closed_hull(category, J, A, grown)
-                if new not in seen:
-                    seen.add(new)
-                    frontier.append(new)
-    return SubobjectLattice(category, J, A, tuple(sorted(seen)))
+        for i, orbit in enumerate(orbits):
+            if current >> i & 1:
+                continue
+            new = _close_locally(steps, current | orbit)
+            if new not in seen:
+                seen.add(new)
+                frontier.append(new)
+    return SubobjectLattice(
+        category, J, A, tuple(sorted(_split_mask(A, m) for m in seen))
+    )
 
 
 def is_atom(category, J, A):
     """Exactly two subobjects (and hence a strict bottom below A)."""
-    return len(subobjects(category, J, A)) == 2
+    return subobjects(category, J, A).is_atom()
 
 
 def is_indecomposable(category, J, A):
     """Nonzero, and no complemented subobject pair besides {0, A}."""
-    lat = subobjects(category, J, A)
-    zero, top = lat.zero, lat.top
-    if zero == top:
-        return False
-    trivial = {zero, top}
-    for x in lat.elements:
-        for y in lat.elements:
-            if lat.meet(x, y) == zero and lat.join(x, y) == top:
-                if not {x, y} <= trivial:
-                    return False
-    return True
+    return subobjects(category, J, A).is_indecomposable()
 
 
 def _principal_subobjects(category, J, A):

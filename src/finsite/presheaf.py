@@ -2,8 +2,13 @@
 
 A presheaf stores, per object, an integer size (elements are 0..size-1) and,
 per morphism f: a -> b, a function table of length size(b) with entries below
-size(a).  Functoriality is checked at construction, so downstream code can
-trust every instance.
+size(a).  Functoriality is checked when a presheaf is built from outside
+data: `Presheaf(...)`, and so site files and `random_presheaf`; naturality
+likewise for `NatTransformation(...)`.  The constructions here and in
+`sheaf.py` and `classify.py` build presheaves and maps whose laws hold by
+construction (Yoneda, limits and colimits, natural maps found by the solver,
+the plus construction, restriction), and build them through the unchecked
+`_trusted` constructors; the tests recheck the laws on all of them.
 
 A natural map P -> Q is a compatible family on the elements of P: each
 element x of P(c) takes a value in Q(c), and each f: a -> b requires the
@@ -15,6 +20,7 @@ use it as well.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import PresheafLawError
 
@@ -57,6 +63,40 @@ class Presheaf:
                     % (cat.morphisms[g], cat.morphisms[f])
                 )
 
+    @classmethod
+    def _trusted(cls, category, sizes, actions):
+        """A presheaf whose laws hold by construction, built unchecked."""
+        P = object.__new__(cls)
+        object.__setattr__(P, "category", category)
+        object.__setattr__(P, "sizes", sizes)
+        object.__setattr__(P, "actions", actions)
+        return P
+
+    @cached_property
+    def _orbits(self):
+        """The elements in one bit space, object after object: the offset of
+        each object's elements, and per element (c, x) the mask of its orbit
+        {(dom f, P(f)x) : f into c}, the least subpresheaf holding it."""
+        cat = self.category
+        start = [0]
+        for n in self.sizes:
+            start.append(start[-1] + n)
+        orbits = []
+        for c, n in enumerate(self.sizes):
+            at = [(start[cat.dom[f]], self.actions[f]) for f in cat.into(c)]
+            for x in range(n):
+                mask = 0
+                for offset, tab in at:
+                    mask |= 1 << offset + tab[x]
+                orbits.append(mask)
+        return tuple(start), tuple(orbits)
+
+    @cached_property
+    def _hull_steps(self):
+        """Memo of the local closure tables of `objects.closed_hull`, keyed
+        by the least covering sieves of the topology."""
+        return {}
+
     def size(self, c):
         return self.sizes[c]
 
@@ -94,6 +134,15 @@ class NatTransformation:
                         "naturality fails at %r" % (cat.morphisms[f],)
                     )
 
+    @classmethod
+    def _trusted(cls, source, target, components):
+        """A natural map that is natural by construction, built unchecked."""
+        t = object.__new__(cls)
+        object.__setattr__(t, "source", source)
+        object.__setattr__(t, "target", target)
+        object.__setattr__(t, "components", components)
+        return t
+
     def apply(self, c, x):
         return self.components[c][x]
 
@@ -116,7 +165,7 @@ class NatTransformation:
 
 
 def identity_nat(P):
-    return NatTransformation(
+    return NatTransformation._trusted(
         P, P, tuple(tuple(range(n)) for n in P.sizes)
     )
 
@@ -129,7 +178,7 @@ def compose_nat(t2, t1):
         tuple(t2.components[c][x] for x in t1.components[c])
         for c in range(len(t1.components))
     )
-    return NatTransformation(t1.source, t2.target, comps)
+    return NatTransformation._trusted(t1.source, t2.target, comps)
 
 
 def yoneda(category, c):
@@ -148,7 +197,7 @@ def yoneda(category, c):
             index[category.compose(h, g)] for h in category.hom(b, c)
         )
         actions.append(tab)
-    return Presheaf(category, sizes, tuple(actions))
+    return Presheaf._trusted(category, sizes, tuple(actions))
 
 
 def compatible_families(sizes, edges):
@@ -226,7 +275,7 @@ def _natural_maps(P, Q):
         for x, y in enumerate(P.actions[f]):
             edges[start[b] + x].append((Q.actions[f], start[a] + y))
     return (
-        NatTransformation(
+        NatTransformation._trusted(
             P, Q, tuple(v[start[c]:start[c + 1]] for c in range(len(P.sizes)))
         )
         for v in compatible_families(sizes, edges)
@@ -262,7 +311,7 @@ def are_isomorphic(P, Q):
 
 
 def terminal_presheaf(category):
-    return Presheaf(
+    return Presheaf._trusted(
         category,
         tuple(1 for _ in category.objects),
         tuple((0,) * 1 for _ in category.morphisms),
@@ -270,7 +319,7 @@ def terminal_presheaf(category):
 
 
 def initial_presheaf(category):
-    return Presheaf(
+    return Presheaf._trusted(
         category,
         tuple(0 for _ in category.objects),
         tuple(() for _ in category.morphisms),
@@ -279,7 +328,7 @@ def initial_presheaf(category):
 
 def terminal_map(P):
     T = terminal_presheaf(P.category)
-    return NatTransformation(
+    return NatTransformation._trusted(
         P, T, tuple((0,) * n for n in P.sizes)
     )
 
@@ -296,8 +345,8 @@ def product_presheaf(P, Q):
             for y in range(Q.sizes[b]):
                 tab.append(P.actions[f][x] * Q.sizes[a] + Q.actions[f][y])
         actions.append(tuple(tab))
-    R = Presheaf(cat, sizes, tuple(actions))
-    p1 = NatTransformation(
+    R = Presheaf._trusted(cat, sizes, tuple(actions))
+    p1 = NatTransformation._trusted(
         R,
         P,
         tuple(
@@ -305,7 +354,7 @@ def product_presheaf(P, Q):
             for c in range(len(cat.objects))
         ),
     )
-    p2 = NatTransformation(
+    p2 = NatTransformation._trusted(
         R,
         Q,
         tuple(
@@ -329,8 +378,8 @@ def _sub_presheaf(P, keep):
         actions.append(
             tuple(pos[a][P.actions[f][x]] for x in keep[b])
         )
-    S = Presheaf(cat, sizes, tuple(actions))
-    incl = NatTransformation(
+    S = Presheaf._trusted(cat, sizes, tuple(actions))
+    incl = NatTransformation._trusted(
         S,
         P,
         tuple(tuple(keep[c]) for c in range(len(cat.objects))),
@@ -353,13 +402,37 @@ def equalizer_presheaf(s, t):
 
 
 def pullback_presheaf(s, t):
-    """Pullback of s: P -> R against t: Q -> R, with both projections."""
+    """Pullback of s: P -> R against t: Q -> R, with both projections.
+
+    W(c) is the pairs (x, y) with s(x) = t(y), in ascending order, which is
+    the order of the equalizer of s and t inside the product P x Q.
+    """
     P, Q = s.source, t.source
-    R, p1, p2 = product_presheaf(P, Q)
-    sp1 = compose_nat(s, p1)
-    tp2 = compose_nat(t, p2)
-    W, incl = equalizer_presheaf(sp1, tp2)
-    return W, compose_nat(p1, incl), compose_nat(p2, incl)
+    cat = P.category
+    pairs = []
+    for c in range(len(cat.objects)):
+        over = {}
+        for y, z in enumerate(t.components[c]):
+            over.setdefault(z, []).append(y)
+        pairs.append(
+            [(x, y) for x, z in enumerate(s.components[c]) for y in over.get(z, ())]
+        )
+    pos = [{p: i for i, p in enumerate(ps)} for ps in pairs]
+    actions = tuple(
+        tuple(
+            pos[cat.dom[f]][(P.actions[f][x], Q.actions[f][y])]
+            for x, y in pairs[cat.cod[f]]
+        )
+        for f in range(len(cat.morphisms))
+    )
+    W = Presheaf._trusted(cat, tuple(len(ps) for ps in pairs), actions)
+    p1 = NatTransformation._trusted(
+        W, P, tuple(tuple(x for x, _ in ps) for ps in pairs)
+    )
+    p2 = NatTransformation._trusted(
+        W, Q, tuple(tuple(y for _, y in ps) for ps in pairs)
+    )
+    return W, p1, p2
 
 
 def kernel_pair(t):
@@ -378,13 +451,13 @@ def coproduct_presheaf(P, Q):
             P.sizes[a] + y for y in Q.actions[f]
         ]
         actions.append(tuple(tab))
-    R = Presheaf(cat, sizes, tuple(actions))
-    in1 = NatTransformation(
+    R = Presheaf._trusted(cat, sizes, tuple(actions))
+    in1 = NatTransformation._trusted(
         P,
         R,
         tuple(tuple(range(P.sizes[c])) for c in range(len(cat.objects))),
     )
-    in2 = NatTransformation(
+    in2 = NatTransformation._trusted(
         Q,
         R,
         tuple(

@@ -104,8 +104,8 @@ def _plus(category, J, P):
         actions.append(
             tuple(index[d][tuple(fam[i] for i in at)] for fam in fams[c])
         )
-    plus = Presheaf(category, tuple(len(f) for f in fams), tuple(actions))
-    unit = NatTransformation(
+    plus = Presheaf._trusted(category, tuple(len(f) for f in fams), tuple(actions))
+    unit = NatTransformation._trusted(
         P,
         plus,
         tuple(

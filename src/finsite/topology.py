@@ -31,7 +31,7 @@ from .errors import (
     SizeBoundExceeded,
     TopologyAxiomViolation,
 )
-from .sieves import generate_mask, pullback_mask, sieve_masks_on
+from .sieves import generate_mask, is_right_closed, pullback_mask, sieve_masks_on
 
 DEFAULT_MAX_ASSIGNMENTS = 1 << 16
 ENV_MAX_ASSIGNMENTS = "FINSITE_MAX_ASSIGNMENTS"
@@ -84,13 +84,19 @@ class TopologyVerdict:
 def is_topology(category, covering):
     """Check the three axioms; report the first violated one with a witness.
 
-    covering: per object, an iterable of sieve masks.
+    covering: per object, an iterable of sieve masks.  A mask that is not a
+    sieve on its object (an arrow into another object, or not closed under
+    composition on the right) fails first, as axiom "sieve".
     """
     cov = [sorted(set(masks)) for masks in covering]
     n_obj = len(category.objects)
     if len(cov) != n_obj:
         return TopologyVerdict(False, "shape", (len(cov), n_obj))
     sets = [set(masks) for masks in cov]
+    for c in range(n_obj):
+        for S in cov[c]:
+            if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
+                return TopologyVerdict(False, "sieve", (c, S))
     for c in range(n_obj):
         if category.maximal_sieve(c) not in sets[c]:
             return TopologyVerdict(False, "maximality", (c,))

@@ -26,6 +26,7 @@ from finsite.category import full_subcategory_from_mask
 from finsite.corpus import arrow, corpus, named_site, vee
 from finsite.density import is_dense
 from finsite.errors import NotDense
+from finsite.objects import is_atom, is_indecomposable, subobjects
 from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
 from finsite.sheaf import is_sheaf, representable_sheaf
 from finsite.topology import trivial_topology
@@ -327,3 +328,17 @@ def test_report_without_objects_is_a_subset():
                             include_objects=False)
     assert "objects" not in small and "derived" not in small
     assert "classes" in small and "presheaf_type" in small
+
+
+def test_report_object_fields_match_the_object_checks():
+    sizes = set()
+    for site in corpus(seed=0, random_count=8):
+        cat, J = site.category, site.topology
+        objects = classify_report(cat, J)["objects"]
+        for c, name in enumerate(cat.objects):
+            rep = representable_sheaf(cat, J, c)
+            assert objects[name]["atom"] == is_atom(cat, J, rep)
+            assert objects[name]["indecomposable"] == is_indecomposable(cat, J, rep)
+            sizes.add(min(len(subobjects(cat, J, rep)), 3))
+    # degenerate (one subobject), two-element and larger lattices all occur
+    assert sizes == {1, 2, 3}

@@ -188,6 +188,22 @@ def test_exit_code_1_for_law_violations(capsys, site_file):
     assert code == 1
 
 
+def test_exit_code_1_for_a_presheaf_that_is_not_functorial(capsys, site_file):
+    # s after s is the identity, so s cannot act as a constant
+    def break_functoriality(doc):
+        doc["presheaves"]["R"]["actions"]["s"] = [0, 0]
+
+    path = site_file("z2-trivial", break_functoriality)
+    for argv in (
+        ("validate", path),
+        ("sheafify", "--presheaf", "R", path),
+        ("report", path),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "functoriality fails at 's' after 's'" in err
+
+
 def test_exit_code_1_for_density_machinery_errors(capsys, site_file):
     def drop_topology(doc):
         del doc["topology"]

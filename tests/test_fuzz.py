@@ -1,5 +1,6 @@
 """Fuzzed site documents: any input parses or raises a FinsiteError, and the
-CLI answers with an exit code from 0 to 3, never a traceback.
+CLI answers with an exit code from 0 to 3, never a traceback, under
+`validate`, `topologies`, `dense`, `sheafify` and `report`.
 
 Each example takes a valid named site document and replaces one of its
 blocks (any node of the JSON tree) with small random JSON whose strings are
@@ -21,8 +22,19 @@ from finsite.corpus import named_site
 from finsite.errors import FinsiteError
 from finsite.siteio import SiteFile, parse_site, serialize_site
 
-SITES = ("arrow-j2", "vee-cover", "square-cover", "z2-atomic", "idem-e")
+SITES = ("arrow-j2", "vee-cover", "square-cover", "z2-atomic", "idem-e", "z2-trivial")
 DOCUMENTS = {name: json.loads(serialize_site(named_site(name))) for name in SITES}
+
+
+def _first(names, default):
+    return min(names, default=default)
+
+
+# the subcategory and presheaf each document's `dense` and `sheafify` ask for
+SUBS = {name: _first(doc.get("subcategories", {}), "S") for name, doc in DOCUMENTS.items()}
+PRESHEAVES = {
+    name: _first(doc.get("presheaves", {}), "P") for name, doc in DOCUMENTS.items()
+}
 
 
 def _paths(node, prefix=()):
@@ -82,7 +94,7 @@ def fuzzed_documents(draw):
         )
     )
     path = draw(st.sampled_from(PATHS[name]))
-    return json.dumps(_replaced(doc, path, value))
+    return name, json.dumps(_replaced(doc, path, value))
 
 
 @pytest.fixture(scope="module")
@@ -97,15 +109,24 @@ def site_path(tmp_path_factory):
     database=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(text=fuzzed_documents())
-def test_fuzzed_documents_parse_or_raise_finsite_errors(site_path, text):
+@given(case=fuzzed_documents())
+def test_fuzzed_documents_parse_or_raise_finsite_errors(site_path, case):
+    name, text = case
     try:
         assert isinstance(parse_site(text), SiteFile)
     except FinsiteError:
         pass
     site_path.write_text(text, encoding="ascii")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["validate", str(site_path)])
-    assert code in (0, 1, 2, 3)
-    assert "Traceback" not in err.getvalue()
+    path = str(site_path)
+    for argv in (
+        ("validate", path),
+        ("topologies", path),
+        ("dense", "--sub", SUBS[name], "--enumerate", path),
+        ("sheafify", "--presheaf", PRESHEAVES[name], path),
+        ("report", path),
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv

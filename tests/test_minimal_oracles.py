@@ -12,6 +12,15 @@ product of sieves, the sieves against the filter of all arrow subsets, the
 on-demand lattice operations against eagerly built tables (the join as the
 meet of all upper bounds), and generated topologies against the fixed point
 of the covering sets under the axioms over every sieve.
+
+Presheaves and maps the library builds without law checks (Yoneda, limits
+and colimits, natural maps, the plus construction, restrictions) are
+rechecked with the checks `Presheaf(...)` and `NatTransformation(...)` run
+on outside data.  The orbit-mask hull, the subobject lattice, the
+pseudo-complement test for indecomposability and the direct pullback are
+compared with the arrow-walking hull, the pairwise complement search and the
+equalizer inside the product, on every representable sheaf under every
+topology of the categories above.
 """
 
 import itertools
@@ -35,10 +44,38 @@ from finsite.corpus import (
     random_path_category,
     random_poset_category,
 )
+from finsite.classify import comparison_functors
 from finsite.density import is_dense
-from finsite.objects import closed_hull, rep_is_irreducible, rep_is_supercompact
-from finsite.presheaf import random_presheaf
-from finsite.sheaf import _plus, amalgamations, is_sheaf, matching_families
+from finsite.objects import (
+    closed_hull,
+    rep_is_irreducible,
+    rep_is_supercompact,
+    subobjects,
+)
+from finsite.presheaf import (
+    NatTransformation,
+    compose_nat,
+    coproduct_presheaf,
+    equalizer_presheaf,
+    identity_nat,
+    initial_presheaf,
+    kernel_pair,
+    presheaf_homs,
+    product_presheaf,
+    pullback_presheaf,
+    random_presheaf,
+    terminal_map,
+    terminal_presheaf,
+    yoneda,
+)
+from finsite.sheaf import (
+    _plus,
+    amalgamations,
+    is_sheaf,
+    matching_families,
+    representable_sheaf,
+    sheafify,
+)
 from finsite.sieves import (
     generate_mask,
     is_right_closed,
@@ -51,6 +88,8 @@ from finsite.topology import (
     enumerate_topologies,
     generated_topology,
     is_topology,
+    maximal_topology,
+    trivial_topology,
 )
 
 
@@ -543,3 +582,248 @@ def test_atomic_topology_satisfies_the_axioms():
             tuple(m for m in sieve_masks_on(cat, c) if m)
             for c in range(len(cat.objects))
         )
+
+
+# ---------------------------------------------------------------------------
+# Presheaves and maps built without law checks, and the subobject paths.
+
+
+def check_presheaf_laws(P):
+    """The functoriality check `Presheaf(...)` runs on outside data: shapes,
+    ranges, identities and every composite."""
+    cat = P.category
+    assert len(P.sizes) == len(cat.objects)
+    assert len(P.actions) == len(cat.morphisms)
+    for f, tab in enumerate(P.actions):
+        assert len(tab) == P.sizes[cat.cod[f]]
+        assert all(0 <= x < P.sizes[cat.dom[f]] for x in tab)
+    for c in range(len(cat.objects)):
+        assert P.actions[cat.identity[c]] == tuple(range(P.sizes[c]))
+    for (g, f), h in cat.table.items():
+        assert P.actions[h] == tuple(P.actions[f][x] for x in P.actions[g])
+
+
+def check_natural(t):
+    """The naturality check `NatTransformation(...)` runs on outside data."""
+    P, Q = t.source, t.target
+    cat = P.category
+    check_presheaf_laws(P)
+    check_presheaf_laws(Q)
+    assert len(t.components) == len(cat.objects)
+    for c, comp in enumerate(t.components):
+        assert len(comp) == P.sizes[c]
+        assert all(0 <= y < Q.sizes[c] for y in comp)
+    for f in range(len(cat.morphisms)):
+        a, b = cat.dom[f], cat.cod[f]
+        for x in range(P.sizes[b]):
+            assert Q.actions[f][t.components[b][x]] == t.components[a][P.actions[f][x]]
+
+
+def derived(cat, J, P, Q):
+    """Every presheaf and map the library builds unchecked, from P and Q."""
+    maps = []
+    for c in range(len(cat.objects)):
+        yield yoneda(cat, c)
+        yield representable_sheaf(cat, J, c)
+    yield terminal_presheaf(cat)
+    yield initial_presheaf(cat)
+    maps.append(terminal_map(P))
+    maps.append(identity_nat(P))
+    for build in (product_presheaf, coproduct_presheaf):
+        R, m1, m2 = build(P, Q)
+        yield R
+        maps += [m1, m2]
+    for A, B in ((P, Q), (Q, P), (P, P)):
+        homs = presheaf_homs(A, B)
+        maps += homs[:4]
+        for s in homs[:3]:
+            for t in homs[:3]:
+                W, incl = equalizer_presheaf(s, t)
+                yield W
+                maps.append(incl)
+        for t in homs[:3]:
+            W, p1, p2 = kernel_pair(t)
+            yield W
+            maps += [p1, p2, compose_nat(t, p1)]
+    for s in presheaf_homs(P, Q)[:3]:
+        for t in presheaf_homs(Q, Q)[:3]:
+            W, p1, p2 = pullback_presheaf(s, t)
+            yield W
+            maps += [p1, p2]
+    plus, unit = _plus(cat, J, P)
+    F, unit2 = sheafify(cat, J, P)
+    yield plus
+    yield F
+    maps += [unit, unit2]
+    yield from maps
+
+
+def law_categories():
+    out = []
+    for site in corpus(seed=0, random_count=4):
+        if site.category not in [c for c, _ in out]:
+            out.append((site.category, site.topology))
+    for maps in (
+        [(0, 1), (1, 0), (0, 0), (1, 1)],
+        list(itertools.permutations(range(3))),
+    ):
+        cat = map_monoid(maps)
+        out.append((cat, trivial_topology(cat)))
+    cat = cyclic_group(16)
+    out.append((cat, maximal_topology(cat)))
+    return out
+
+
+def test_derived_presheaves_and_maps_obey_the_laws():
+    checked = 0
+    for k, (cat, J) in enumerate(law_categories()):
+        rng = random.Random(k)
+        for _ in range(3):
+            P = random_presheaf(cat, rng)
+            Q = random_presheaf(cat, rng)
+            for item in derived(cat, J, P, Q):
+                if isinstance(item, NatTransformation):
+                    check_natural(item)
+                else:
+                    check_presheaf_laws(item)
+                checked += 1
+    assert checked >= 3000
+
+
+def test_restrictions_to_dense_subcategories_obey_the_laws():
+    checked = 0
+    for site in corpus(seed=0, random_count=4):
+        cat, J = site.category, site.topology
+        for sub in site.subcategories.values():
+            if not is_dense(cat, J, sub):
+                continue
+            functors = comparison_functors(cat, J, sub)
+            for c in range(len(cat.objects)):
+                check_presheaf_laws(functors.restrict(representable_sheaf(cat, J, c)))
+                checked += 1
+    assert checked >= 10
+
+
+def action_close(cat, A, masks):
+    """The least subpresheaf holding the selection: every arrow is walked
+    over the selected elements until nothing changes."""
+    masks = list(masks)
+    changed = True
+    while changed:
+        changed = False
+        for f in range(len(cat.morphisms)):
+            a, b = cat.dom[f], cat.cod[f]
+            for x in bits(masks[b]):
+                y = A.apply(f, x)
+                if not masks[a] >> y & 1:
+                    masks[a] |= 1 << y
+                    changed = True
+    return masks
+
+
+def walk_closed_hull(cat, J, A, masks):
+    """Action closure, then one local step over every element and every
+    arrow of M_c, repeated until the local step adds nothing."""
+    masks = list(masks)
+    while True:
+        masks = action_close(cat, A, masks)
+        changed = False
+        for c in range(len(cat.objects)):
+            for x in range(A.sizes[c]):
+                if masks[c] >> x & 1:
+                    continue
+                if all(
+                    masks[cat.dom[f]] >> A.apply(f, x) & 1
+                    for f in bits(J.minimal[c])
+                ):
+                    masks[c] |= 1 << x
+                    changed = True
+        if not changed:
+            return tuple(masks)
+
+
+def walk_subobjects(cat, J, A):
+    """Sorted closed sets of walk_closed_hull, grown one element at a time."""
+    bottom = walk_closed_hull(cat, J, A, (0,) * len(A.sizes))
+    seen = {bottom}
+    frontier = [bottom]
+    while frontier:
+        current = frontier.pop()
+        for c in range(len(cat.objects)):
+            for x in range(A.sizes[c]):
+                if not current[c] >> x & 1:
+                    grown = list(current)
+                    grown[c] |= 1 << x
+                    new = walk_closed_hull(cat, J, A, grown)
+                    if new not in seen:
+                        seen.add(new)
+                        frontier.append(new)
+    return tuple(sorted(seen))
+
+
+def pairwise_indecomposable(lat):
+    """Nonzero, and no pair x, y with meet zero and join A besides {0, A}."""
+    zero, top = lat.zero, lat.top
+    if zero == top:
+        return False
+    for x in lat.elements:
+        for y in lat.elements:
+            if lat.meet(x, y) == zero and lat.join(x, y) == top:
+                if not {x, y} <= {zero, top}:
+                    return False
+    return True
+
+
+def product_equalizer_pullback(s, t):
+    """Pullback as the equalizer of s p1 and t p2 inside P x Q."""
+    R, p1, p2 = product_presheaf(s.source, t.source)
+    W, incl = equalizer_presheaf(compose_nat(s, p1), compose_nat(t, p2))
+    return W, compose_nat(p1, incl), compose_nat(p2, incl)
+
+
+def test_subobject_paths_match_the_walks_on_representable_sheaves():
+    lattices = 0
+    for cat, J, rng in cases():
+        reps = [representable_sheaf(cat, J, c) for c in range(len(cat.objects))]
+        for A in reps + [terminal_presheaf(cat)]:
+            lat = subobjects(cat, J, A)
+            assert lat.elements == walk_subobjects(cat, J, A)
+            assert lat.is_indecomposable() == pairwise_indecomposable(lat)
+            for x in lat.elements:
+                disjoint = [y for y in lat.elements if lat.meet(x, y) == lat.zero]
+                neg = lat.pseudo_complement(x)
+                assert neg in disjoint and all(lat.leq(y, neg) for y in disjoint)
+            for c in range(len(cat.objects)):
+                for x in range(A.sizes[c]):
+                    seed = [0] * len(A.sizes)
+                    seed[c] = 1 << x
+                    assert closed_hull(cat, J, A, seed) == walk_closed_hull(
+                        cat, J, A, seed
+                    )
+            for _ in range(3):
+                seed = tuple(rng.randrange(1 << n) for n in A.sizes)
+                assert closed_hull(cat, J, A, seed) == walk_closed_hull(
+                    cat, J, A, seed
+                )
+            lattices += 1
+        for A in reps:
+            for B in reps:
+                homs = presheaf_homs(A, B)
+                for s in homs:
+                    assert kernel_pair(s) == product_equalizer_pullback(s, s)
+                for s in homs[:3]:
+                    for t in presheaf_homs(B, B)[:3]:
+                        assert pullback_presheaf(s, t) == product_equalizer_pullback(
+                            s, t
+                        )
+    assert lattices >= 300
+
+
+def test_pullbacks_of_random_maps_match_the_product_equalizer():
+    for k, (cat, J) in enumerate(law_categories()):
+        rng = random.Random(k)
+        for _ in range(4):
+            P, Q, R = (random_presheaf(cat, rng) for _ in range(3))
+            for s in presheaf_homs(P, R)[:4]:
+                for t in presheaf_homs(Q, R)[:4]:
+                    assert pullback_presheaf(s, t) == product_equalizer_pullback(s, t)

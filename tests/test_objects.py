@@ -1,6 +1,8 @@
 """Subobject lattices and the object-level property zoo."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -193,3 +195,15 @@ def test_regularity_probes_and_their_flags():
     assert reg2 and not reg2.degenerate
     coh2 = rep_is_coherent(j2.category, j2.topology, b)
     assert coh2 and coh2.degenerate
+
+
+def test_hull_memos_are_released_with_their_presheaf():
+    site = named_site("square-cover")
+    cat, J = site.category, site.topology
+    A = terminal_presheaf(cat)
+    subobjects(cat, J, A)
+    assert A._orbits and J.minimal in A._hull_steps
+    ref = weakref.ref(A)
+    del A
+    gc.collect()
+    assert ref() is None

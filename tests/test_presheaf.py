@@ -67,7 +67,7 @@ def test_functoriality_is_checked():
     tables = [None, None]
     tables[grp.mor_index("e")] = (0, 1)
     tables[grp.mor_index("s")] = (0, 0)
-    with pytest.raises(PresheafLawError):
+    with pytest.raises(PresheafLawError, match="functoriality fails"):
         Presheaf(grp, (2,), tuple(tables))
 
 
@@ -164,7 +164,7 @@ def test_naturality_is_validated():
     cat = arrow()
     P = Presheaf(cat, (2, 2), ((0, 1), (0, 1), (0, 1)))
     Q = Presheaf(cat, (2, 2), ((0, 1), (0, 1), (1, 0)))
-    with pytest.raises(PresheafLawError):
+    with pytest.raises(PresheafLawError, match="naturality fails"):
         NatTransformation(P, Q, ((0, 1), (0, 1)))
 
 

@@ -147,6 +147,22 @@ def test_topology_constructor_validates():
     assert info.value.axiom == "maximality"
 
 
+def test_masks_that_are_not_sieves_are_refused():
+    cat = z2()
+    e, s = 1 << cat.mor_index("e"), 1 << cat.mor_index("s")
+    # {e} and {s} are not closed under composition with s on the right
+    with pytest.raises(TopologyAxiomViolation) as info:
+        topology(cat, [[e, s, e | s]])
+    assert info.value.axiom == "sieve" and info.value.witness == (0, e)
+    assert is_topology(cat, ((s, e | s),)).axiom == "sieve"
+    # an arrow that lands in another object
+    cat = arrow()
+    f = 1 << cat.mor_index("f")
+    covering = ((f, cat.maximal_sieve(0)), (cat.maximal_sieve(1),))
+    verdict = is_topology(cat, covering)
+    assert not verdict and verdict.axiom == "sieve" and verdict.witness == (0, f)
+
+
 def test_stability_violation_detected():
     cat = vee()
     z = cat.obj_index("z")
