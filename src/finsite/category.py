@@ -58,6 +58,7 @@ class FiniteCategory:
         "_sieves",
         "_realized",
         "_rep_sheaves",
+        "_retracts",
         "_hash",
         "__weakref__",
     )
@@ -89,10 +90,11 @@ class FiniteCategory:
                 mask |= 1 << self.table[(f, g)]
             principal.append(mask)
         self._principal = tuple(principal)
-        # memos filled by sieves.py, Subcategory.realize and sheaf.py
+        # memos filled by sieves.py, Subcategory.realize, sheaf.py and topology.py
         self._sieves = {}
         self._realized = {}
         self._rep_sheaves = {}
+        self._retracts = None
         self._hash = hash(
             (
                 self.objects,

@@ -9,7 +9,8 @@ A subcategory D is dense for a topology J when
 Since the covering sieves are the sieves containing the least one, M_c,
 each condition asks whether M_c lies inside the sieve generated by all the
 qualifying arrows: that sieve then covers and is generated by its own
-qualifying members.
+qualifying members.  Those sieves depend on the subcategory alone, so the
+family of topologies making it dense checks one mask per object.
 """
 
 from __future__ import annotations
@@ -37,36 +38,39 @@ class DensityVerdict:
         return self.dense
 
 
-def _condition_i(category, J, sub, c):
-    qualifying = [
-        f for f in category.into(c) if sub.has_object(category.dom[f])
+def _qualifying_sieves(category, sub):
+    """The sieves generated by the qualifying arrows: per object c, by the
+    arrows into c from objects of the subcategory (condition i), and per
+    arrow f landing in the subcategory, in index order, the pair of f and
+    the sieve on dom f generated by the g with f-after-g in it (condition ii)."""
+    cat = category
+    objects = [
+        generate_mask(cat, [f for f in cat.into(c) if sub.has_object(cat.dom[f])])
+        for c in range(len(cat.objects))
     ]
-    return not J.minimal[c] & ~generate_mask(category, qualifying)
-
-
-def _condition_ii(category, J, sub, f):
-    c = category.dom[f]
-    qualifying = [
-        g for g in category.into(c) if sub.has_morphism(category.compose(f, g))
-    ]
-    return not J.minimal[c] & ~generate_mask(category, qualifying)
+    arrows = []
+    for f in range(len(cat.morphisms)):
+        if sub.has_object(cat.cod[f]):
+            into = cat.into(cat.dom[f])
+            keep = [g for g in into if sub.has_morphism(cat.compose(f, g))]
+            arrows.append((f, generate_mask(cat, keep)))
+    return objects, arrows
 
 
 def is_dense(category, J, sub):
     """DensityVerdict for the subcategory, with every failing witness listed."""
-    failures = []
-    for c in range(len(category.objects)):
-        if not _condition_i(category, J, sub, c):
-            failures.append(
-                DensityFailure("i", "object", category.objects[c])
-            )
-    for f in range(len(category.morphisms)):
-        if not sub.has_object(category.cod[f]):
-            continue
-        if not _condition_ii(category, J, sub, f):
-            failures.append(
-                DensityFailure("ii", "morphism", category.morphisms[f])
-            )
+    objects, arrows = _qualifying_sieves(category, sub)
+    M = J.minimal
+    failures = [
+        DensityFailure("i", "object", category.objects[c])
+        for c, Q in enumerate(objects)
+        if M[c] & ~Q
+    ]
+    failures += [
+        DensityFailure("ii", "morphism", category.morphisms[f])
+        for f, Q in arrows
+        if M[category.dom[f]] & ~Q
+    ]
     return DensityVerdict(not failures, tuple(failures))
 
 
@@ -94,10 +98,13 @@ def topologies_with_dense(category, sub, lattice=None, max_assignments=None):
     """
     if lattice is None:
         lattice = enumerate_topologies(category, max_assignments)
+    need, arrows = _qualifying_sieves(category, sub)
+    for f, Q in arrows:
+        need[category.dom[f]] &= Q
     members = tuple(
         i
         for i, J in enumerate(lattice.elements)
-        if is_dense(category, J, sub)
+        if not any(m & ~q for m, q in zip(J.minimal, need))
     )
     if not members:
         raise EmptyFamily(

@@ -7,12 +7,35 @@ topology is stored as these minimal sieves, one mask per object; the sorted
 tuple of covering sieve masks of each object is derived from them on first
 use, and is what reports and site files list.
 
-`enumerate_topologies` is a depth-first search over the objects that assigns
-M_c one object at a time and prunes a partial assignment at the first failed
-condition, so its work follows the topologies found rather than the product
-of the sieves.  Its size bound counts the candidate sieves it tries.  The
-smallest topology in which given sieves cover, used for generated topologies
-and for lattice joins, is one fixed point on the minimal sieves.
+A category and its Karoubi envelope have the same presheaf topos, so the
+topologies are read off the idempotents.  An idempotent e' is a retract of e,
+e' <= e, when e' = r.e.s for some arrows r and s, that is when e' lies in the
+sieve generated by the arrows g.e.  For a set D of idempotents closed under
+retracts, J_D is the topology whose least covering sieve M_c(D) is generated
+by the arrows g.e with e in D and g: dom e -> c.
+
+Theorem.  D |-> J_D is a bijection from the retract-closed sets of
+idempotents onto the topologies, with inverse J |-> {e : e in M_dom(e)}, and
+J_D <= J_D' exactly when D contains D'.
+
+Proof.  Sieves M_c are the least covering sieves of a topology exactly when
+they are stable (h.M_d lies in M_c for h: d -> c) and transitive (every h in
+M_c is f.k with f in M_c and k in M_dom(f)).  Given such M, let D be the
+idempotents e with e in M_dom(e).  D is retract-closed: if e is in M_a and
+e' = r.e.s, stability puts r.e, hence r.e.s, in M_dom(e').  M_c(D) lies in
+M_c by stability.  Conversely, applying transitivity n times writes any h in
+M_c as f1...fn.k with each fi in M of its codomain.  Take n larger than the
+number of arrows: two prefixes f1...fi and f1...fj (i < j) are equal, so
+P = P.u for P = f1...fi and the endomorphism u = f(i+1)...fj, which lies in
+M_dom(u) because f(i+1) does.  The idempotent power e of u is in M_dom(u)
+too, so e is in D and h = P.e.x lies in M_c(D).  Hence M = M(D).  Every
+retract-closed D gives stable and transitive M(D) (g.e = (g.e).e with e in
+M_dom(e)), and e in M_dom(e)(D) means e = g.d.x with d in D, a retract of d,
+so D is read back from J_D.  Inclusion of the M(D) reverses inclusion of D.
+
+So the topologies are the down-sets of the retract classes (mutual
+retracts, such as the two constant self-maps of a two-point set, form one
+class); M_c(D) is the OR of per-class sieves computed once per category.
 """
 
 from __future__ import annotations
@@ -127,36 +150,66 @@ def _least(category, covering):
     )
 
 
-def _close(category, minimal):
-    """Least covering sieves of the smallest topology in which minimal[c]
-    covers c for every object c.
+@dataclass(frozen=True)
+class _RetractClasses:
+    """The idempotents of a category up to mutual retracts, retracts first.
 
-    Shrinks the sieves until they are stable (M_d inside h^*M_c for every
-    h: d -> c) and transitive (M_c generated by the composites f after k with
-    f in M_c and k in M_dom(f)).  Both steps are monotone and any topology in
-    which the given sieves cover has its least sieves inside every iterate,
-    so the fixed point is the greatest such assignment.
+    least: per class, (dom e, e) for its least idempotent e.
+    down: per class, the mask over classes of the classes at or below it.
+    sieves: per class, (c, the sieve on c generated by the arrows g.e with
+        g: dom e -> c) for each object c that dom e has an arrow to.
     """
+
+    n_obj: int
+    least: tuple
+    down: tuple
+    sieves: tuple
+
+    def minimal(self, D):
+        """Least covering sieves M_c(D) of J_D; D is a mask over classes."""
+        M = [0] * self.n_obj
+        for k in bits(D):
+            for c, mask in self.sieves[k]:
+                M[c] |= mask
+        return tuple(M)
+
+    def downset(self, minimal):
+        """The mask over classes of D = {e : e in M_dom(e)}."""
+        return sum(
+            1 << k for k, (a, e) in enumerate(self.least) if minimal[a] >> e & 1
+        )
+
+
+def _retract_classes(category):
+    """The retract classes of the category's idempotents, memoised on it."""
+    if category._retracts is not None:
+        return category._retracts
     cat = category
-    M = list(minimal)
-    changed = True
-    while changed:
-        changed = False
-        for h in range(len(cat.morphisms)):
-            d = cat.dom[h]
-            S = M[d] & pullback_mask(cat, M[cat.cod[h]], h)
-            if S != M[d]:
-                M[d] = S
-                changed = True
-        for c in range(len(M)):
-            S = generate_mask(
-                cat,
-                [cat.compose(f, k) for f in bits(M[c]) for k in bits(M[cat.dom[f]])],
-            )
-            if S != M[c]:
-                M[c] = S
-                changed = True
-    return tuple(M)
+    idempotents = [f for f in range(len(cat.morphisms)) if cat.table.get((f, f)) == f]
+    on = {}
+    for e in idempotents:
+        on.setdefault(cat.dom[e], []).append(e)
+    sieves, classes = {}, {}
+    for e in idempotents:
+        generated = {}
+        for g in cat.outof(cat.dom[e]):
+            c = cat.cod[g]
+            generated[c] = generated.get(c, 0) | cat.principal_sieve(cat.compose(g, e))
+        sieves[e] = tuple(sorted(generated.items()))
+        # the retracts of e: the same for a mutual retract, fewer for a strict one
+        below = frozenset(
+            x for c, mask in generated.items() for x in on.get(c, ()) if mask >> x & 1
+        )
+        classes.setdefault(below, []).append(e)
+    order = sorted(classes.items(), key=lambda item: (len(item[0]), item[1][0]))
+    position = {e: k for k, (_, members) in enumerate(order) for e in members}
+    category._retracts = _RetractClasses(
+        len(cat.objects),
+        tuple((cat.dom[members[0]], members[0]) for _, members in order),
+        tuple(reduce(or_, (1 << position[x] for x in below), 0) for below, _ in order),
+        tuple(sieves[members[0]] for _, members in order),
+    )
+    return category._retracts
 
 
 def topology(category, covering):
@@ -211,8 +264,11 @@ def generated_topology(category, families):
     """Smallest topology whose covering sets contain the generated sieves.
 
     families: mapping object index -> iterable of arrow-index families.
+    It is J_D for the largest retract-closed D with M_c(D) inside every
+    generated sieve R on c: the idempotents e with g.e in R for every such R
+    and every g: dom e -> c.
     """
-    start = [category.maximal_sieve(c) for c in range(len(category.objects))]
+    allowed = [category.maximal_sieve(c) for c in range(len(category.objects))]
     for c, fams in families.items():
         for fam in fams:
             for f in fam:
@@ -221,8 +277,13 @@ def generated_topology(category, families):
                         "family member %r does not end at %r"
                         % (category.morphisms[f], category.objects[c])
                     )
-            start[c] &= generate_mask(category, fam)
-    return GrothendieckTopology(category, _close(category, start))
+            allowed[c] &= generate_mask(category, fam)
+    classes = _retract_classes(category)
+    D = 0
+    for k, sieves in enumerate(classes.sieves):
+        if not any(mask & ~allowed[c] for c, mask in sieves):
+            D |= 1 << k
+    return GrothendieckTopology(category, classes.minimal(D))
 
 
 def induced_topology(category, J, sub):
@@ -274,10 +335,9 @@ class TopologyLattice:
     covering tuples (M_c is the first mask of covering[c]), so indices are
     stable across runs; `bottom` is the trivial topology and `top` the
     maximal one.  No table is built up front: J_i <= J_j when M_j lies inside
-    M_i at every object, the meet is the topology whose minimal sieves are
-    the objectwise unions, and the join closes the objectwise intersections
-    into the smallest topology in which they cover.  The Heyting implication
-    table is built by lattice scan on first use.
+    M_i at every object, and the meet takes the objectwise unions.  With
+    J_i = J_(D_i), the join is J with D_i & D_j, and the Heyting implication
+    i => j is J with the retract closure of D_j minus D_i.
     """
 
     def __init__(self, category, elements):
@@ -286,7 +346,6 @@ class TopologyLattice:
         self._index = {J.minimal: i for i, J in enumerate(self.elements)}
         self.bottom = self._index[trivial_topology(category).minimal]
         self.top = self._index[maximal_topology(category).minimal]
-        self._implication = None
 
     def __len__(self):
         return len(self.elements)
@@ -304,39 +363,26 @@ class TopologyLattice:
         pairs = zip(self.elements[i].minimal, self.elements[j].minimal)
         return self._index[tuple(a | b for a, b in pairs)]
 
-    def join(self, i, j):
-        pairs = zip(self.elements[i].minimal, self.elements[j].minimal)
-        return self._index[_close(self.category, [a & b for a, b in pairs])]
+    def _downset(self, i):
+        return _retract_classes(self.category).downset(self.elements[i].minimal)
 
-    @property
-    def implication_table(self):
-        if self._implication is None:
-            n = len(self.elements)
-            impl = [[0] * n for _ in range(n)]
-            for i in range(n):
-                for j in range(n):
-                    candidates = [
-                        k for k in range(n) if self.leq(self.meet(k, i), j)
-                    ]
-                    best = candidates[0]
-                    for k in candidates[1:]:
-                        best = self.join(best, k)
-                    assert self.leq(self.meet(best, i), j), (
-                        "implication fell outside its defining set"
-                    )
-                    impl[i][j] = best
-            self._implication = impl
-        return self._implication
+    def _of_downset(self, D):
+        return self._index[_retract_classes(self.category).minimal(D)]
+
+    def join(self, i, j):
+        return self._of_downset(self._downset(i) & self._downset(j))
 
     def implication(self, i, j):
-        return self.implication_table[i][j]
+        down = _retract_classes(self.category).down
+        missing = self._downset(j) & ~self._downset(i)
+        return self._of_downset(reduce(or_, (down[k] for k in bits(missing)), 0))
 
 
 def count_candidate_assignments(category):
     """Number of covering-set assignments, 2^(|Sieves(c)| - 1) per object.
 
     A size measure of the category, used to pick corpus and benchmark sites;
-    the topology search itself is bounded by the sieves it tries.
+    the topology search itself is bounded by the nodes it visits.
     """
     total = 1
     for c in range(len(category.objects)):
@@ -345,92 +391,36 @@ def count_candidate_assignments(category):
 
 
 def enumerate_topologies(category, max_assignments=None):
-    """Enumerate Groth(C) and return it as a TopologyLattice.
+    """Enumerate Groth(C), the J_D of the down-sets D of the retract classes,
+    as a TopologyLattice.
 
-    A topology is found as its least covering sieves M_c: stable (M_d lies
-    inside h^*M_c for every h: d -> c) and transitive (M_c is generated by
-    the composites f after k with f in M_c and k in M_dom(f)).  The search
-    assigns M_c object by object, fewest arrows in first, and cuts a partial
-    assignment as soon as a stability condition between two assigned objects
-    fails; transitivity at c is checked once every domain of an arrow into c
-    is assigned.  Branch points are kept on an explicit stack, so the depth
-    is not bounded by the recursion limit.  Raises SizeBoundExceeded once
-    the candidate sieves tried pass the bound (argument,
-    FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
+    The classes are decided in a linear extension of the retract order on an
+    explicit stack, and one is taken in only once every class below it is
+    in, so every branch ends in a down-set, held as one mask.  Raises
+    SizeBoundExceeded once the nodes visited, the root included, pass the
+    bound (argument, FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
     """
     bound = _resolve_bound(max_assignments)
-    cat = category
-    n_obj = len(cat.objects)
-    dom, cod = cat.dom, cat.cod
-    sieves = [sieve_masks_on(cat, c) for c in range(n_obj)]
-    order = sorted(range(n_obj), key=lambda c: (len(cat.into(c)), c))
-    depth_of = {c: depth for depth, c in enumerate(order)}
-    arrows = [h for h in range(len(cat.morphisms)) if not cat.is_identity(h)]
-    # per call: the arrows of each sieve, h^*M for each sieve M on cod(h),
-    # and f.M = {f after k : k in M} for each sieve M on dom(f)
-    members = [
-        {M: tuple(f for f in cat.into(c) if M >> f & 1) for M in sieves[c]}
-        for c in range(n_obj)
-    ]
-    pullback = {
-        h: {M: pullback_mask(cat, M, h) for M in sieves[cod[h]]}
-        for h in arrows
-    }
-    image = [
-        {
-            M: generate_mask(cat, [cat.compose(f, k) for k in ks])
-            for M, ks in members[dom[f]].items()
-        }
-        for f in range(len(cat.morphisms))
-    ]
-    # the stability and transitivity conditions decided at each depth
-    stable_at = [[] for _ in order]
-    for h in arrows:
-        stable_at[max(depth_of[dom[h]], depth_of[cod[h]])].append(h)
-    closed_at = [[] for _ in order]
-    for c in range(n_obj):
-        closed_at[
-            max([depth_of[c]] + [depth_of[dom[f]] for f in cat.into(c)])
-        ].append(c)
-
-    minimal = [0] * n_obj
-
-    def transitive(c):
-        M = minimal[c]
-        composites = (image[f][minimal[dom[f]]] for f in members[c][M])
-        return reduce(or_, composites, 0) == M
-
-    choice = [-1] * n_obj
+    classes = _retract_classes(category)
+    n = len(classes.down)
+    strictly_below = [D & ~(1 << k) for k, D in enumerate(classes.down)]
     tried = 0
     found = []
-    depth = 0
-    while depth >= 0:
-        if depth == n_obj:
-            found.append(tuple(minimal))
-            depth -= 1
-            continue
-        c = order[depth]
-        choice[depth] += 1
-        if choice[depth] == len(sieves[c]):
-            choice[depth] = -1
-            depth -= 1
-            continue
+    stack = [(0, 0)]
+    while stack:
+        k, D = stack.pop()
         tried += 1
         if tried > bound:
             raise SizeBoundExceeded(
-                "%d candidate assignments tried exceed the bound %d"
-                % (tried, bound),
-                tried,
-                bound,
+                "%d candidate assignments (partial down-sets of retract classes) "
+                "visited exceed the bound %d" % (tried, bound), tried, bound
             )
-        minimal[c] = sieves[c][choice[depth]]
-        if any(
-            minimal[dom[h]] & ~pullback[h][minimal[cod[h]]]
-            for h in stable_at[depth]
-        ):
+        if k == n:
+            found.append(D)
             continue
-        if all(transitive(e) for e in closed_at[depth]):
-            depth += 1
+        stack.append((k + 1, D))
+        if not strictly_below[k] & ~D:
+            stack.append((k + 1, D | 1 << k))
     return TopologyLattice(
-        cat, [GrothendieckTopology(cat, assignment) for assignment in found]
+        category, [GrothendieckTopology(category, classes.minimal(D)) for D in found]
     )

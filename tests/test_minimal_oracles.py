@@ -7,11 +7,16 @@ pair with the colimit identification done by pairwise comparison.  They run
 on every topology of every corpus category with at most 12 morphisms, plus
 the chain 0 < 1 < 2 < 3, on seeded random presheaves and subcategories.
 
-The topology search itself is checked against the filter of the whole
-product of sieves, the sieves against the filter of all arrow subsets, the
-on-demand lattice operations against eagerly built tables (the join as the
-meet of all upper bounds), and generated topologies against the fixed point
-of the covering sets under the axioms over every sieve.
+The closed-form topology enumeration (down-sets of retract classes of
+idempotents) is checked against the filter of the whole product of sieves
+and, tuple for tuple, against the depth-first search over least sieves it
+replaced; generated topologies and joins against the fixed point of the
+least sieves under stability and transitivity, and against the fixed point
+of the covering sets under the axioms over every sieve; the sieves against
+the filter of all arrow subsets; and the on-demand lattice operations
+against eagerly built tables (the join as the meet of all upper bounds).
+Besides the corpus, these run on seeded submonoids of the transformation
+monoids T_3 and T_4, whose non-identity idempotents do not split.
 
 Presheaves and maps the library builds without law checks (Yoneda, limits
 and colimits, natural maps, the plus construction, restrictions) are
@@ -26,7 +31,7 @@ topology of the categories above.
 import itertools
 import random
 from functools import reduce
-from operator import and_
+from operator import and_, or_
 
 import pytest
 
@@ -505,8 +510,7 @@ def test_lattice_operations_match_eager_tables(cat):
             assert lat.leq(i, j) == leq[i][j]
             assert lat.meet(i, j) == meet[i][j]
             assert lat.join(i, j) == join[i][j]
-    if n <= 16:
-        assert lat.implication_table == impl
+            assert lat.implication(i, j) == impl[i][j]
 
 
 def fixed_point_generated(cat, families):
@@ -582,6 +586,213 @@ def test_atomic_topology_satisfies_the_axioms():
             tuple(m for m in sieve_masks_on(cat, c) if m)
             for c in range(len(cat.objects))
         )
+
+
+# ---------------------------------------------------------------------------
+# The closed form against the depth-first search and the fixed point it
+# replaced.
+
+
+def search_minimal(cat):
+    """Sorted least-sieve tuples of every topology, by a depth-first search
+    over the objects.  It assigns M_c one object at a time, fewest arrows in
+    first, cuts a partial assignment at its first failed stability condition
+    M_d inside h^*M_c between two assigned objects, and checks transitivity
+    at c (M_c generated by f after k, f in M_c, k in M_dom(f)) once every
+    domain of an arrow into c is assigned."""
+    n_obj = len(cat.objects)
+    dom, cod = cat.dom, cat.cod
+    sieves = [sieve_masks_on(cat, c) for c in range(n_obj)]
+    order = sorted(range(n_obj), key=lambda c: (len(cat.into(c)), c))
+    depth_of = {c: depth for depth, c in enumerate(order)}
+    arrows = [h for h in range(len(cat.morphisms)) if not cat.is_identity(h)]
+    members = [
+        {M: tuple(f for f in cat.into(c) if M >> f & 1) for M in sieves[c]}
+        for c in range(n_obj)
+    ]
+    pullback = {
+        h: {M: pullback_mask(cat, M, h) for M in sieves[cod[h]]} for h in arrows
+    }
+    image = [
+        {
+            M: generate_mask(cat, [cat.compose(f, k) for k in ks])
+            for M, ks in members[dom[f]].items()
+        }
+        for f in range(len(cat.morphisms))
+    ]
+    stable_at = [[] for _ in order]
+    for h in arrows:
+        stable_at[max(depth_of[dom[h]], depth_of[cod[h]])].append(h)
+    closed_at = [[] for _ in order]
+    for c in range(n_obj):
+        closed_at[
+            max([depth_of[c]] + [depth_of[dom[f]] for f in cat.into(c)])
+        ].append(c)
+
+    minimal = [0] * n_obj
+
+    def transitive(c):
+        M = minimal[c]
+        composites = (image[f][minimal[dom[f]]] for f in members[c][M])
+        return reduce(or_, composites, 0) == M
+
+    choice = [-1] * n_obj
+    found = []
+    depth = 0
+    while depth >= 0:
+        if depth == n_obj:
+            found.append(tuple(minimal))
+            depth -= 1
+            continue
+        c = order[depth]
+        choice[depth] += 1
+        if choice[depth] == len(sieves[c]):
+            choice[depth] = -1
+            depth -= 1
+            continue
+        minimal[c] = sieves[c][choice[depth]]
+        if any(
+            minimal[dom[h]] & ~pullback[h][minimal[cod[h]]]
+            for h in stable_at[depth]
+        ):
+            continue
+        if all(transitive(e) for e in closed_at[depth]):
+            depth += 1
+    return sorted(found)
+
+
+def close(cat, minimal):
+    """Least covering sieves of the smallest topology in which minimal[c]
+    covers c for every object c: shrink the sieves until they are stable and
+    transitive.  Both steps are monotone, so the fixed point is the greatest
+    such assignment."""
+    M = list(minimal)
+    changed = True
+    while changed:
+        changed = False
+        for h in range(len(cat.morphisms)):
+            d = cat.dom[h]
+            S = M[d] & pullback_mask(cat, M[cat.cod[h]], h)
+            if S != M[d]:
+                M[d] = S
+                changed = True
+        for c in range(len(M)):
+            S = generate_mask(
+                cat,
+                [cat.compose(f, k) for f in bits(M[c]) for k in bits(M[cat.dom[f]])],
+            )
+            if S != M[c]:
+                M[c] = S
+                changed = True
+    return tuple(M)
+
+
+def generated_monoid(k, generators):
+    """Submonoid of the self-maps of range(k) generated by the given maps,
+    as a list with the unit first."""
+    unit = tuple(range(k))
+    seen = {unit}
+    todo = [unit]
+    while todo:
+        f = todo.pop()
+        for g in generators:
+            h = tuple(g[x] for x in f)
+            if h not in seen:
+                seen.add(h)
+                todo.append(h)
+    return [unit] + sorted(seen - {unit})
+
+
+ALL_MAPS_3 = list(itertools.product(range(3), repeat=3))
+
+
+def _monoid_categories(count=30, max_size=24):
+    """Seeded submonoids of T_3 and T_4 generated by one to three random
+    maps, at most max_size elements each, distinct, with a non-identity
+    idempotent (so an unsplit one), plus idem, T2 and T3."""
+    out = [
+        pytest.param(idem(), id="idem"),
+        pytest.param(map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)]), id="T2"),
+        pytest.param(
+            map_monoid(generated_monoid(3, ALL_MAPS_3)),
+            id="T3",
+        ),
+    ]
+    seen = set()
+    rng = random.Random("monoids")
+    while len(out) < count + 3:
+        k = rng.choice((3, 4))
+        generators = [
+            tuple(rng.randrange(k) for _ in range(k))
+            for _ in range(rng.randint(1, 3))
+        ]
+        maps = generated_monoid(k, generators)
+        idempotent = any(tuple(m[x] for x in m) == m for m in maps[1:])
+        if len(maps) > max_size or not idempotent or tuple(maps) in seen:
+            continue
+        seen.add(tuple(maps))
+        out.append(pytest.param(map_monoid(maps), id="T%d-sub%d" % (k, len(out) - 3)))
+    return out
+
+
+MONOID_CATEGORIES = _monoid_categories()
+
+
+def seeded_pairs(n, rng, limit=400):
+    if n * n <= limit:
+        return [(i, j) for i in range(n) for j in range(n)]
+    return [(rng.randrange(n), rng.randrange(n)) for _ in range(limit)]
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES + MONOID_CATEGORIES)
+def test_closed_form_matches_the_search_and_the_fixed_point(cat):
+    lat = enumerate_topologies(cat)
+    assert [J.minimal for J in lat.elements] == search_minimal(cat)
+    rng = random.Random(repr(cat.morphisms))
+    for _ in range(12):
+        families = random_families(cat, rng)
+        start = [cat.maximal_sieve(c) for c in range(len(cat.objects))]
+        for c, fams in families.items():
+            for fam in fams:
+                start[c] &= generate_mask(cat, fam)
+        assert generated_topology(cat, families).minimal == close(cat, start)
+    for i, j in seeded_pairs(len(lat), rng):
+        pairs = zip(lat.elements[i].minimal, lat.elements[j].minimal)
+        want = close(cat, [a & b for a, b in pairs])
+        assert lat.elements[lat.join(i, j)].minimal == want
+
+
+def test_monoid_cases_have_distinct_mutual_retracts():
+    # idempotents e != e' with each a retract (r e s) of the other, such as
+    # T2's two constant maps, which the closed form merges into one class
+    def retracts(cat, e):
+        return {
+            cat.compose(cat.compose(r, e), s)
+            for r in range(len(cat.morphisms))
+            for s in range(len(cat.morphisms))
+        }
+
+    merged = 0
+    for param in MONOID_CATEGORIES:
+        cat = param.values[0]
+        idempotents = [f for f in range(len(cat.morphisms)) if cat.compose(f, f) == f]
+        below = {e: retracts(cat, e) for e in idempotents}
+        merged += any(
+            a != b and a in below[b] and b in below[a]
+            for a in idempotents
+            for b in idempotents
+        )
+    assert merged >= 10
+
+
+@pytest.mark.parametrize("cat", MONOID_CATEGORIES)
+def test_monoid_lattice_operations_match_eager_tables(cat):
+    lat = enumerate_topologies(cat)
+    leq, meet, join, impl = eager_tables(lat)
+    for i in range(len(lat)):
+        for j in range(len(lat)):
+            assert lat.join(i, j) == join[i][j]
+            assert lat.implication(i, j) == impl[i][j]
 
 
 # ---------------------------------------------------------------------------

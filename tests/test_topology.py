@@ -1,5 +1,6 @@
 """Topology axioms, enumeration against a naive oracle, and the lattice."""
 
+import tracemalloc
 from itertools import combinations, product
 
 import pytest
@@ -302,10 +303,13 @@ def test_index_of_roundtrips():
 
 
 def test_candidate_bound_enforced():
-    # the search tries 68 candidate sieves on the square; the bound counts them
+    # the square's 16 topologies are the subsets of its four objects (a
+    # poset's only idempotents are its identities, none a retract of
+    # another), so the search is a full binary tree of 2^5 - 1 nodes; the
+    # bound counts them
     cat = square()
     assert count_candidate_assignments(cat) == 1024
-    needed = 68
+    needed = 31
     with pytest.raises(SizeBoundExceeded) as info:
         enumerate_topologies(cat, max_assignments=needed - 1)
     assert info.value.required == needed
@@ -350,15 +354,25 @@ def test_enumeration_past_the_covering_set_count(build, count):
 
 
 def test_default_bound_refuses_the_boolean_lattice_2_4():
+    # 16 objects, so 65,536 topologies and a search tree of 2^17 - 1 nodes
     with pytest.raises(SizeBoundExceeded) as info:
         enumerate_topologies(boolean_lattice(4))
     assert info.value.required == info.value.bound + 1 == (1 << 16) + 1
 
 
 def test_search_depth_is_not_bounded_by_recursion():
+    # 1500 levels deep under the default bound, holding one mask per
+    # down-set found until the bound refuses the search
     cat = poset_category(["x%d" % i for i in range(1500)], [])
-    with pytest.raises(SizeBoundExceeded):
-        enumerate_topologies(cat, max_assignments=4000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded) as info:
+            enumerate_topologies(cat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert info.value.required == (1 << 16) + 1
+    assert peak < 32 << 20
 
 
 def test_candidate_bound_from_environment(monkeypatch):
