@@ -56,6 +56,7 @@ class FiniteCategory:
         "_outof",
         "_principal",
         "_sieves",
+        "_described",
         "_realized",
         "_rep_sheaves",
         "_retracts",
@@ -92,6 +93,7 @@ class FiniteCategory:
         self._principal = tuple(principal)
         # memos filled by sieves.py, Subcategory.realize, sheaf.py and topology.py
         self._sieves = {}
+        self._described = {}
         self._realized = {}
         self._rep_sheaves = {}
         self._retracts = None

@@ -2,14 +2,13 @@
 
 Exit codes: 0 success, 1 mathematical validation failure (category laws,
 topology axioms, missing structure), 2 search-space bound exceeded,
-3 unreadable input (bad JSON, unknown names, file errors).
+3 unreadable input (bad JSON, unknown names, file errors) or a usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +29,7 @@ from .siteio import (
     load_site,
     presheaf_data,
     save_site,
-    serialize_site,
+    site_data,
 )
 from .topology import enumerate_topologies
 
@@ -66,6 +65,21 @@ def _render_text(data, indent=0):
     else:
         out.append("%s%s\n" % (pad, _scalar(data)))
     return "".join(out)
+
+
+def _render_lists(data):
+    """Text form of data holding `describe()` results.  `_render_text`
+    prints a tuple inline, as it prints the classify witnesses; the covering
+    sieves, which `describe()` shares as tuples, print as lists do."""
+
+    def lists(value):
+        if isinstance(value, dict):
+            return {key: lists(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [lists(v) for v in value]
+        return value
+
+    return _render_text(lists(data))
 
 
 def _scalar(value):
@@ -140,7 +154,7 @@ def cmd_topologies(args):
     }
     if site.topology is not None:
         data["file_topology_index"] = lattice.index_of(site.topology)
-    _emit(args, data)
+    _emit(args, data, _render_lists)
 
 
 def cmd_dense(args):
@@ -163,7 +177,7 @@ def cmd_dense(args):
             "minimum_index": family.minimum_index,
             "minimum": family.minimum.describe(),
         }
-    _emit(args, data)
+    _emit(args, data, _render_lists)
 
 
 def cmd_sheafify(args):
@@ -236,29 +250,26 @@ def cmd_corpus(args):
             save_site(site, path)
             entry["path"] = path
         manifest["sites"].append(entry)
-    if args.out:
-        _emit(args, manifest)
-    else:
-        if args.format == "json":
-            sys.stdout.write(
-                canonical_json(
-                    {
-                        "seed": args.seed,
-                        "sites": [
-                            json.loads(serialize_site(site)) for site in sites
-                        ],
-                    }
-                )
-            )
-        else:
-            _emit(args, manifest)
+    if args.format == "json" and not args.out:
+        # without --out the JSON form lists the sites themselves
+        manifest["sites"] = [site_data(site) for site in sites]
+    _emit(args, manifest)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, as unreadable input does; argparse's own 2 is
+    the code for an exceeded size bound."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(3, "%s: error: %s\n" % (self.prog, message))
 
 
 @functools.cache
 def build_parser():
     """The argument parser, built once per process: parsing leaves it
     unchanged, so every call of `main` shares it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="finsite",
         description="Grothendieck topologies, sheaves and site classification "
         "on finite categories.",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 from .category import (
     FiniteCategory,
@@ -31,6 +32,8 @@ from .topology import (
 
 SCHEMA = "finsite-site/1"
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
 NAMED_TOPOLOGIES = {
     "trivial": trivial_topology,
     "maximal": maximal_topology,
@@ -49,9 +52,73 @@ class SiteFile:
     presheaves: dict = field(default_factory=dict)
 
 
+def _str_leaves(value):
+    return all(
+        type(x) is str or (type(x) is tuple and _str_leaves(x)) for x in value
+    )
+
+
 def canonical_json(data):
-    """Stable text form: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+    """Stable text form: sorted keys, two-space indent, trailing newline.
+
+    The bytes are those of `json.dumps(data, sort_keys=True, indent=2,
+    ensure_ascii=True) + "\\n"`, written in one pass (given an indent, the
+    stdlib leaves its C encoder for a generator per value).  Data holds str,
+    int, bool, None, lists, tuples and dicts with str keys; anything else,
+    such as a float, an int key or a set, raises TypeError instead of
+    printing other bytes.
+
+    Reports repeat fragments, such as the covering sieves that
+    `GrothendieckTopology.describe` shares between topologies, so a tuple
+    whose leaves are all strings is printed once per indent and call.  Only
+    such tuples are memoised, since the equal (1,) and (True,) print
+    differently; a tuple equal to a memoised one has string leaves too,
+    because among JSON values only a string equals a string.
+    """
+    memo = {}
+
+    def array(value, pad):
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        if all(type(x) is str for x in value):
+            items = map(encode_basestring_ascii, value)
+        else:
+            items = [write(x, inner) for x in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+    def write(value, pad):
+        if type(value) is tuple:
+            key = (value, pad)
+            try:
+                return memo[key]
+            except KeyError:
+                text = array(value, pad)
+                if _str_leaves(value):
+                    memo[key] = text
+                return text
+            except TypeError:  # unhashable: it holds a list or a dict
+                return array(value, pad)
+        if isinstance(value, str):
+            return encode_basestring_ascii(value)
+        if value is None or value is True or value is False:
+            return _CONSTANTS[value]
+        if isinstance(value, int):
+            return int.__repr__(value)
+        if isinstance(value, (list, tuple)):
+            return array(value, pad)
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            items = [  # encode_basestring_ascii raises TypeError on other keys
+                encode_basestring_ascii(k) + ": " + write(v, inner)
+                for k, v in sorted(value.items())
+            ]
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        raise TypeError("%s is not canonical JSON data" % type(value).__name__)
+
+    return write(data, "") + "\n"
 
 
 def _require(mapping, key, where):

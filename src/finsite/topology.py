@@ -84,13 +84,20 @@ class GrothendieckTopology:
         return not any(b & ~a for a, b in zip(self.minimal, other.minimal))
 
     def describe(self):
-        """Name-level view: object name -> list of sorted arrow-name lists."""
+        """Name-level view: object name -> tuple of sorted arrow-name tuples,
+        one per covering sieve.  The covering sieves on c depend only on M_c,
+        so each (c, M_c) is named once per category and its tuple is shared
+        by every topology with that least sieve."""
         cat = self.category
         out = {}
-        for c, masks in enumerate(self.covering):
-            out[cat.objects[c]] = [
-                sorted(cat.morphisms[f] for f in bits(m)) for m in masks
-            ]
+        for c, M in enumerate(self.minimal):
+            names = cat._described.get((c, M))
+            if names is None:
+                names = cat._described[(c, M)] = tuple(
+                    tuple(sorted(cat.morphisms[f] for f in bits(S)))
+                    for S in self.covering[c]
+                )
+            out[cat.objects[c]] = names
         return out
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from finsite.cli import main
-from finsite.corpus import named_site
+from finsite.corpus import corpus, named_site
 from finsite.siteio import serialize_site
 
 HERE = os.path.dirname(__file__)
@@ -71,6 +71,24 @@ def test_dense_with_enumeration(capsys, site_file):
     assert data["family"]["members"] == [0, 2, 4, 6]
     assert data["family"]["size"] == 4 and data["family"]["of"] == 8
     assert data["family"]["minimum_index"] == 6
+
+
+@pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("arrow-j2.topologies.txt", ["topologies"]),
+        ("square-cover.topologies.txt", ["topologies"]),
+        ("arrow-j2.dense-left.txt", ["dense", "--sub", "left", "--enumerate"]),
+        ("square-cover.dense-sides.txt", ["dense", "--sub", "sides", "--enumerate"]),
+        # tuples, such as these witnesses, print inline
+        ("idem-e.classify.txt", ["classify"]),
+    ],
+)
+def test_text_golden_bytes(capsys, site_file, golden, argv):
+    with open(os.path.join(HERE, "golden", golden), encoding="ascii") as fh:
+        frozen = fh.read()
+    code, out, _ = run(capsys, *argv, site_file(golden.split(".")[0]))
+    assert code == 0 and out == frozen
 
 
 def test_dense_failure_lists_witnesses(capsys, site_file):
@@ -153,6 +171,15 @@ def test_corpus_determinism(tmp_path, capsys):
     assert "arrow-j2" in names and len(names) == len(set(names))
 
 
+def test_corpus_json_is_the_stdlib_encoding_of_the_site_files(capsys):
+    code, out, _ = run(capsys, "--format", "json", "corpus",
+                       "--seed", "0", "--count", "8")
+    sites = [json.loads(serialize_site(s)) for s in corpus(seed=0, random_count=8)]
+    assert code == 0 and out == json.dumps(
+        {"seed": 0, "sites": sites}, sort_keys=True, indent=2, ensure_ascii=True
+    ) + "\n"
+
+
 def test_corpus_writes_files(tmp_path, capsys):
     # the directory does not exist yet; corpus creates it
     out_dir = tmp_path / "sites" / "nested"
@@ -221,6 +248,36 @@ def test_exit_code_2_for_size_bounds(capsys):
     code, _, err = run(capsys, "topologies", SQUARE,
                        "--max-assignments", "10")
     assert code == 2 and "candidate assignments" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["topologies", "--bogus", SQUARE],
+        ["dense", "--sub", "S", "--enumerate", "--max-assignments", "5", SQUARE],
+        ["dense", SQUARE],
+        ["frobnicate", SQUARE],
+    ],
+    ids=["unknown-option", "option-of-another-command", "missing-option",
+         "unknown-command"],
+)
+def test_exit_code_3_for_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    assert "usage: finsite" in capsys.readouterr().err
+
+
+def test_usage_errors_and_help_exit_codes_of_the_process():
+    def exit_code(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "finsite.cli", *argv], capture_output=True,
+        ).returncode
+
+    assert exit_code("topologies", "--bogus", SQUARE) == 3
+    assert exit_code("dense", "--max-assignments", "5", "--sub", "S", SQUARE) == 3
+    assert exit_code("--help") == 0
+    assert exit_code("topologies", "--help") == 0
 
 
 def test_exit_code_3_for_a_non_integer_bound_variable(capsys, monkeypatch):

@@ -25,7 +25,9 @@ on outside data.  The orbit-mask hull, the subobject lattice, the
 pseudo-complement test for indecomposability and the direct pullback are
 compared with the arrow-walking hull, the pairwise complement search and the
 equalizer inside the product, on every representable sheaf under every
-topology of the categories above.
+topology of the categories above.  `describe()`, whose name tuples are
+memoised per object and least covering sieve, is compared with the
+list-building version it replaced.
 """
 
 import itertools
@@ -87,6 +89,7 @@ from finsite.sieves import (
     pullback_mask,
     sieve_masks_on,
 )
+from finsite.siteio import canonical_json
 from finsite.topology import (
     TopologyLattice,
     atomic_topology,
@@ -243,6 +246,16 @@ def scan_density_failures(cat, J, sub):
     return out
 
 
+def list_describe(J):
+    """`describe()` as it was before its name lists were memoised per
+    (c, M_c): fresh sorted lists for every topology and object."""
+    cat = J.category
+    return {
+        cat.objects[c]: [sorted(cat.morphisms[f] for f in bits(m)) for m in masks]
+        for c, masks in enumerate(J.covering)
+    }
+
+
 def scan_rep_is_supercompact(cat, J, c):
     return all(
         any(J.covers(c, cat.principal_sieve(f)) for f in bits(S))
@@ -338,6 +351,19 @@ def test_closed_hull_matches_the_covering_scan():
                 assert closed_hull(cat, J, A, seed) == scan_closed_hull(
                     cat, J, A, seed
                 )
+
+
+@pytest.mark.parametrize("cat", CATEGORIES, ids=str)
+def test_describe_matches_the_list_building_oracle(cat):
+    shared = {}
+    for J in lattice(cat).elements:
+        got, want = J.describe(), list_describe(J)
+        assert got == {c: tuple(map(tuple, sieves)) for c, sieves in want.items()}
+        assert canonical_json(got) == canonical_json(want)
+        # topologies with one least sieve on c share one name tuple
+        for c, M in enumerate(J.minimal):
+            name = cat.objects[c]
+            assert shared.setdefault((c, M), got[name]) is got[name]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,15 @@
 """Site-file parsing, canonical serialization, golden bytes."""
 
+import contextlib
+import io
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from finsite import cli
 from finsite.category import bits
 from finsite.corpus import corpus, named_site, named_sites
 from finsite.errors import ParseError
@@ -62,6 +67,105 @@ def test_canonical_json_shape():
     text = canonical_json({"b": 1, "a": [2, 1]})
     assert text == '{\n  "a": [\n    2,\n    1\n  ],\n  "b": 1\n}\n'
     assert text == canonical_json(json.loads(text))
+
+
+def stdlib_json(data):
+    return json.dumps(data, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+
+
+ODD_CHARS = '"\\/\x00\x08\x0c\x1f\x7f\x80\xe9\u2028\ud800\U0001f600'
+TEXT = st.text(st.one_of(st.characters(), st.sampled_from(ODD_CHARS)), max_size=6)
+SCALARS = st.one_of(
+    TEXT,
+    st.integers(),
+    st.integers(min_value=-(10**40), max_value=10**40),
+    st.booleans(),
+    st.none(),
+)
+
+
+def json_trees(scalars, keys):
+    """JSON-shaped values, each listed twice so that equal tuples recur at
+    one indent and at deeper ones."""
+    values = st.recursive(
+        scalars,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=24,
+    )
+    return st.lists(values, max_size=3).map(lambda xs: xs + [tuple(xs)] + xs)
+
+
+ORACLE_SETTINGS = settings(
+    derandomize=True,
+    max_examples=100,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+@ORACLE_SETTINGS
+@given(data=json_trees(SCALARS, TEXT))
+@example(data=[(1,), (True,), (0,), (False,), ("a",), ("a",), [("a",), ()]])
+@example(data={"k": (("f", "id_b"), ("id_a",)), "l": [(("f", "id_b"), ("id_a",))]})
+def test_canonical_json_matches_the_stdlib_bytes(data):
+    assert canonical_json(data) == stdlib_json(data)
+
+
+@ORACLE_SETTINGS
+@given(
+    data=json_trees(
+        st.one_of(SCALARS, st.floats(), st.sets(st.integers(), max_size=2)),
+        st.one_of(TEXT, st.integers(), st.booleans(), st.none(), st.floats()),
+    )
+)
+def test_other_values_match_the_stdlib_bytes_or_raise_type_error(data):
+    try:
+        text = canonical_json(data)
+    except TypeError:
+        return
+    assert text == stdlib_json(data)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, [0.0], (1.0,), [(1,), (1.0,)], {1: "a"}, {None: 1}, {"a", "b"}, frozenset()],
+    ids=repr,
+)
+def test_floats_other_keys_and_sets_raise_type_error(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
+def test_every_subcommand_emits_the_stdlib_bytes(tmp_path, monkeypatch):
+    emitted = []
+
+    def checked(data):
+        text = canonical_json(data)
+        assert text == stdlib_json(data)
+        emitted.append(data)
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", checked)
+    calls = [["corpus", "--seed", str(seed)] for seed in range(3)]
+    sites = {site.name: site for seed in range(3) for site in corpus(seed=seed)}
+    for site in sites.values():
+        path = str(tmp_path / ("%s.json" % site.name))
+        save_site(site, path)
+        calls += [["validate", path], ["topologies", path], ["classify", path]]
+        calls += [["dense", "--sub", sub, "--enumerate", path]
+                  for sub in sorted(site.subcategories)]
+        calls += [["sheafify", "--presheaf", p, path] for p in sorted(site.presheaves)]
+        if site.topology is not None:
+            calls.append(["report", path])
+    for argv in calls:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["--format", "json"] + argv) == 0
+    assert len(emitted) == len(calls)
 
 
 def test_hand_written_file_parses():

@@ -239,7 +239,7 @@ def test_leq_and_describe():
     assert bottom.covering == trivial_topology(cat).covering
     assert top.covering == maximal_topology(cat).covering
     desc = trivial_topology(cat).describe()
-    assert desc == {"a": [["id_a"]], "b": [["f", "id_b"]]}
+    assert desc == {"a": (("id_a",),), "b": (("f", "id_b"),)}
 
 
 def test_lattice_order_and_meet_join_laws():
