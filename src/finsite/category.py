@@ -9,6 +9,7 @@ table.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 
 from .errors import (
@@ -32,6 +33,28 @@ def bits(mask):
             yield i
         mask >>= 1
         i += 1
+
+
+_FACT_LOCK = threading.RLock()
+
+
+def fact(category, key, compute, *args):
+    """compute(category, *args), computed once per category and key.
+
+    The site facts several report tasks read are memoised here: the
+    category's `is_cartesian`, `has_right_ore` and `is_cauchy_complete`,
+    and per topology, keyed by its least sieves, `j_irreducible_objects`,
+    `is_rigid` and `is_subcanonical`.  The first caller computes a fact
+    under the lock while callers on other threads wait for it; the lock is
+    reentrant, as one fact reads others.
+    """
+    facts = category._facts
+    if key in facts:
+        return facts[key]
+    with _FACT_LOCK:
+        if key not in facts:
+            facts[key] = compute(category, *args)
+        return facts[key]
 
 
 class FiniteCategory:
@@ -60,6 +83,7 @@ class FiniteCategory:
         "_realized",
         "_rep_sheaves",
         "_retracts",
+        "_facts",
         "_hash",
         "__weakref__",
     )
@@ -97,6 +121,8 @@ class FiniteCategory:
         self._realized = {}
         self._rep_sheaves = {}
         self._retracts = None
+        # site facts, filled by `fact`
+        self._facts = {}
         self._hash = hash(
             (
                 self.objects,
@@ -253,24 +279,23 @@ def validate_category(objects, morphisms, identities, composites):
             else:
                 table[key] = f
 
-    # Totality on composable pairs.
+    # Totality and associativity over composable arrows: g after f for g
+    # out of cod f, h after g for h out of cod g, each list ascending.
+    outof = [[] for _ in objects]
+    for g in range(n):
+        outof[dom[g]].append(g)
     for f in range(n):
-        for g in range(n):
-            if cod[f] == dom[g] and (g, f) not in table:
+        for g in outof[cod[f]]:
+            if (g, f) not in table:
                 raise UndefinedComposite(
                     "no composite for %r after %r" % (names[g], names[f]),
                     witnesses=(names[g], names[f]),
                 )
 
-    # Associativity over all composable triples.
     for f in range(n):
-        for g in range(n):
-            if cod[f] != dom[g]:
-                continue
+        for g in outof[cod[f]]:
             gf = table[(g, f)]
-            for h in range(n):
-                if cod[g] != dom[h]:
-                    continue
+            for h in outof[cod[g]]:
                 if table[(h, gf)] != table[(table[(h, g)], f)]:
                     raise NonAssociative(
                         "h(gf) != (hg)f for h=%r g=%r f=%r"
@@ -448,8 +473,14 @@ class CartesianReport:
 
 
 def is_cartesian(category):
-    """Search exhaustively for a terminal object, binary products, equalizers."""
+    """Search exhaustively for a terminal object, binary products, equalizers;
+    memoised on the category."""
+    return fact(category, "cartesian", _is_cartesian)
+
+
+def _is_cartesian(category):
     n_obj = len(category.objects)
+    table = category.table
     terminal = None
     for t in range(n_obj):
         if all(len(category.hom(c, t)) == 1 for c in range(n_obj)):
@@ -461,17 +492,16 @@ def is_cartesian(category):
     products = {}
     for a in range(n_obj):
         for b in range(n_obj):
-            found = None
-            for p in range(n_obj):
-                for p1 in category.hom(p, a):
-                    for p2 in category.hom(p, b):
-                        if _is_product(category, a, b, p, p1, p2):
-                            found = (p, p1, p2)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+            found = next(
+                (
+                    (p, p1, p2)
+                    for p in range(n_obj)
+                    for p1 in category.hom(p, a)
+                    for p2 in category.hom(p, b)
+                    if _is_product(category, a, b, p, p1, p2)
+                ),
+                None,
+            )
             if found is None:
                 return CartesianReport(
                     False,
@@ -482,20 +512,22 @@ def is_cartesian(category):
 
     equalizers = {}
     for f in range(len(category.morphisms)):
-        for g in range(len(category.morphisms)):
-            if category.dom[f] != category.dom[g] or category.cod[f] != category.cod[g]:
+        a = category.dom[f]
+        for g in category.hom(a, category.cod[f]):
+            if (g, f) in equalizers:
+                # the search for (f, g) is symmetric in f and g
+                equalizers[(f, g)] = equalizers[(g, f)]
                 continue
-            a = category.dom[f]
-            found = None
-            for e in range(n_obj):
-                for i in category.hom(e, a):
-                    if category.compose(f, i) != category.compose(g, i):
-                        continue
-                    if _is_equalizer(category, f, g, e, i):
-                        found = (e, i)
-                        break
-                if found:
-                    break
+            found = next(
+                (
+                    (e, i)
+                    for e in range(n_obj)
+                    for i in category.hom(e, a)
+                    if table[(f, i)] == table[(g, i)]
+                    and _is_equalizer(category, f, g, e, i)
+                ),
+                None,
+            )
             if found is None:
                 return CartesianReport(
                     False,
@@ -512,29 +544,32 @@ def is_cartesian(category):
 
 
 def _is_product(category, a, b, p, p1, p2):
+    """For every object c, h |-> (p1 h, p2 h) is a bijection from hom(c, p)
+    onto hom(c, a) x hom(c, b): an injection between sets of one size."""
+    hom, table = category._hom, category.table
     for c in range(len(category.objects)):
-        for f in category.hom(c, a):
-            for g in category.hom(c, b):
-                count = 0
-                for h in category.hom(c, p):
-                    if category.compose(p1, h) == f and category.compose(p2, h) == g:
-                        count += 1
-                if count != 1:
-                    return False
+        maps = hom.get((c, p), ())
+        if len(maps) != len(hom.get((c, a), ())) * len(hom.get((c, b), ())):
+            return False
+        if len(maps) > 1 and len(maps) != len(
+            {(table[(p1, h)], table[(p2, h)]) for h in maps}
+        ):
+            return False
     return True
 
 
 def _is_equalizer(category, f, g, e, i):
+    """Given f i = g i: for every object c, k |-> i k is a bijection from
+    hom(c, e) onto the h: c -> dom f with f h = g h."""
+    hom, table = category._hom, category.table
+    a = category.dom[f]
     for c in range(len(category.objects)):
-        for h in category.hom(c, category.dom[f]):
-            if category.compose(f, h) != category.compose(g, h):
-                continue
-            count = 0
-            for k in category.hom(c, e):
-                if category.compose(i, k) == h:
-                    count += 1
-            if count != 1:
-                return False
+        maps = hom.get((c, e), ())
+        equalized = sum(table[(f, h)] == table[(g, h)] for h in hom.get((c, a), ()))
+        if len(maps) != equalized:
+            return False
+        if len(maps) > 1 and len({table[(i, k)] for k in maps}) != len(maps):
+            return False
     return True
 
 
@@ -548,27 +583,25 @@ class OreReport:
 
 
 def has_right_ore(category):
-    """Every cospan f: a -> c <- b :g completes to a commutative square."""
+    """Every cospan f: a -> c <- b :g completes to a commutative square;
+    memoised on the category.
+
+    f p = g q for some p, q exactly when the sieves f and g generate meet,
+    so each cospan costs one AND of their masks.
+    """
+    return fact(category, "right_ore", _has_right_ore)
+
+
+def _has_right_ore(category):
+    principal = category.principal_sieve
     for f in range(len(category.morphisms)):
-        for g in range(len(category.morphisms)):
-            if category.cod[f] != category.cod[g]:
-                continue
-            a, b = category.dom[f], category.dom[g]
-            if not _cospan_completes(category, f, g, a, b):
+        generated = principal(f)
+        for g in category.into(category.cod[f]):
+            if not generated & principal(g):
                 return OreReport(
                     False, (category.morphisms[f], category.morphisms[g])
                 )
     return OreReport(True)
-
-
-def _cospan_completes(category, f, g, a, b):
-    for w in range(len(category.objects)):
-        for p in category.hom(w, a):
-            fp = category.compose(f, p)
-            for q in category.hom(w, b):
-                if fp == category.compose(g, q):
-                    return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -581,7 +614,12 @@ class CauchyReport:
 
 
 def is_cauchy_complete(category):
-    """Every idempotent splits; the witness is the first unsplit idempotent."""
+    """Every idempotent splits; the witness is the first unsplit idempotent.
+    Memoised on the category."""
+    return fact(category, "cauchy_complete", _is_cauchy_complete)
+
+
+def _is_cauchy_complete(category):
     for e in range(len(category.morphisms)):
         c = category.dom[e]
         if category.cod[e] != c or category.compose(e, e) != e:

@@ -11,6 +11,11 @@ Licensing labels used for derived topos-level properties:
 * "rigid-site presheaf equivalence": rigidity is equivalent to (or, without
   the hypotheses, sufficient for) the sheaf category being a presheaf topos
   over the irreducibles.
+
+Several report tasks read the same site facts, so each is computed once and
+memoised on the category (`category.fact`): `is_cartesian`, `has_right_ore`
+and `is_cauchy_complete` per category, and `j_irreducible_objects`,
+`is_rigid` and `is_subcanonical` per topology, keyed by its least sieves.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from dataclasses import dataclass
 
 from .category import (
     bits,
+    fact,
     full_subcategory_from_mask,
     has_right_ore,
     is_cartesian,
@@ -90,7 +96,12 @@ def is_atomic_site(category, J):
 
 
 def j_irreducible_objects(category, J):
-    """Objects whose only covering sieve is the maximal one."""
+    """Objects whose only covering sieve is the maximal one; memoised on the
+    category per topology."""
+    return fact(category, ("irreducible", J.minimal), _j_irreducible_objects, J)
+
+
+def _j_irreducible_objects(category, J):
     return tuple(
         c
         for c in range(len(category.objects))
@@ -107,7 +118,12 @@ def irreducibles_sieve_mask(category, J, c):
 
 
 def is_rigid(category, J):
-    """The sieve generated by all arrows out of irreducibles covers every object."""
+    """The sieve generated by all arrows out of irreducibles covers every
+    object; memoised on the category per topology."""
+    return fact(category, ("rigid", J.minimal), _is_rigid, J)
+
+
+def _is_rigid(category, J):
     for c in range(len(category.objects)):
         if not J.covers(c, irreducibles_sieve_mask(category, J, c)):
             return SiteVerdict(False, category.objects[c])
@@ -399,7 +415,10 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
     """Full classification bundle as a deterministic dict.
 
     mapper: an optional map-compatible callable (e.g. a thread pool's map);
-    results are keyed, so the assembly order never depends on it.
+    results are keyed, so the assembly order never depends on it.  The
+    tasks share the site facts memoised on the category (see the module
+    docstring): each is computed once, by the first task that needs it,
+    also when the tasks run on several threads.
     """
     if mapper is None:
         mapper = map

@@ -256,6 +256,22 @@ def cmd_corpus(args):
     _emit(args, manifest)
 
 
+def _integer_at_least(low):
+    """An argparse type: an integer no smaller than low.  Anything else is a
+    usage error, whose message names the option."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+        if value < low:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+        return value
+
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors exit 3, as unreadable input does; argparse's own 2 is
     the code for an exceeded size bound."""
@@ -290,7 +306,7 @@ def build_parser():
     p.add_argument("file")
     p.add_argument(
         "--max-assignments",
-        type=int,
+        type=_integer_at_least(0),
         default=None,
         help="override the bound on candidate sieves the topology search tries",
     )
@@ -320,7 +336,7 @@ def build_parser():
     p.add_argument("--out", default=None, help="write the report to this path")
     p.add_argument(
         "--jobs",
-        type=int,
+        type=_integer_at_least(1),
         default=1,
         help="worker threads for per-object checks (output is identical)",
     )
@@ -328,7 +344,9 @@ def build_parser():
 
     p = sub.add_parser("corpus", help="emit the built-in site corpus")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=4, help="random sites to append")
+    p.add_argument(
+        "--count", type=_integer_at_least(0), default=4, help="random sites to append"
+    )
     p.add_argument("--out", default=None, help="directory for one file per site")
     p.set_defaults(func=cmd_corpus)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .category import bits
+from .category import bits, fact
 from .errors import NotASheaf
 from .presheaf import (
     NatTransformation,
@@ -147,6 +147,12 @@ class SubcanonicalVerdict:
 
 
 def is_subcanonical(category, J):
+    """Every representable presheaf is a sheaf; memoised on the category per
+    topology."""
+    return fact(category, ("subcanonical", J.minimal), _is_subcanonical, J)
+
+
+def _is_subcanonical(category, J):
     for c in range(len(category.objects)):
         if not is_sheaf(category, J, yoneda(category, c)):
             return SubcanonicalVerdict(False, category.objects[c])

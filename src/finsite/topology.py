@@ -116,7 +116,10 @@ def is_topology(category, covering):
 
     covering: per object, an iterable of sieve masks.  A mask that is not a
     sieve on its object (an arrow into another object, or not closed under
-    composition on the right) fails first, as axiom "sieve".
+    composition on the right) fails first, as axiom "sieve".  The remaining
+    axioms are decided on the least sieves M (see `_decides_on_least`); only
+    an assignment that fails there is scanned axiom by axiom, which names
+    the first violation as the axioms state it.
     """
     cov = [sorted(set(masks)) for masks in covering]
     n_obj = len(category.objects)
@@ -127,6 +130,53 @@ def is_topology(category, covering):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
                 return TopologyVerdict(False, "sieve", (c, S))
+    if _decides_on_least(category, sets):
+        return TopologyVerdict(True)
+    return _scan_axioms(category, cov, sets)
+
+
+def _decides_on_least(category, sets):
+    """Is the assignment of sieve sets a topology?  With M_c the
+    intersection of the sieves listed at c, it is exactly when each listed
+    set holds M_c and is closed under S |-> S | principal(f) for f into c,
+    so that it is the set of sieves containing M_c, and M is stable and
+    transitive (the theorem above): M_d lies in h^*M_c for h: d -> c, and
+    M_c is the set of f.k with f in M_c and k in M_dom(f)."""
+    M = _least(category, sets)
+    principal = category.principal_sieve
+    for c, listed in enumerate(sets):
+        if M[c] not in listed:
+            return False
+        into = category.into(c)
+        for S in listed:
+            for f in into:
+                if not S >> f & 1 and S | principal(f) not in listed:
+                    return False
+    maximal = [category.maximal_sieve(c) for c in range(len(M))]
+    dom, cod = category.dom, category.cod
+    for h in range(len(category.morphisms)):
+        c = cod[h]
+        # a maximal M_c pulls back to a maximal sieve, which holds M_dom(h)
+        if M[c] != maximal[c] and M[dom[h]] & ~pullback_mask(category, M[c], h):
+            return False
+    for c, M_c in enumerate(M):
+        reached = 0
+        for f in bits(M_c):
+            d = dom[f]
+            if M[d] == maximal[d]:  # f.k for every k into d
+                reached |= principal(f)
+            else:
+                for k in bits(M[d]):
+                    reached |= 1 << category.compose(f, k)
+        if reached != M_c:
+            return False
+    return True
+
+
+def _scan_axioms(category, cov, sets):
+    """The first violated axiom of an assignment of sieves, scanning every
+    covering sieve, and for transitivity every sieve."""
+    n_obj = len(category.objects)
     for c in range(n_obj):
         if category.maximal_sieve(c) not in sets[c]:
             return TopologyVerdict(False, "maximality", (c,))
@@ -249,7 +299,9 @@ def atomic_topology(category):
     """All nonempty sieves cover; requires the right Ore condition.
 
     Under it the nonempty sieves on c are closed under intersection, so the
-    least covering sieve is the intersection of all of them.
+    least covering sieve is the intersection of all of them.  Each contains
+    the principal sieve of any of its arrows, so that is the intersection of
+    the principal sieves on c.
     """
     ore = has_right_ore(category)
     if not ore:
@@ -261,7 +313,7 @@ def atomic_topology(category):
     return GrothendieckTopology(
         category,
         tuple(
-            reduce(and_, (m for m in sieve_masks_on(category, c) if m))
+            reduce(and_, map(category.principal_sieve, category.into(c)))
             for c in range(len(category.objects))
         ),
     )
@@ -327,11 +379,14 @@ def _resolve_bound(max_assignments):
     env = os.environ.get(ENV_MAX_ASSIGNMENTS)
     if env:
         try:
-            return int(env)
+            bound = int(env)
         except ValueError:
+            bound = None
+        if bound is None or bound < 0:
             raise ParseError(
-                "%s must be an integer, got %r" % (ENV_MAX_ASSIGNMENTS, env)
-            ) from None
+                "%s must be a non-negative integer, got %r" % (ENV_MAX_ASSIGNMENTS, env)
+            )
+        return bound
     return DEFAULT_MAX_ASSIGNMENTS
 
 

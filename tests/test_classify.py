@@ -1,6 +1,11 @@
 """Site classes, comparison along dense subcategories, the report bundle."""
 
+import importlib
 import random
+import sys
+import time
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import pytest
@@ -22,7 +27,7 @@ from finsite.classify import (
     right_kan_extension,
     separating_set_check,
 )
-from finsite.category import full_subcategory_from_mask
+from finsite.category import full_subcategory_from_mask, is_cartesian
 from finsite.corpus import arrow, corpus, named_site, vee
 from finsite.density import is_dense
 from finsite.errors import NotDense
@@ -342,3 +347,65 @@ def test_report_object_fields_match_the_object_checks():
             sizes.add(min(len(subobjects(cat, J, rep)), 3))
     # degenerate (one subobject), two-element and larger lattices all occur
     assert sizes == {1, 2, 3}
+
+
+# The private computations behind the memoised site facts.
+FACTS = (
+    ("finsite.category", "_is_cartesian"),
+    ("finsite.category", "_has_right_ore"),
+    ("finsite.category", "_is_cauchy_complete"),
+    ("finsite.classify", "_j_irreducible_objects"),
+    ("finsite.classify", "_is_rigid"),
+    ("finsite.sheaf", "_is_subcanonical"),
+)
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+@pytest.mark.parametrize("name", ["arrow-j2", "vee-cover", "z2-atomic", "square-cover"])
+def test_classify_report_decides_each_fact_once(monkeypatch, name, jobs):
+    calls = Counter()
+    for module, attr in FACTS:
+        original = getattr(importlib.import_module(module), attr)
+
+        def counted(*args, _original=original, _attr=attr):
+            calls[_attr] += 1
+            return _original(*args)
+
+        monkeypatch.setattr("%s.%s" % (module, attr), counted)
+    site = named_site(name)
+    cat, J = site.category, site.topology
+    if jobs == 1:
+        first = classify_report(cat, J)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            first = classify_report(cat, J, mapper=pool.map)
+    once = {attr: 1 for _, attr in FACTS}
+    assert calls == once
+    # a second report on the same category reads every fact from the memo
+    assert classify_report(cat, J) == first
+    assert calls == once
+
+
+def test_racing_threads_compute_a_fact_once(monkeypatch):
+    calls = []
+    original = importlib.import_module("finsite.category")._is_cartesian
+
+    def counted(cat):
+        calls.append(cat)
+        time.sleep(0.001)  # hold the computation open while other threads ask
+        return original(cat)
+
+    monkeypatch.setattr("finsite.category._is_cartesian", counted)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        cats = [named_site("square-cover").category for _ in range(20)]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(
+                pool.map(lambda k: is_cartesian(cats[k % 20]), range(160), timeout=60)
+            )
+    finally:
+        sys.setswitchinterval(interval)
+    # equal categories, each with its own memo: one computation apiece
+    assert sorted(map(id, calls)) == sorted(map(id, cats))
+    assert all(r is results[k % 20] for k, r in enumerate(results))

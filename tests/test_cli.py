@@ -287,6 +287,31 @@ def test_exit_code_3_for_a_non_integer_bound_variable(capsys, monkeypatch):
     assert "FINSITE_MAX_ASSIGNMENTS" in err and "'abc'" in err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["topologies", SQUARE, "--max-assignments", "-1"], "--max-assignments"),
+        (["report", SQUARE, "--jobs", "0"], "--jobs"),
+        (["report", SQUARE, "--jobs", "-2"], "--jobs"),
+        (["corpus", "--count", "-1"], "--count"),
+    ],
+    ids=["negative-bound", "zero-jobs", "negative-jobs", "negative-count"],
+)
+def test_exit_code_3_for_out_of_range_numbers(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "usage: finsite" in err and "argument %s: must be at least" % option in err
+
+
+def test_exit_code_3_for_a_negative_bound_variable(capsys, monkeypatch):
+    monkeypatch.setenv("FINSITE_MAX_ASSIGNMENTS", "-1")
+    code, _, err = run(capsys, "topologies", SQUARE)
+    assert code == 3 and "candidate assignments" not in err
+    assert "FINSITE_MAX_ASSIGNMENTS must be a non-negative integer" in err
+
+
 def test_exit_code_3_for_unreadable_input(tmp_path, capsys):
     code, _, err = run(capsys, "validate", str(tmp_path / "missing.json"))
     assert code == 3

@@ -28,6 +28,14 @@ equalizer inside the product, on every representable sheaf under every
 topology of the categories above.  `describe()`, whose name tuples are
 memoised per object and least covering sieve, is compared with the
 list-building version it replaced.
+
+The site facts keep the code they replaced as references: products and
+equalizers counted factorisation by factorisation (against the bijection
+tests), the right Ore condition searched square by square (against one AND
+of principal sieves), the topology axioms scanned literally over every
+assignment of sieves of the small search categories (against the verdict
+on the least sieves), and the category laws over all pairs of arrows
+(against the walk over composable ones).
 """
 
 import itertools
@@ -38,8 +46,13 @@ from operator import and_, or_
 import pytest
 
 from finsite.category import (
+    CartesianReport,
+    OreReport,
+    _is_equalizer,
+    _is_product,
     bits,
     has_right_ore,
+    is_cartesian,
     subcategory_from_masks,
     validate_category,
 )
@@ -53,6 +66,7 @@ from finsite.corpus import (
 )
 from finsite.classify import comparison_functors
 from finsite.density import is_dense
+from finsite.errors import CategoryLawError
 from finsite.objects import (
     closed_hull,
     rep_is_irreducible,
@@ -92,6 +106,8 @@ from finsite.sieves import (
 from finsite.siteio import canonical_json
 from finsite.topology import (
     TopologyLattice,
+    TopologyVerdict,
+    _decides_on_least,
     atomic_topology,
     enumerate_topologies,
     generated_topology,
@@ -99,6 +115,8 @@ from finsite.topology import (
     maximal_topology,
     trivial_topology,
 )
+
+from test_topology import naive_is_topology
 
 
 def _categories():
@@ -1064,3 +1082,323 @@ def test_pullbacks_of_random_maps_match_the_product_equalizer():
             for s in presheaf_homs(P, R)[:4]:
                 for t in presheaf_homs(Q, R)[:4]:
                     assert pullback_presheaf(s, t) == product_equalizer_pullback(s, t)
+
+
+# ---------------------------------------------------------------------------
+# Site facts: the universal properties counted factorisation by
+# factorisation, the right Ore condition square by square, the topology
+# axioms scanned literally, and the category laws over all pairs of arrows.
+
+
+def loop_is_product(cat, a, b, p, p1, p2):
+    """Each (f, g) in hom(c, a) x hom(c, b) has exactly one h: c -> p with
+    p1 h = f and p2 h = g."""
+    for c in range(len(cat.objects)):
+        for f in cat.hom(c, a):
+            for g in cat.hom(c, b):
+                count = 0
+                for h in cat.hom(c, p):
+                    if cat.compose(p1, h) == f and cat.compose(p2, h) == g:
+                        count += 1
+                if count != 1:
+                    return False
+    return True
+
+
+def loop_is_equalizer(cat, f, g, e, i):
+    """Each h with f h = g h has exactly one k with i k = h."""
+    for c in range(len(cat.objects)):
+        for h in cat.hom(c, cat.dom[f]):
+            if cat.compose(f, h) != cat.compose(g, h):
+                continue
+            count = 0
+            for k in cat.hom(c, e):
+                if cat.compose(i, k) == h:
+                    count += 1
+            if count != 1:
+                return False
+    return True
+
+
+def loop_is_cartesian(cat):
+    n_obj = len(cat.objects)
+    terminal = None
+    for t in range(n_obj):
+        if all(len(cat.hom(c, t)) == 1 for c in range(n_obj)):
+            terminal = t
+            break
+    if terminal is None:
+        return CartesianReport(False, failure=("terminal",))
+    products = {}
+    for a in range(n_obj):
+        for b in range(n_obj):
+            found = None
+            for p in range(n_obj):
+                for p1 in cat.hom(p, a):
+                    for p2 in cat.hom(p, b):
+                        if found is None and loop_is_product(cat, a, b, p, p1, p2):
+                            found = (p, p1, p2)
+            if found is None:
+                return CartesianReport(
+                    False,
+                    terminal=terminal,
+                    failure=("product", cat.objects[a], cat.objects[b]),
+                )
+            products[(a, b)] = found
+    equalizers = {}
+    for f in range(len(cat.morphisms)):
+        for g in range(len(cat.morphisms)):
+            if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
+                continue
+            found = None
+            for e in range(n_obj):
+                for i in cat.hom(e, cat.dom[f]):
+                    if found is None and cat.compose(f, i) == cat.compose(g, i):
+                        if loop_is_equalizer(cat, f, g, e, i):
+                            found = (e, i)
+            if found is None:
+                return CartesianReport(
+                    False,
+                    terminal=terminal,
+                    failure=("equalizer", cat.morphisms[f], cat.morphisms[g]),
+                )
+            equalizers[(f, g)] = found
+    return CartesianReport(True, terminal, products, equalizers)
+
+
+def scan_has_right_ore(cat):
+    for f in range(len(cat.morphisms)):
+        for g in range(len(cat.morphisms)):
+            if cat.cod[f] != cat.cod[g]:
+                continue
+            square = any(
+                cat.compose(f, p) == cat.compose(g, q)
+                for w in range(len(cat.objects))
+                for p in cat.hom(w, cat.dom[f])
+                for q in cat.hom(w, cat.dom[g])
+            )
+            if not square:
+                return OreReport(False, (cat.morphisms[f], cat.morphisms[g]))
+    return OreReport(True)
+
+
+def boolean_lattice(k):
+    names = ["".join(bits_) for bits_ in itertools.product("01", repeat=k)]
+    return poset_category(
+        names,
+        [(a, b) for a in names for b in names
+         if sum(x != y for x, y in zip(a, b)) == 1 and a < b],
+    )
+
+
+def codiscrete(k):
+    """k isomorphic objects, one arrow between any two: an equalizer of
+    (f, f) is found at the first object, not at dom f."""
+    names = ["o%d" % i for i in range(k)]
+    arrow = {(a, b): "%s->%s" % (a, b) for a in names for b in names}
+    return validate_category(
+        names,
+        [(m, a, b) for (a, b), m in arrow.items()],
+        {a: arrow[(a, a)] for a in names},
+        {(arrow[(b, c)], arrow[(a, b)]): arrow[(a, c)]
+         for a in names for b in names for c in names},
+    )
+
+
+def with_terminal(monoid):
+    """A one-object category with a terminal object t added: one arrow !
+    from its object to t, with ! m = ! for every m.  Its products fail with
+    hom-sets of every size."""
+    names = monoid.morphisms
+    star = monoid.objects[0]
+    composites = {(names[g], names[f]): names[h] for (g, f), h in monoid.table.items()}
+    composites.update({("!", m): "!" for m in names})
+    return validate_category(
+        (star, "t"),
+        [(m, star, star) for m in names] + [("!", star, "t"), ("id_t", "t", "t")],
+        {star: names[monoid.identity[0]], "t": "id_t"},
+        composites,
+    )
+
+
+FACT_CATEGORIES = SEARCH_CATEGORIES + MONOID_CATEGORIES + [
+    pytest.param(chain(6), id="chain6"),
+    pytest.param(boolean_lattice(3), id="2^3"),
+    pytest.param(codiscrete(3), id="codiscrete3"),
+    pytest.param(with_terminal(cyclic_group(3)), id="Z3+t"),
+    pytest.param(
+        with_terminal(map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)])), id="T2+t"
+    ),
+]
+
+
+@pytest.mark.parametrize("cat", FACT_CATEGORIES)
+def test_universal_properties_match_the_factorisation_counts(cat):
+    assert is_cartesian(cat) == loop_is_cartesian(cat)
+    n_obj = len(cat.objects)
+    for a, b, p in itertools.product(range(n_obj), repeat=3):
+        for p1 in cat.hom(p, a):
+            for p2 in cat.hom(p, b):
+                assert _is_product(cat, a, b, p, p1, p2) == loop_is_product(
+                    cat, a, b, p, p1, p2
+                )
+    for f in range(len(cat.morphisms)):
+        for g in cat.hom(cat.dom[f], cat.cod[f]):
+            for e in range(n_obj):
+                for i in cat.hom(e, cat.dom[f]):
+                    if cat.compose(f, i) == cat.compose(g, i):
+                        assert _is_equalizer(cat, f, g, e, i) == loop_is_equalizer(
+                            cat, f, g, e, i
+                        )
+
+
+def test_fact_categories_reach_every_stage():
+    reports = [(p.values[0], loop_is_cartesian(p.values[0])) for p in FACT_CATEGORIES]
+    stages = {r.failure[0] for _, r in reports if not r}
+    assert stages == {"terminal", "product"}
+    cartesian = [(cat, r) for cat, r in reports if r]
+    assert len(cartesian) >= 5
+    # an equalizer of (f, g) that is not dom f itself: codiscrete3 finds
+    # every one at its first object
+    assert any(
+        e != cat.dom[f] for cat, r in cartesian for (f, _), (e, _) in r.equalizers.items()
+    )
+
+
+@pytest.mark.parametrize("cat", FACT_CATEGORIES)
+def test_right_ore_matches_the_square_search(cat):
+    assert has_right_ore(cat) == scan_has_right_ore(cat)
+
+
+def scan_is_topology(cat, covering):
+    """Literal axiom scan: sieves, then maximality, stability and
+    transitivity over every sieve, each in the library's order."""
+    cov = [sorted(set(masks)) for masks in covering]
+    sets = [set(masks) for masks in cov]
+    for c, masks in enumerate(cov):
+        for S in masks:
+            if S & ~cat.maximal_sieve(c) or not is_right_closed(cat, S):
+                return TopologyVerdict(False, "sieve", (c, S))
+    for c in range(len(cov)):
+        if cat.maximal_sieve(c) not in sets[c]:
+            return TopologyVerdict(False, "maximality", (c,))
+    for c, masks in enumerate(cov):
+        for S in masks:
+            for h in cat.into(c):
+                if pullback_mask(cat, S, h) not in sets[cat.dom[h]]:
+                    return TopologyVerdict(False, "stability", (c, S, h))
+    for c, masks in enumerate(cov):
+        for R in masks:
+            for S in sieve_masks_on(cat, c):
+                if S not in sets[c] and all(
+                    pullback_mask(cat, S, g) in sets[cat.dom[g]] for g in bits(R)
+                ):
+                    return TopologyVerdict(False, "transitivity", (c, R, S))
+    return TopologyVerdict(True)
+
+
+def assignments(cat, maximal):
+    """Every choice of a set of sieves per object; with maximal set, only
+    the sets holding the maximal sieve."""
+    per_object = []
+    for c in range(len(cat.objects)):
+        top = cat.maximal_sieve(c)
+        sieves = [S for S in sieve_masks_on(cat, c) if not maximal or S != top]
+        per_object.append(
+            [
+                tuple(S for k, S in enumerate(sieves) if chosen >> k & 1)
+                + ((top,) if maximal else ())
+                for chosen in range(1 << len(sieves))
+            ]
+        )
+    return itertools.product(*per_object)
+
+
+def assignment_cases(limit=1 << 11):
+    """Each small search category with every assignment, or, where those are
+    more than limit, every assignment holding the maximal sieves."""
+    out = []
+    for param in SEARCH_CATEGORIES:
+        cat = param.values[0]
+        free = sum(len(sieve_masks_on(cat, c)) for c in range(len(cat.objects)))
+        for maximal in (False, True):
+            if 1 << (free - maximal * len(cat.objects)) <= limit:
+                out.append(pytest.param(cat, maximal, id=param.id))
+                break
+    return out
+
+
+ASSIGNMENT_CASES = assignment_cases()
+
+
+def test_assignment_cases_are_many():
+    assert len(ASSIGNMENT_CASES) >= 35
+    assert sum(p.values[1] for p in ASSIGNMENT_CASES) >= 5
+
+
+@pytest.mark.parametrize("cat, maximal", ASSIGNMENT_CASES)
+def test_least_sieve_verdict_matches_the_axiom_scans(cat, maximal):
+    valid = 0
+    for covering in assignments(cat, maximal):
+        want = scan_is_topology(cat, covering)
+        assert is_topology(cat, covering) == want
+        assert _decides_on_least(cat, [set(m) for m in covering]) == bool(want)
+        assert bool(want) == naive_is_topology(cat, covering)
+        valid += bool(want)
+    assert valid == len(enumerate_topologies(cat))
+
+
+def scan_category_laws(names, dom, cod, table):
+    """The first missing composite or associativity failure, over all pairs
+    and triples of arrows filtered by cod == dom, as (law, witnesses)."""
+    n = len(names)
+    for f in range(n):
+        for g in range(n):
+            if cod[f] == dom[g] and (g, f) not in table:
+                return ("UndefinedComposite", (names[g], names[f]))
+    for f in range(n):
+        for g in range(n):
+            if cod[f] != dom[g]:
+                continue
+            for h in range(n):
+                if cod[g] == dom[h] and (
+                    table[(h, table[(g, f)])] != table[(table[(h, g)], f)]
+                ):
+                    return ("NonAssociative", (names[h], names[g], names[f]))
+    return None
+
+
+def test_category_law_witnesses_match_the_scan_over_all_pairs():
+    rng = random.Random("laws")
+    broken = {"UndefinedComposite": 0, "NonAssociative": 0}
+    for param in SEARCH_CATEGORIES + MONOID_CATEGORIES:
+        cat = param.values[0]
+        names = cat.morphisms
+        pairs = [
+            (g, f) for (g, f) in cat.table
+            if not (cat.is_identity(g) or cat.is_identity(f))
+        ]
+        for _ in range(6 if pairs else 0):
+            table = dict(cat.table)
+            g, f = rng.choice(pairs)
+            if rng.random() < 0.3:
+                del table[(g, f)]
+            else:
+                table[(g, f)] = rng.choice(cat.hom(cat.dom[f], cat.cod[g]))
+            want = scan_category_laws(names, cat.dom, cat.cod, table)
+            try:
+                validate_category(
+                    cat.objects,
+                    [(m, cat.objects[cat.dom[k]], cat.objects[cat.cod[k]])
+                     for k, m in enumerate(names)],
+                    {cat.objects[c]: names[cat.identity[c]]
+                     for c in range(len(cat.objects))},
+                    {(names[a], names[b]): names[h] for (a, b), h in table.items()},
+                )
+                got = None
+            except CategoryLawError as exc:
+                got = (type(exc).__name__, exc.witnesses)
+            assert got == want
+            if want:
+                broken[want[0]] += 1
+    assert min(broken.values()) >= 10

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from finsite.category import bits
+from finsite.classify import classify_report
 from finsite.corpus import arrow, idem, named_site, point, vee, z2
 from finsite.errors import NotASheaf
 from finsite.presheaf import (
@@ -160,6 +161,8 @@ def test_memos_are_released_with_their_category():
     cat, J = site.category, site.topology
     representable_sheaf(cat, J, 0)
     site.subcategories["sides"].realize()
+    classify_report(cat, J)
+    assert ("rigid", J.minimal) in cat._facts and "cartesian" in cat._facts
     ref = weakref.ref(cat)
     del site, cat, J
     gc.collect()
