@@ -35,9 +35,6 @@ def bits(mask):
         i += 1
 
 
-_FACT_LOCK = threading.RLock()
-
-
 def fact(category, key, compute, *args):
     """compute(category, *args), computed once per category and key.
 
@@ -45,13 +42,15 @@ def fact(category, key, compute, *args):
     category's `is_cartesian`, `has_right_ore` and `is_cauchy_complete`,
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
     `is_rigid` and `is_subcanonical`.  The first caller computes a fact
-    under the lock while callers on other threads wait for it; the lock is
-    reentrant, as one fact reads others.
+    under the category's own lock while callers on other threads wait for
+    it; the lock is reentrant, as one fact reads others of the same
+    category.  A compute function must take no other lock, nor read the
+    facts of another category.
     """
     facts = category._facts
     if key in facts:
         return facts[key]
-    with _FACT_LOCK:
+    with category._fact_lock:
         if key not in facts:
             facts[key] = compute(category, *args)
         return facts[key]
@@ -84,6 +83,7 @@ class FiniteCategory:
         "_rep_sheaves",
         "_retracts",
         "_facts",
+        "_fact_lock",
         "_hash",
         "__weakref__",
     )
@@ -121,8 +121,9 @@ class FiniteCategory:
         self._realized = {}
         self._rep_sheaves = {}
         self._retracts = None
-        # site facts, filled by `fact`
+        # site facts, filled by `fact` under `_fact_lock`
         self._facts = {}
+        self._fact_lock = threading.RLock()
         self._hash = hash(
             (
                 self.objects,
@@ -480,7 +481,6 @@ def is_cartesian(category):
 
 def _is_cartesian(category):
     n_obj = len(category.objects)
-    table = category.table
     terminal = None
     for t in range(n_obj):
         if all(len(category.hom(c, t)) == 1 for c in range(n_obj)):
@@ -492,16 +492,17 @@ def _is_cartesian(category):
     products = {}
     for a in range(n_obj):
         for b in range(n_obj):
-            found = next(
-                (
-                    (p, p1, p2)
-                    for p in range(n_obj)
-                    for p1 in category.hom(p, a)
-                    for p2 in category.hom(p, b)
-                    if _is_product(category, a, b, p, p1, p2)
-                ),
-                None,
-            )
+            found = None
+            for p in range(n_obj):
+                for p1 in category.hom(p, a):
+                    for p2 in category.hom(p, b):
+                        if _is_product(category, a, b, p, p1, p2):
+                            found = (p, p1, p2)
+                            break
+                    if found:
+                        break
+                if found:
+                    break
             if found is None:
                 return CartesianReport(
                     False,
@@ -512,22 +513,20 @@ def _is_cartesian(category):
 
     equalizers = {}
     for f in range(len(category.morphisms)):
-        a = category.dom[f]
-        for g in category.hom(a, category.cod[f]):
-            if (g, f) in equalizers:
-                # the search for (f, g) is symmetric in f and g
-                equalizers[(f, g)] = equalizers[(g, f)]
+        for g in range(len(category.morphisms)):
+            if category.dom[f] != category.dom[g] or category.cod[f] != category.cod[g]:
                 continue
-            found = next(
-                (
-                    (e, i)
-                    for e in range(n_obj)
-                    for i in category.hom(e, a)
-                    if table[(f, i)] == table[(g, i)]
-                    and _is_equalizer(category, f, g, e, i)
-                ),
-                None,
-            )
+            a = category.dom[f]
+            found = None
+            for e in range(n_obj):
+                for i in category.hom(e, a):
+                    if category.compose(f, i) != category.compose(g, i):
+                        continue
+                    if _is_equalizer(category, f, g, e, i):
+                        found = (e, i)
+                        break
+                if found:
+                    break
             if found is None:
                 return CartesianReport(
                     False,
@@ -544,32 +543,29 @@ def _is_cartesian(category):
 
 
 def _is_product(category, a, b, p, p1, p2):
-    """For every object c, h |-> (p1 h, p2 h) is a bijection from hom(c, p)
-    onto hom(c, a) x hom(c, b): an injection between sets of one size."""
-    hom, table = category._hom, category.table
     for c in range(len(category.objects)):
-        maps = hom.get((c, p), ())
-        if len(maps) != len(hom.get((c, a), ())) * len(hom.get((c, b), ())):
-            return False
-        if len(maps) > 1 and len(maps) != len(
-            {(table[(p1, h)], table[(p2, h)]) for h in maps}
-        ):
-            return False
+        for f in category.hom(c, a):
+            for g in category.hom(c, b):
+                count = 0
+                for h in category.hom(c, p):
+                    if category.compose(p1, h) == f and category.compose(p2, h) == g:
+                        count += 1
+                if count != 1:
+                    return False
     return True
 
 
 def _is_equalizer(category, f, g, e, i):
-    """Given f i = g i: for every object c, k |-> i k is a bijection from
-    hom(c, e) onto the h: c -> dom f with f h = g h."""
-    hom, table = category._hom, category.table
-    a = category.dom[f]
     for c in range(len(category.objects)):
-        maps = hom.get((c, e), ())
-        equalized = sum(table[(f, h)] == table[(g, h)] for h in hom.get((c, a), ()))
-        if len(maps) != equalized:
-            return False
-        if len(maps) > 1 and len({table[(i, k)] for k in maps}) != len(maps):
-            return False
+        for h in category.hom(c, category.dom[f]):
+            if category.compose(f, h) != category.compose(g, h):
+                continue
+            count = 0
+            for k in category.hom(c, e):
+                if category.compose(i, k) == h:
+                    count += 1
+            if count != 1:
+                return False
     return True
 
 

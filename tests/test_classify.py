@@ -409,3 +409,15 @@ def test_racing_threads_compute_a_fact_once(monkeypatch):
     # equal categories, each with its own memo: one computation apiece
     assert sorted(map(id, calls)) == sorted(map(id, cats))
     assert all(r is results[k % 20] for k, r in enumerate(results))
+
+
+def test_a_fact_in_progress_blocks_only_its_own_category():
+    busy, other = named_site("square-cover").category, named_site("vee-cover").category
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        with busy._fact_lock:  # as if this thread were computing a fact of busy
+            report = pool.submit(is_cartesian, other).result(timeout=60)
+            waiting = pool.submit(is_cartesian, busy)
+            time.sleep(0.05)
+            assert not waiting.done()
+        assert waiting.result(timeout=60) == is_cartesian(busy)
+    assert report == is_cartesian(other)

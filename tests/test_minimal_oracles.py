@@ -29,13 +29,12 @@ topology of the categories above.  `describe()`, whose name tuples are
 memoised per object and least covering sieve, is compared with the
 list-building version it replaced.
 
-The site facts keep the code they replaced as references: products and
-equalizers counted factorisation by factorisation (against the bijection
-tests), the right Ore condition searched square by square (against one AND
-of principal sieves), the topology axioms scanned literally over every
-assignment of sieves of the small search categories (against the verdict
-on the least sieves), and the category laws over all pairs of arrows
-(against the walk over composable ones).
+The site facts keep the code they replaced as references: the right Ore
+condition searched square by square (against one AND of principal
+sieves), the topology axioms scanned literally over every assignment of
+sieves of the small search categories (against the verdict on the least
+sieves), and the category laws over all pairs of arrows (against the walk
+over composable ones).
 """
 
 import itertools
@@ -46,13 +45,9 @@ from operator import and_, or_
 import pytest
 
 from finsite.category import (
-    CartesianReport,
     OreReport,
-    _is_equalizer,
-    _is_product,
     bits,
     has_right_ore,
-    is_cartesian,
     subcategory_from_masks,
     validate_category,
 )
@@ -1085,85 +1080,8 @@ def test_pullbacks_of_random_maps_match_the_product_equalizer():
 
 
 # ---------------------------------------------------------------------------
-# Site facts: the universal properties counted factorisation by
-# factorisation, the right Ore condition square by square, the topology
+# Site facts: the right Ore condition square by square, the topology
 # axioms scanned literally, and the category laws over all pairs of arrows.
-
-
-def loop_is_product(cat, a, b, p, p1, p2):
-    """Each (f, g) in hom(c, a) x hom(c, b) has exactly one h: c -> p with
-    p1 h = f and p2 h = g."""
-    for c in range(len(cat.objects)):
-        for f in cat.hom(c, a):
-            for g in cat.hom(c, b):
-                count = 0
-                for h in cat.hom(c, p):
-                    if cat.compose(p1, h) == f and cat.compose(p2, h) == g:
-                        count += 1
-                if count != 1:
-                    return False
-    return True
-
-
-def loop_is_equalizer(cat, f, g, e, i):
-    """Each h with f h = g h has exactly one k with i k = h."""
-    for c in range(len(cat.objects)):
-        for h in cat.hom(c, cat.dom[f]):
-            if cat.compose(f, h) != cat.compose(g, h):
-                continue
-            count = 0
-            for k in cat.hom(c, e):
-                if cat.compose(i, k) == h:
-                    count += 1
-            if count != 1:
-                return False
-    return True
-
-
-def loop_is_cartesian(cat):
-    n_obj = len(cat.objects)
-    terminal = None
-    for t in range(n_obj):
-        if all(len(cat.hom(c, t)) == 1 for c in range(n_obj)):
-            terminal = t
-            break
-    if terminal is None:
-        return CartesianReport(False, failure=("terminal",))
-    products = {}
-    for a in range(n_obj):
-        for b in range(n_obj):
-            found = None
-            for p in range(n_obj):
-                for p1 in cat.hom(p, a):
-                    for p2 in cat.hom(p, b):
-                        if found is None and loop_is_product(cat, a, b, p, p1, p2):
-                            found = (p, p1, p2)
-            if found is None:
-                return CartesianReport(
-                    False,
-                    terminal=terminal,
-                    failure=("product", cat.objects[a], cat.objects[b]),
-                )
-            products[(a, b)] = found
-    equalizers = {}
-    for f in range(len(cat.morphisms)):
-        for g in range(len(cat.morphisms)):
-            if cat.dom[f] != cat.dom[g] or cat.cod[f] != cat.cod[g]:
-                continue
-            found = None
-            for e in range(n_obj):
-                for i in cat.hom(e, cat.dom[f]):
-                    if found is None and cat.compose(f, i) == cat.compose(g, i):
-                        if loop_is_equalizer(cat, f, g, e, i):
-                            found = (e, i)
-            if found is None:
-                return CartesianReport(
-                    False,
-                    terminal=terminal,
-                    failure=("equalizer", cat.morphisms[f], cat.morphisms[g]),
-                )
-            equalizers[(f, g)] = found
-    return CartesianReport(True, terminal, products, equalizers)
 
 
 def scan_has_right_ore(cat):
@@ -1192,8 +1110,7 @@ def boolean_lattice(k):
 
 
 def codiscrete(k):
-    """k isomorphic objects, one arrow between any two: an equalizer of
-    (f, f) is found at the first object, not at dom f."""
+    """k isomorphic objects, one arrow between any two."""
     names = ["o%d" % i for i in range(k)]
     arrow = {(a, b): "%s->%s" % (a, b) for a in names for b in names}
     return validate_category(
@@ -1207,8 +1124,7 @@ def codiscrete(k):
 
 def with_terminal(monoid):
     """A one-object category with a terminal object t added: one arrow !
-    from its object to t, with ! m = ! for every m.  Its products fail with
-    hom-sets of every size."""
+    from its object to t, with ! m = ! for every m."""
     names = monoid.morphisms
     star = monoid.objects[0]
     composites = {(names[g], names[f]): names[h] for (g, f), h in monoid.table.items()}
@@ -1221,7 +1137,7 @@ def with_terminal(monoid):
     )
 
 
-FACT_CATEGORIES = SEARCH_CATEGORIES + MONOID_CATEGORIES + [
+ORE_CATEGORIES = SEARCH_CATEGORIES + MONOID_CATEGORIES + [
     pytest.param(chain(6), id="chain6"),
     pytest.param(boolean_lattice(3), id="2^3"),
     pytest.param(codiscrete(3), id="codiscrete3"),
@@ -1232,40 +1148,7 @@ FACT_CATEGORIES = SEARCH_CATEGORIES + MONOID_CATEGORIES + [
 ]
 
 
-@pytest.mark.parametrize("cat", FACT_CATEGORIES)
-def test_universal_properties_match_the_factorisation_counts(cat):
-    assert is_cartesian(cat) == loop_is_cartesian(cat)
-    n_obj = len(cat.objects)
-    for a, b, p in itertools.product(range(n_obj), repeat=3):
-        for p1 in cat.hom(p, a):
-            for p2 in cat.hom(p, b):
-                assert _is_product(cat, a, b, p, p1, p2) == loop_is_product(
-                    cat, a, b, p, p1, p2
-                )
-    for f in range(len(cat.morphisms)):
-        for g in cat.hom(cat.dom[f], cat.cod[f]):
-            for e in range(n_obj):
-                for i in cat.hom(e, cat.dom[f]):
-                    if cat.compose(f, i) == cat.compose(g, i):
-                        assert _is_equalizer(cat, f, g, e, i) == loop_is_equalizer(
-                            cat, f, g, e, i
-                        )
-
-
-def test_fact_categories_reach_every_stage():
-    reports = [(p.values[0], loop_is_cartesian(p.values[0])) for p in FACT_CATEGORIES]
-    stages = {r.failure[0] for _, r in reports if not r}
-    assert stages == {"terminal", "product"}
-    cartesian = [(cat, r) for cat, r in reports if r]
-    assert len(cartesian) >= 5
-    # an equalizer of (f, g) that is not dom f itself: codiscrete3 finds
-    # every one at its first object
-    assert any(
-        e != cat.dom[f] for cat, r in cartesian for (f, _), (e, _) in r.equalizers.items()
-    )
-
-
-@pytest.mark.parametrize("cat", FACT_CATEGORIES)
+@pytest.mark.parametrize("cat", ORE_CATEGORIES)
 def test_right_ore_matches_the_square_search(cat):
     assert has_right_ore(cat) == scan_has_right_ore(cat)
 
