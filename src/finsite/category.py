@@ -77,6 +77,7 @@ class FiniteCategory:
         "_into",
         "_outof",
         "_principal",
+        "_maximal",
         "_sieves",
         "_described",
         "_realized",
@@ -101,13 +102,16 @@ class FiniteCategory:
         hom = {}
         into = [[] for _ in range(n_obj)]
         outof = [[] for _ in range(n_obj)]
+        maximal = [0] * n_obj
         for f, (a, b) in enumerate(zip(self.dom, self.cod)):
             hom.setdefault((a, b), []).append(f)
             into[b].append(f)
             outof[a].append(f)
+            maximal[b] |= 1 << f
         self._hom = {k: tuple(v) for k, v in hom.items()}
         self._into = tuple(tuple(v) for v in into)
         self._outof = tuple(tuple(v) for v in outof)
+        self._maximal = tuple(maximal)
         principal = []
         for f in range(len(self.morphisms)):
             mask = 0
@@ -124,18 +128,12 @@ class FiniteCategory:
         # site facts, filled by `fact` under `_fact_lock`
         self._facts = {}
         self._fact_lock = threading.RLock()
-        self._hash = hash(
-            (
-                self.objects,
-                self.morphisms,
-                self.dom,
-                self.cod,
-                self.identity,
-                tuple(sorted(self.table.items())),
-            )
-        )
+        # computed on first use: hashing sorts the whole composition table
+        self._hash = None
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, FiniteCategory):
             return NotImplemented
         return (
@@ -148,6 +146,17 @@ class FiniteCategory:
         )
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(
+                (
+                    self.objects,
+                    self.morphisms,
+                    self.dom,
+                    self.cod,
+                    self.identity,
+                    tuple(sorted(self.table.items())),
+                )
+            )
         return self._hash
 
     def __repr__(self):
@@ -186,10 +195,8 @@ class FiniteCategory:
         return self.identity[self.dom[f]] == f
 
     def maximal_sieve(self, c):
-        mask = 0
-        for f in self._into[c]:
-            mask |= 1 << f
-        return mask
+        """Mask of all arrows into c."""
+        return self._maximal[c]
 
     def principal_sieve(self, f):
         """Mask of the sieve generated by the single arrow f."""

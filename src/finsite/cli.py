@@ -23,7 +23,7 @@ from .errors import (
     UnknownName,
     UnknownObject,
 )
-from .sheaf import is_sheaf, sheafify
+from .sheaf import sheafify
 from .siteio import (
     canonical_json,
     load_site,
@@ -185,15 +185,19 @@ def cmd_sheafify(args):
     J = _require_topology(site)
     P = _named_presheaf(site, args.presheaf)
     F, unit = sheafify(site.category, J, P)
+    # P is a sheaf exactly when its unit into the associated sheaf is
+    # bijective (see sheaf.py)
+    injective = unit.is_componentwise_injective()
+    surjective = unit.is_componentwise_surjective()
     data = {
         "site": site.name,
         "presheaf": args.presheaf,
-        "already_sheaf": bool(is_sheaf(site.category, J, P)),
+        "already_sheaf": injective and surjective,
         "sheaf": presheaf_data(F),
         "unit": {
             "components": [list(comp) for comp in unit.components],
-            "injective": unit.is_componentwise_injective(),
-            "surjective": unit.is_componentwise_surjective(),
+            "injective": injective,
+            "surjective": surjective,
         },
     }
     _emit(args, data)

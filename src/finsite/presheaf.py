@@ -54,7 +54,11 @@ class Presheaf:
                 raise PresheafLawError(
                     "identity of %r must act as the identity" % (cat.objects[c],)
                 )
+        # once identities act as identities, every entry holding one holds
+        identities = set(cat.identity)
         for (g, f), h in cat.table.items():
+            if g in identities or f in identities:
+                continue
             gf = self.actions[h]
             via = tuple(self.actions[f][x] for x in self.actions[g])
             if gf != via:

@@ -7,6 +7,21 @@ over the covering sieves on c, and on a finite site that colimit is attained
 at the least covering sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and
 Logic, III.5): P+(c) is the set of matching families for P on M_c, in
 ascending order.  The sheaf condition is likewise checked on M_c alone.
+
+Two facts spare the search for matching families:
+
+- A sieve on c that holds 1_c is the maximal sieve, and a matching family on
+  it is determined by its value x at 1_c: it is the tuple of restrictions
+  (P(f)x) over the arrows f of the sieve.  So the families there are the
+  restriction tuples of the elements of P(c), sorted, and the unit of the
+  plus construction sends x to the position of its own tuple.
+- P is a sheaf exactly when the unit P -> P+ is bijective, that is when
+  every matching family on each M_c has exactly one amalgamation.  The unit
+  P+ -> P++ is always injective, as P+ is separated, so the composite unit
+  P -> P++ that `sheafify` returns is bijective exactly when P -> P+ is:
+  the sheafify command reads its verdict off that unit instead of running
+  `is_sheaf`.  P+ itself need not be a sheaf (it is one when P is
+  separated), so the second plus is always applied.
 """
 
 from __future__ import annotations
@@ -24,16 +39,28 @@ from .presheaf import (
 )
 
 
+def _restrictions(P, c, arrows):
+    """Per element x of P(c), in order, the tuple (P(f)x) over the ascending
+    arrows f of a sieve on c."""
+    columns = [P.actions[f] for f in arrows]
+    if not columns:
+        return ((),) * P.sizes[c]
+    return tuple(zip(*columns))
+
+
 def matching_families(category, P, c, mask):
     """All matching families for P on the sieve mask over c.
 
     A family assigns to each arrow f in the sieve an element of P(dom f),
     compatibly: the value at f-after-g is the g-image of the value at f.
-    Families are the compatible families on the arrows of the sieve, returned
-    as tuples aligned with the ascending arrow indices of the mask, in
-    ascending order.
+    Families are returned as tuples aligned with the ascending arrow indices
+    of the mask, in ascending order.  On the maximal sieve they are the
+    restriction tuples of P(c); on any other sieve they are the compatible
+    families on its arrows.
     """
     arrows = tuple(bits(mask))
+    if mask >> category.identity[c] & 1:
+        return tuple(sorted(_restrictions(P, c, arrows)))
     pos = {f: i for i, f in enumerate(arrows)}
     edges = [
         [
@@ -89,31 +116,35 @@ def _plus(category, J, P):
 
     h: d -> c sends a family on M_c to its values at h-after-g for g in M_d,
     which lies in h^*M_c; the unit sends x to its restrictions along M_c.
+    Where M_c is maximal those restrictions are the families themselves.
+    Identities act as identities.
     """
-    n_obj = len(category.objects)
+    arrows = [tuple(bits(M)) for M in J.minimal]
+    rests = [_restrictions(P, c, a) for c, a in enumerate(arrows)]
     fams = [
-        matching_families(category, P, c, J.minimal[c])
-        for c in range(n_obj)
+        tuple(sorted(rest))
+        if M >> category.identity[c] & 1
+        else matching_families(category, P, c, M)
+        for c, (M, rest) in enumerate(zip(J.minimal, rests))
     ]
     index = [{fam: k for k, fam in enumerate(f)} for f in fams]
-    pos = [{f: i for i, f in enumerate(bits(M))} for M in J.minimal]
+    pos = [{f: i for i, f in enumerate(a)} for a in arrows]
+    table = category.table
     actions = []
-    for h in range(len(category.morphisms)):
-        d, c = category.dom[h], category.cod[h]
-        at = [pos[c][category.compose(h, g)] for g in bits(J.minimal[d])]
+    for h, (d, c) in enumerate(zip(category.dom, category.cod)):
+        if category.identity[c] == h:
+            actions.append(tuple(range(len(fams[c]))))
+            continue
+        at = [pos[c][table[h, g]] for g in arrows[d]]
         actions.append(
-            tuple(index[d][tuple(fam[i] for i in at)] for fam in fams[c])
+            tuple(index[d][tuple([fam[i] for i in at])] for fam in fams[c])
         )
     plus = Presheaf._trusted(category, tuple(len(f) for f in fams), tuple(actions))
     unit = NatTransformation._trusted(
         P,
         plus,
         tuple(
-            tuple(
-                index[c][tuple(P.apply(f, x) for f in bits(J.minimal[c]))]
-                for x in range(P.sizes[c])
-            )
-            for c in range(n_obj)
+            tuple(index[c][r] for r in rest) for c, rest in enumerate(rests)
         ),
     )
     return plus, unit

@@ -35,9 +35,15 @@ sieves), the topology axioms scanned literally over every assignment of
 sieves of the small search categories (against the verdict on the least
 sieves), and the category laws over all pairs of arrows (against the walk
 over composable ones).
+
+Sheafification keeps the solver as the reference for the families on
+maximal sieves, which it reads off as the restriction tuples of P(c), and
+`is_sheaf` for the sheafify command's verdict, which it reads off the unit;
+one fixed presheaf on the poset 2^2 has a P+ that is not a sheaf.
 """
 
 import itertools
+import json
 import random
 from functools import reduce
 from operator import and_, or_
@@ -60,6 +66,7 @@ from finsite.corpus import (
     random_poset_category,
 )
 from finsite.classify import comparison_functors
+from finsite.cli import main
 from finsite.density import is_dense
 from finsite.errors import CategoryLawError
 from finsite.objects import (
@@ -70,6 +77,8 @@ from finsite.objects import (
 )
 from finsite.presheaf import (
     NatTransformation,
+    Presheaf,
+    compatible_families,
     compose_nat,
     coproduct_presheaf,
     equalizer_presheaf,
@@ -98,7 +107,7 @@ from finsite.sieves import (
     pullback_mask,
     sieve_masks_on,
 )
-from finsite.siteio import canonical_json
+from finsite.siteio import SiteFile, canonical_json, save_site
 from finsite.topology import (
     TopologyLattice,
     TopologyVerdict,
@@ -550,6 +559,83 @@ def test_lattice_operations_match_eager_tables(cat):
             assert lat.meet(i, j) == meet[i][j]
             assert lat.join(i, j) == join[i][j]
             assert lat.implication(i, j) == impl[i][j]
+
+
+# ---------------------------------------------------------------------------
+# Sheafification: the restriction tuples on maximal sieves and the verdict
+# read off the unit, against the solver and `is_sheaf`.
+
+
+def solver_matching_families(cat, P, c, mask):
+    """Matching families on mask as compatible families on its arrows, for
+    every sieve, maximal or not."""
+    arrows = tuple(bits(mask))
+    pos = {f: i for i, f in enumerate(arrows)}
+    edges = [
+        [
+            (P.actions[g], pos[cat.compose(f, g)])
+            for g in cat.into(cat.dom[f])
+            if not cat.is_identity(g)
+        ]
+        for f in arrows
+    ]
+    sizes = [P.sizes[cat.dom[f]] for f in arrows]
+    return tuple(compatible_families(sizes, edges))
+
+
+@pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
+def test_sheafify_verdict_and_maximal_families_match_the_solver(
+    cat, tmp_path, capsys
+):
+    """For every topology and three seeded presheaves: the families on each
+    sieve holding the identity are the solver's, and the sheafify command's
+    `already_sheaf` is `is_sheaf`'s verdict."""
+    rng = random.Random(len(cat.morphisms))
+    for i, J in enumerate(lattice(cat).elements):
+        presheaves = {"P%d" % k: random_presheaf(cat, rng) for k in range(3)}
+        for P in presheaves.values():
+            for c in range(len(cat.objects)):
+                for S in sieve_masks_on(cat, c):
+                    if S >> cat.identity[c] & 1:
+                        assert matching_families(
+                            cat, P, c, S
+                        ) == solver_matching_families(cat, P, c, S)
+        path = str(tmp_path / ("t%d.json" % i))
+        save_site(SiteFile("t%d" % i, cat, J, {}, presheaves), path)
+        for name, P in presheaves.items():
+            assert main(["--format", "json", "sheafify", "--presheaf", name, path]) == 0
+            verdict = json.loads(capsys.readouterr().out)["already_sheaf"]
+            assert verdict is bool(is_sheaf(cat, J, P))
+
+
+def test_one_plus_step_need_not_give_a_sheaf():
+    """On the poset 2^2 under its topology 6, P+ is not a sheaf and P++ is
+    larger than P+, so sheafification cannot stop after one plus."""
+    cat = next(p.values[0] for p in SEARCH_CATEGORIES if p.id == "2^2")
+    J = lattice(cat).elements[6]
+    assert J.minimal == (0, 18, 68, 168)  # 00: {}, 11: all but id_11
+    actions = {
+        "00->01": (0, 3),
+        "00->10": (3, 3, 2),
+        "00->11": (3, 3),
+        "01->11": (1, 1),
+        "10->11": (0, 1),
+    }
+    sizes = (4, 2, 3, 2)
+    P = Presheaf(
+        cat,
+        sizes,
+        tuple(
+            tuple(range(sizes[cat.dom[f]])) if cat.is_identity(f) else actions[name]
+            for f, name in enumerate(cat.morphisms)
+        ),
+    )
+    once, _ = _plus(cat, J, P)
+    sheaf, unit = sheafify(cat, J, P)
+    assert once.sizes == (1, 2, 3, 2) and sheaf.sizes == (1, 2, 3, 6)
+    assert not is_sheaf(cat, J, once)
+    assert is_sheaf(cat, J, sheaf)
+    assert not is_sheaf(cat, J, P) and not unit.is_componentwise_bijective()
 
 
 def fixed_point_generated(cat, families):

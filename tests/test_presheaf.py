@@ -5,7 +5,15 @@ from itertools import product
 
 import pytest
 
-from finsite.corpus import arrow, discrete2, parallel_pair, point, vee, z2
+from finsite.corpus import (
+    arrow,
+    discrete2,
+    parallel_pair,
+    point,
+    poset_category,
+    vee,
+    z2,
+)
 from finsite.errors import PresheafLawError
 from finsite.presheaf import (
     NatTransformation,
@@ -69,6 +77,30 @@ def test_functoriality_is_checked():
     tables[grp.mor_index("s")] = (0, 0)
     with pytest.raises(PresheafLawError, match="functoriality fails"):
         Presheaf(grp, (2,), tuple(tables))
+
+
+def test_law_errors_name_the_identity_or_the_composite():
+    """Table entries holding an identity are not rechecked for
+    functoriality; a wrong identity action is reported as such, and a wrong
+    composite of two non-identities names them."""
+    grp = z2()
+    with pytest.raises(
+        PresheafLawError, match=r"^identity of '\*' must act as the identity$"
+    ):
+        Presheaf(grp, (2,), ((1, 0), (1, 0)))
+    cat = poset_category(("a", "b", "c"), (("a", "b"), ("b", "c")))
+    tables = [None] * len(cat.morphisms)
+    for c in range(3):
+        tables[cat.identity[c]] = (0, 1)
+    tables[cat.mor_index("a->b")] = (0, 1)
+    tables[cat.mor_index("b->c")] = (0, 1)
+    tables[cat.mor_index("a->c")] = (1, 0)
+    with pytest.raises(
+        PresheafLawError, match=r"^functoriality fails at 'b->c' after 'a->b'$"
+    ):
+        Presheaf(cat, (2, 2, 2), tuple(tables))
+    tables[cat.mor_index("a->c")] = (0, 1)
+    Presheaf(cat, (2, 2, 2), tuple(tables))
 
 
 def test_apply_and_sizes():
