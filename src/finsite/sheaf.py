@@ -53,14 +53,11 @@ def matching_families(category, P, c, mask):
 
     A family assigns to each arrow f in the sieve an element of P(dom f),
     compatibly: the value at f-after-g is the g-image of the value at f.
-    Families are returned as tuples aligned with the ascending arrow indices
-    of the mask, in ascending order.  On the maximal sieve they are the
-    restriction tuples of P(c); on any other sieve they are the compatible
-    families on its arrows.
+    Families are the compatible families on the arrows of the sieve, returned
+    as tuples aligned with the ascending arrow indices of the mask, in
+    ascending order.
     """
     arrows = tuple(bits(mask))
-    if mask >> category.identity[c] & 1:
-        return tuple(sorted(_restrictions(P, c, arrows)))
     pos = {f: i for i, f in enumerate(arrows)}
     edges = [
         [
@@ -123,7 +120,7 @@ def _plus(category, J, P):
     rests = [_restrictions(P, c, a) for c, a in enumerate(arrows)]
     fams = [
         tuple(sorted(rest))
-        if M >> category.identity[c] & 1
+        if M == category.maximal_sieve(c)
         else matching_families(category, P, c, M)
         for c, (M, rest) in enumerate(zip(J.minimal, rests))
     ]

@@ -78,7 +78,6 @@ from finsite.objects import (
 from finsite.presheaf import (
     NatTransformation,
     Presheaf,
-    compatible_families,
     compose_nat,
     coproduct_presheaf,
     equalizer_presheaf,
@@ -95,6 +94,7 @@ from finsite.presheaf import (
 )
 from finsite.sheaf import (
     _plus,
+    _restrictions,
     amalgamations,
     is_sheaf,
     matching_families,
@@ -566,40 +566,23 @@ def test_lattice_operations_match_eager_tables(cat):
 # read off the unit, against the solver and `is_sheaf`.
 
 
-def solver_matching_families(cat, P, c, mask):
-    """Matching families on mask as compatible families on its arrows, for
-    every sieve, maximal or not."""
-    arrows = tuple(bits(mask))
-    pos = {f: i for i, f in enumerate(arrows)}
-    edges = [
-        [
-            (P.actions[g], pos[cat.compose(f, g)])
-            for g in cat.into(cat.dom[f])
-            if not cat.is_identity(g)
-        ]
-        for f in arrows
-    ]
-    sizes = [P.sizes[cat.dom[f]] for f in arrows]
-    return tuple(compatible_families(sizes, edges))
-
-
 @pytest.mark.parametrize("cat", SEARCH_CATEGORIES)
 def test_sheafify_verdict_and_maximal_families_match_the_solver(
     cat, tmp_path, capsys
 ):
-    """For every topology and three seeded presheaves: the families on each
-    sieve holding the identity are the solver's, and the sheafify command's
-    `already_sheaf` is `is_sheaf`'s verdict."""
+    """For every topology and three seeded presheaves: the sorted restriction
+    tuples that `_plus` takes as the families on each maximal sieve are the
+    solver's, and the sheafify command's `already_sheaf` is `is_sheaf`'s
+    verdict."""
     rng = random.Random(len(cat.morphisms))
     for i, J in enumerate(lattice(cat).elements):
         presheaves = {"P%d" % k: random_presheaf(cat, rng) for k in range(3)}
         for P in presheaves.values():
             for c in range(len(cat.objects)):
-                for S in sieve_masks_on(cat, c):
-                    if S >> cat.identity[c] & 1:
-                        assert matching_families(
-                            cat, P, c, S
-                        ) == solver_matching_families(cat, P, c, S)
+                top = cat.maximal_sieve(c)
+                assert tuple(
+                    sorted(_restrictions(P, c, tuple(bits(top))))
+                ) == matching_families(cat, P, c, top)
         path = str(tmp_path / ("t%d.json" % i))
         save_site(SiteFile("t%d" % i, cat, J, {}, presheaves), path)
         for name, P in presheaves.items():
