@@ -314,6 +314,11 @@ def presheaf_type_test(category, J):
     Under subcanonicity plus retract-closure of the representables (checked
     as Cauchy completeness of the base), rigidity decides the question both
     ways.  Without the hypotheses only "rigid implies yes" is asserted.
+
+    A Cauchy-complete site is rigid, so without rigidity the hypotheses
+    fail.  Proof: J is J_D (see `topology.py`); each e in D splits, e = s.r
+    with r.s = 1_a, so 1_a = r.e.s is in D, a is irreducible, and each
+    generator g.e = (g.s).r of M_c factors through it.
     """
     rigid = is_rigid(category, J)
     subcanonical = is_subcanonical(category, J)
@@ -332,10 +337,6 @@ def presheaf_type_test(category, J):
         out["is_presheaf_topos"] = True
         out["via"] = RIGID_EQUIVALENCE
         out["direction"] = "both" if hypotheses else "forward-only"
-    elif hypotheses:
-        out["is_presheaf_topos"] = False
-        out["via"] = RIGID_EQUIVALENCE
-        out["direction"] = "both"
     else:
         out["is_presheaf_topos"] = None
         out["via"] = "inapplicable"

@@ -193,29 +193,6 @@ def discrete2():
     )
 
 
-NAMED_CATEGORIES = {
-    "point": point,
-    "arrow": arrow,
-    "parallel-pair": parallel_pair,
-    "vee": vee,
-    "square": square,
-    "z2": z2,
-    "idem": idem,
-    "discrete2": discrete2,
-}
-
-
-def named_category(name):
-    try:
-        build = NAMED_CATEGORIES[name]
-    except KeyError:
-        raise KeyError(
-            "unknown category %r (have %s)"
-            % (name, ", ".join(sorted(NAMED_CATEGORIES)))
-        ) from None
-    return build()
-
-
 # ---------------------------------------------------------------------------
 # Named sites.
 

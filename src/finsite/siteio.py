@@ -18,9 +18,8 @@ from .category import (
     subcategory,
     validate_category,
 )
-from .errors import ParseError, UnknownName, UnknownObject
+from .errors import ParseError, TopologyAxiomViolation, UnknownName, UnknownObject
 from .presheaf import Presheaf
-from .sieves import is_right_closed
 from .topology import (
     GrothendieckTopology,
     atomic_topology,
@@ -242,17 +241,17 @@ def parse_topology(category, data):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )
-        for mask in masks:
-            if not is_right_closed(category, mask):
-                raise ParseError(
-                    "coverage of %r lists %r, which is not a sieve"
-                    % (
-                        category.objects[c],
-                        [category.morphisms[f] for f in bits(mask)],
-                    )
-                )
         covering.append(tuple(sorted(masks)))
-    return topology(category, tuple(covering))
+    try:
+        return topology(category, tuple(covering))
+    except TopologyAxiomViolation as exc:
+        if exc.axiom != "sieve":  # every arrow lands in its object by now
+            raise
+        c, mask = exc.witness
+        raise ParseError(
+            "coverage of %r lists %r, which is not a sieve"
+            % (category.objects[c], [category.morphisms[f] for f in bits(mask)])
+        ) from None
 
 
 def parse_subcategory(category, data, where):

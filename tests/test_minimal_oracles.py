@@ -40,11 +40,19 @@ Sheafification keeps the solver as the reference for the families on
 maximal sieves, which it reads off as the restriction tuples of P(c), and
 `is_sheaf` for the sheafify command's verdict, which it reads off the unit;
 one fixed presheaf on the poset 2^2 has a P+ that is not a sheaf.
+
+Supercompactness keeps the join of all proper principal subobjects as its
+reference, and the regular probe the version that builds a kernel pair for
+every map, monic or not.  They are compared on representables, the terminal
+sheaf, sheafified random presheaves and the kernel pairs of every map
+between representables, under the topologies of the search and monoid
+categories.  The same categories check that a Cauchy-complete site is rigid.
 """
 
 import itertools
 import json
 import random
+from collections import Counter
 from functools import reduce
 from operator import and_, or_
 
@@ -54,6 +62,7 @@ from finsite.category import (
     OreReport,
     bits,
     has_right_ore,
+    is_cauchy_complete,
     subcategory_from_masks,
     validate_category,
 )
@@ -65,13 +74,17 @@ from finsite.corpus import (
     random_path_category,
     random_poset_category,
 )
-from finsite.classify import comparison_functors
+from finsite.classify import comparison_functors, is_rigid
 from finsite.cli import main
 from finsite.density import is_dense
 from finsite.errors import CategoryLawError
 from finsite.objects import (
+    ProbeVerdict,
+    _is_supercompact,
     closed_hull,
+    is_supercompact_object,
     rep_is_irreducible,
+    rep_is_regular,
     rep_is_supercompact,
     subobjects,
 )
@@ -1354,3 +1367,117 @@ def test_category_law_witnesses_match_the_scan_over_all_pairs():
             if want:
                 broken[want[0]] += 1
     assert min(broken.values()) >= 10
+
+
+# ---------------------------------------------------------------------------
+# Supercompactness as the join of proper principal subobjects, and the
+# regular probe with a kernel pair for every map.
+
+
+def join_is_supercompact(cat, J, A):
+    """A is not the join of its proper subobjects: every subobject is the
+    join of principal ones, so join all proper principal subobjects."""
+    top = tuple((1 << n) - 1 for n in A.sizes)
+    union = [0] * len(A.sizes)
+    for c in range(len(cat.objects)):
+        for x in range(A.sizes[c]):
+            seed = [0] * len(A.sizes)
+            seed[c] = 1 << x
+            principal = closed_hull(cat, J, A, seed)
+            if principal != top:
+                for b, m in enumerate(principal):
+                    union[b] |= m
+    return closed_hull(cat, J, A, union) != top
+
+
+def every_probe_is_regular(cat, J, c):
+    """rep_is_regular with a kernel pair for every probe, monic or not."""
+    if not rep_is_supercompact(cat, J, c):
+        return ProbeVerdict(False, False, witness=("supercompact", cat.objects[c]))
+    target = representable_sheaf(cat, J, c)
+    for d in range(len(cat.objects)):
+        if not rep_is_supercompact(cat, J, d):
+            continue
+        for t in presheaf_homs(representable_sheaf(cat, J, d), target):
+            W, _, _ = kernel_pair(t)
+            if not join_is_supercompact(cat, J, W):
+                return ProbeVerdict(
+                    False, False, witness=("kernel-pair", cat.objects[d])
+                )
+    return ProbeVerdict(True, False)
+
+
+def is_bijective(t):
+    return all(sorted(comp) == list(range(n)) for comp, n in zip(
+        t.components, t.target.sizes
+    ))
+
+
+def probe_cases():
+    """(category, topology, rng) for every topology of the search and monoid
+    categories, except the four whose first plus of a representable has more
+    than 27 elements (64 to 4,096, on three submonoids of T_4): the kernel
+    pairs of their probes would be too large to search."""
+    for param in SEARCH_CATEGORIES + MONOID_CATEGORIES:
+        cat = param.values[0]
+        rng = random.Random(repr(cat.morphisms))
+        for J in enumerate_topologies(cat).elements:
+            if all(
+                sum(_plus(cat, J, yoneda(cat, c))[0].sizes) <= 27
+                for c in range(len(cat.objects))
+            ):
+                yield cat, J, rng
+
+
+def test_one_generator_and_monic_probes_match_the_join_and_every_kernel_pair():
+    counts = Counter()
+    for cat, J, rng in probe_cases():
+        reps = [representable_sheaf(cat, J, c) for c in range(len(cat.objects))]
+        sheaves = reps + [terminal_presheaf(cat)] + [
+            sheafify(cat, J, random_presheaf(cat, rng))[0] for _ in range(2)
+        ]
+        for A in sheaves:
+            got = is_supercompact_object(cat, J, A)
+            assert got == join_is_supercompact(cat, J, A)
+            counts[got] += 1
+        joins = {}  # every monic probe out of l(d) has the same kernel pair
+        for c, target in enumerate(reps):
+            assert rep_is_supercompact(cat, J, c) == join_is_supercompact(
+                cat, J, target
+            )
+            verdict = rep_is_regular(cat, J, c)
+            assert verdict == every_probe_is_regular(cat, J, c)
+            counts[verdict.witness and verdict.witness[0]] += 1
+            for source in reps:
+                for t in presheaf_homs(source, target):
+                    W, p1, p2 = kernel_pair(t)
+                    key = W.sizes, W.actions
+                    if key not in joins:
+                        joins[key] = join_is_supercompact(cat, J, W)
+                    # a kernel pair is a sheaf, so the probe skips the check
+                    got = _is_supercompact(cat, J, W)
+                    assert got == joins[key]
+                    if all(len(set(comp)) == len(comp) for comp in t.components):
+                        assert is_bijective(p1) and is_bijective(p2)
+                        counts["monic"] += 1
+                    else:
+                        counts["not monic", got] += 1
+        counts["topologies"] += 1
+    assert counts["topologies"] == 480
+    assert counts["kernel-pair"] >= 40 and counts["supercompact"] >= 400
+    assert counts["monic"] >= 3000 and counts["not monic", False] >= 500
+    assert counts[True] >= 1000 and counts[False] >= 1000
+
+
+def test_cauchy_complete_categories_are_rigid_under_every_topology():
+    """The branch of `presheaf_type_test` for a non-rigid site whose
+    hypotheses hold cannot be reached: a Cauchy-complete site is rigid."""
+    seen = Counter()
+    for param in ORE_CATEGORIES:
+        cat = param.values[0]
+        cauchy = bool(is_cauchy_complete(cat))
+        for J in enumerate_topologies(cat).elements:
+            rigid = bool(is_rigid(cat, J))
+            assert rigid or not cauchy
+            seen[cauchy, rigid] += 1
+    assert seen[True, True] >= 600 and seen[False, False] >= 50
