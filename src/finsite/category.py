@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (
     CodomainMismatch,
@@ -482,98 +483,65 @@ class CartesianReport:
 
 def is_cartesian(category):
     """Search exhaustively for a terminal object, binary products, equalizers;
-    memoised on the category."""
+    memoised on the category.
+
+    Products of a and b are tried only on objects p with |hom(c, p)| =
+    |hom(c, a)| |hom(c, b)| for every c, where (p1, p2) is a product exactly
+    when h |-> (p1 h, p2 h) is injective on each hom(c, p) of two or more.
+    A finite category with a terminal object and binary products is thin:
+    the powers a^n exist, and |hom(c, a^n)| = |hom(c, a)|^n is bounded by
+    the number of arrows for every n.  Its only parallel pairs are then
+    (f, f), equalized by e -> dom f exactly when e is isomorphic to dom f,
+    so the equalizers are read off and that stage never fails.
+    """
     return fact(category, "cartesian", _is_cartesian)
 
 
 def _is_cartesian(category):
-    n_obj = len(category.objects)
-    terminal = None
-    for t in range(n_obj):
-        if all(len(category.hom(c, t)) == 1 for c in range(n_obj)):
-            terminal = t
-            break
+    objs = range(len(category.objects))
+    hom, table = category.hom, category.table
+    counts = [[0] * len(objs) for _ in objs]  # counts[x][c] = |hom(c, x)|
+    for c, x in zip(category.dom, category.cod):
+        counts[x][c] += 1
+    terminal = next((t for t in objs if all(n == 1 for n in counts[t])), None)
     if terminal is None:
         return CartesianReport(False, failure=("terminal",))
 
+    alike = {}
+    for p in objs:
+        alike.setdefault(tuple(counts[p]), []).append(p)
+    crowded = [[c for c in objs if counts[p][c] > 1] for p in objs]
+
+    def product(a, b):
+        want = tuple(map(mul, counts[a], counts[b]))
+        for p in alike.get(want, ()):
+            for p1 in hom(p, a):
+                for p2 in hom(p, b):
+                    if all(
+                        len({(table[p1, h], table[p2, h]) for h in hom(c, p)})
+                        == want[c]
+                        for c in crowded[p]
+                    ):
+                        return p, p1, p2
+        return None
+
     products = {}
-    for a in range(n_obj):
-        for b in range(n_obj):
-            found = None
-            for p in range(n_obj):
-                for p1 in category.hom(p, a):
-                    for p2 in category.hom(p, b):
-                        if _is_product(category, a, b, p, p1, p2):
-                            found = (p, p1, p2)
-                            break
-                    if found:
-                        break
-                if found:
-                    break
+    for a in objs:
+        for b in objs:
+            products[(a, b)] = found = product(a, b)
             if found is None:
                 return CartesianReport(
                     False,
                     terminal=terminal,
                     failure=("product", category.objects[a], category.objects[b]),
                 )
-            products[(a, b)] = found
-
-    equalizers = {}
-    for f in range(len(category.morphisms)):
-        for g in range(len(category.morphisms)):
-            if category.dom[f] != category.dom[g] or category.cod[f] != category.cod[g]:
-                continue
-            a = category.dom[f]
-            found = None
-            for e in range(n_obj):
-                for i in category.hom(e, a):
-                    if category.compose(f, i) != category.compose(g, i):
-                        continue
-                    if _is_equalizer(category, f, g, e, i):
-                        found = (e, i)
-                        break
-                if found:
-                    break
-            if found is None:
-                return CartesianReport(
-                    False,
-                    terminal=terminal,
-                    failure=(
-                        "equalizer",
-                        category.morphisms[f],
-                        category.morphisms[g],
-                    ),
-                )
-            equalizers[(f, g)] = found
-
+    # thin now: (f, f) is equalized by the least object isomorphic to dom f
+    least = [
+        next((e, hom(e, a)[0]) for e in objs if counts[a][e] and counts[e][a])
+        for a in objs
+    ]
+    equalizers = {(f, f): least[a] for f, a in enumerate(category.dom)}
     return CartesianReport(True, terminal, products, equalizers)
-
-
-def _is_product(category, a, b, p, p1, p2):
-    for c in range(len(category.objects)):
-        for f in category.hom(c, a):
-            for g in category.hom(c, b):
-                count = 0
-                for h in category.hom(c, p):
-                    if category.compose(p1, h) == f and category.compose(p2, h) == g:
-                        count += 1
-                if count != 1:
-                    return False
-    return True
-
-
-def _is_equalizer(category, f, g, e, i):
-    for c in range(len(category.objects)):
-        for h in category.hom(c, category.dom[f]):
-            if category.compose(f, h) != category.compose(g, h):
-                continue
-            count = 0
-            for k in category.hom(c, e):
-                if category.compose(i, k) == h:
-                    count += 1
-            if count != 1:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -618,14 +586,14 @@ class CauchyReport:
 
 def is_cauchy_complete(category):
     """Every idempotent splits; the witness is the first unsplit idempotent.
-    Memoised on the category."""
+    Memoised on the category.  Identities split through their own object
+    and are skipped."""
     return fact(category, "cauchy_complete", _is_cauchy_complete)
 
 
 def _is_cauchy_complete(category):
-    for e in range(len(category.morphisms)):
-        c = category.dom[e]
-        if category.cod[e] != c or category.compose(e, e) != e:
+    for e, (c, d) in enumerate(zip(category.dom, category.cod)):
+        if c != d or category.identity[c] == e or category.compose(e, e) != e:
             continue
         if not _splits(category, e, c):
             return CauchyReport(False, category.morphisms[e])

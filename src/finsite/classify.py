@@ -33,15 +33,15 @@ from .category import (
 from .density import is_dense
 from .errors import NotDense
 from .objects import (
+    _is_supercompact,
+    _subobjects,
     is_atom,
     is_indecomposable,
-    is_supercompact_object,
     rep_is_coherent,
     rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
-    subobjects,
 )
 from .presheaf import (
     Presheaf,
@@ -70,17 +70,30 @@ class SiteVerdict:
 
 
 def is_locally_connected_site(category, J):
-    """Every covering sieve is connected (the empty sieve is not)."""
-    for c in range(len(category.objects)):
+    """Every covering sieve is connected (the empty sieve is not).
+
+    The covering sieves on c are scanned in ascending order, M_c first, but
+    two rules skip an object whose sieves are all connected:
+
+    - M_c is maximal.  It is then the only covering sieve, and it holds 1_c,
+      to which each of its arrows f is joined (f = 1_c.f).
+    - M_c is connected and no arrow into c starts at an object d with M_d
+      empty.  Each f: d -> c of a covering sieve S then reaches M_c: take k
+      in M_d; f^*M_c covers d, so contains M_d, and f.k lies in M_c and in
+      S, joined to f by k.
+    """
+    minimal = J.minimal
+    for c, M in enumerate(minimal):
+        if M == category.maximal_sieve(c):
+            continue
+        if is_sieve_connected(category, Sieve(c, M)) and all(
+            minimal[category.dom[f]] for f in category.into(c)
+        ):
+            continue
         for S in J.covering_masks(c):
             if not is_sieve_connected(category, Sieve(c, S)):
-                return SiteVerdict(
-                    False,
-                    (
-                        category.objects[c],
-                        sorted(category.morphisms[f] for f in bits(S)),
-                    ),
-                )
+                names = sorted(category.morphisms[f] for f in bits(S))
+                return SiteVerdict(False, (category.objects[c], names))
     return SiteVerdict(True)
 
 
@@ -164,27 +177,26 @@ class RegularSiteVerdict:
 
 
 def is_regular_site(category, J):
+    """The witness is the first covering sieve, by object and then ascending
+    mask, that no member arrow generates.  Where M_c is maximal it is the
+    only covering sieve on c, generated by 1_c, so that object is skipped.
+    """
     cart = is_cartesian(category)
-    strict = True
-    witness = None
-    for c in range(len(category.objects)):
-        for S in J.covering_masks(c):
-            if not any(
-                category.principal_sieve(f) == S for f in bits(S)
-            ):
-                strict = False
-                witness = (
-                    category.objects[c],
-                    sorted(category.morphisms[f] for f in bits(S)),
-                )
-                break
-        if not strict:
-            break
+    witness = next(
+        (
+            (category.objects[c], sorted(category.morphisms[f] for f in bits(S)))
+            for c, M in enumerate(J.minimal)
+            if M != category.maximal_sieve(c)
+            for S in J.covering_masks(c)
+            if not any(category.principal_sieve(f) == S for f in bits(S))
+        ),
+        None,
+    )
     variant = all(
         rep_is_supercompact(category, J, c)
         for c in range(len(category.objects))
     )
-    return RegularSiteVerdict(bool(cart), strict, variant, witness)
+    return RegularSiteVerdict(bool(cart), witness is None, variant, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -384,15 +396,16 @@ REPORT_SCHEMA = "finsite-report/1"
 
 
 def _object_properties(category, J, c):
+    # representable sheaves are sheaves by construction: nothing to check
     rep = representable_sheaf(category, J, c)
-    lattice = subobjects(category, J, rep)
+    lattice = _subobjects(category, J, rep)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
     compact = rep_is_compact(category, J, c)
     return {
         "atom": lattice.is_atom(),
         "indecomposable": lattice.is_indecomposable(),
-        "supercompact": is_supercompact_object(category, J, rep),
+        "supercompact": _is_supercompact(category, J, rep),
         "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
@@ -524,9 +537,10 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
             objects[o]["indecomposable"] for o in category.objects
         )
         all_atoms = all(objects[o]["atom"] for o in category.objects)
-        terminal_ok = is_indecomposable(
+        # the terminal presheaf is a sheaf for every topology
+        terminal_ok = _subobjects(
             category, J, terminal_presheaf(category)
-        )
+        ).is_indecomposable()
         derived.append(
             {
                 "property": "locally connected topos",

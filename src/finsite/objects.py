@@ -195,6 +195,11 @@ def subobjects(category, J, A):
     nothing new appears.  Works on masks over all of A's elements at once.
     """
     require_sheaf(category, J, A, "ambient object")
+    return _subobjects(category, J, A)
+
+
+def _subobjects(category, J, A):
+    """`subobjects` for an A known to be a sheaf."""
     _, orbits = A._orbits
     steps = _local_steps(category, J, A)
     bottom = _close_locally(steps, 0)

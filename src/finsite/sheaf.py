@@ -176,11 +176,18 @@ class SubcanonicalVerdict:
 
 def is_subcanonical(category, J):
     """Every representable presheaf is a sheaf; memoised on the category per
-    topology."""
+    topology.
+
+    Where every M_d is maximal, as under the trivial topology, `is_sheaf`
+    has no sieve to check, so every presheaf is a sheaf and no representable
+    is built.
+    """
     return fact(category, ("subcanonical", J.minimal), _is_subcanonical, J)
 
 
 def _is_subcanonical(category, J):
+    if all(M == category.maximal_sieve(d) for d, M in enumerate(J.minimal)):
+        return SubcanonicalVerdict(True)
     for c in range(len(category.objects)):
         if not is_sheaf(category, J, yoneda(category, c)):
             return SubcanonicalVerdict(False, category.objects[c])

@@ -282,7 +282,7 @@ def test_equalizer_helper_semantics():
     # A finite category with a terminal object and all binary products is
     # thin (powers of an object pump hom sizes), so the equalizer stage of
     # the search can never be the first failure; exercise its core directly.
-    from finsite.category import _is_equalizer
+    from test_minimal_oracles import _is_equalizer
 
     cat = idem()
     i_id = cat.mor_index("id_*")

@@ -33,7 +33,7 @@ from finsite.density import is_dense
 from finsite.errors import NotDense
 from finsite.objects import is_atom, is_indecomposable, subobjects
 from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
-from finsite.sheaf import is_sheaf, representable_sheaf
+from finsite.sheaf import is_sheaf, is_subcanonical, representable_sheaf
 from finsite.topology import trivial_topology
 
 
@@ -124,6 +124,37 @@ def test_regular_readings_can_disagree():
     ec = named_site("arrow-emptycover")
     verdict = is_regular_site(ec.category, ec.topology)
     assert verdict.strict == verdict.covering_variant == False  # noqa: E712
+
+
+TRIVIAL_SITES = ("arrow-j2", "vee-cover", "idem-e", "square-cover")
+
+
+def test_trivial_topology_is_subcanonical_without_representables(monkeypatch):
+    # every M_c is maximal, so no representable has a sieve to check
+    calls = Counter()
+    original = importlib.import_module("finsite.sheaf").yoneda
+
+    def counted(*args):
+        calls["yoneda"] += 1
+        return original(*args)
+
+    monkeypatch.setattr("finsite.sheaf.yoneda", counted)
+    for name in TRIVIAL_SITES:
+        cat = named_site(name).category
+        assert is_subcanonical(cat, trivial_topology(cat))
+    assert calls["yoneda"] == 0
+
+
+def test_trivial_topology_scans_no_covering_set():
+    # each object's only covering sieve is maximal: connected, and generated
+    # by the identity
+    for name in TRIVIAL_SITES:
+        cat = named_site(name).category
+        J = trivial_topology(cat)
+        assert is_locally_connected_site(cat, J)
+        assert "covering" not in J.__dict__
+        assert is_regular_site(cat, J).strict
+        assert "covering" not in J.__dict__
 
 
 def test_right_kan_extension_reconstructs_representables():

@@ -47,6 +47,17 @@ every map, monic or not.  They are compared on representables, the terminal
 sheaf, sheafified random presheaves and the kernel pairs of every map
 between representables, under the topologies of the search and monoid
 categories.  The same categories check that a Cauchy-complete site is rigid.
+
+The site classes keep their searches as references: the finite-limit search
+over every candidate cone with its equalizer stage, the splitting search
+over every idempotent, identities included, subcanonicity with a
+representable built for every object, and the locally-connected and regular
+scans over every covering sieve.  They are compared, every field and
+witness, under every topology of the categories above, of products of small
+categories, of monoids with a terminal object added, and of seeded random
+sites, each also with its objects and arrows listed in reverse order.  The
+same categories check the theorem the finite-limit search rests on: a
+cartesian category is thin, so the equalizer stage never fails.
 """
 
 import itertools
@@ -59,7 +70,12 @@ from operator import and_, or_
 import pytest
 
 from finsite.category import (
+    CartesianReport,
+    CauchyReport,
     OreReport,
+    _is_cartesian,
+    _is_cauchy_complete,
+    _splits,
     bits,
     has_right_ore,
     is_cauchy_complete,
@@ -73,8 +89,16 @@ from finsite.corpus import (
     poset_category,
     random_path_category,
     random_poset_category,
+    random_sites,
 )
-from finsite.classify import comparison_functors, is_rigid
+from finsite.classify import (
+    RegularSiteVerdict,
+    SiteVerdict,
+    comparison_functors,
+    is_locally_connected_site,
+    is_regular_site,
+    is_rigid,
+)
 from finsite.cli import main
 from finsite.density import is_dense
 from finsite.errors import CategoryLawError
@@ -106,6 +130,8 @@ from finsite.presheaf import (
     yoneda,
 )
 from finsite.sheaf import (
+    SubcanonicalVerdict,
+    _is_subcanonical,
     _plus,
     _restrictions,
     amalgamations,
@@ -115,8 +141,10 @@ from finsite.sheaf import (
     sheafify,
 )
 from finsite.sieves import (
+    Sieve,
     generate_mask,
     is_right_closed,
+    is_sieve_connected,
     pullback_mask,
     sieve_masks_on,
 )
@@ -1481,3 +1509,328 @@ def test_cauchy_complete_categories_are_rigid_under_every_topology():
             assert rigid or not cauchy
             seen[cauchy, rigid] += 1
     assert seen[True, True] >= 600 and seen[False, False] >= 50
+
+
+# ---------------------------------------------------------------------------
+# The site classes the long way: the finite-limit search over every
+# candidate cone, every idempotent split or not, a representable built for
+# every object, and every covering sieve scanned for its witness.
+
+
+def scan_is_cartesian(category):
+    n_obj = len(category.objects)
+    terminal = None
+    for t in range(n_obj):
+        if all(len(category.hom(c, t)) == 1 for c in range(n_obj)):
+            terminal = t
+            break
+    if terminal is None:
+        return CartesianReport(False, failure=("terminal",))
+
+    products = {}
+    for a in range(n_obj):
+        for b in range(n_obj):
+            found = None
+            for p in range(n_obj):
+                for p1 in category.hom(p, a):
+                    for p2 in category.hom(p, b):
+                        if _is_product(category, a, b, p, p1, p2):
+                            found = (p, p1, p2)
+                            break
+                    if found:
+                        break
+                if found:
+                    break
+            if found is None:
+                return CartesianReport(
+                    False,
+                    terminal=terminal,
+                    failure=("product", category.objects[a], category.objects[b]),
+                )
+            products[(a, b)] = found
+
+    equalizers = {}
+    for f in range(len(category.morphisms)):
+        for g in range(len(category.morphisms)):
+            if category.dom[f] != category.dom[g] or category.cod[f] != category.cod[g]:
+                continue
+            a = category.dom[f]
+            found = None
+            for e in range(n_obj):
+                for i in category.hom(e, a):
+                    if category.compose(f, i) != category.compose(g, i):
+                        continue
+                    if _is_equalizer(category, f, g, e, i):
+                        found = (e, i)
+                        break
+                if found:
+                    break
+            if found is None:
+                return CartesianReport(
+                    False,
+                    terminal=terminal,
+                    failure=(
+                        "equalizer",
+                        category.morphisms[f],
+                        category.morphisms[g],
+                    ),
+                )
+            equalizers[(f, g)] = found
+
+    return CartesianReport(True, terminal, products, equalizers)
+
+
+def _is_product(category, a, b, p, p1, p2):
+    for c in range(len(category.objects)):
+        for f in category.hom(c, a):
+            for g in category.hom(c, b):
+                count = 0
+                for h in category.hom(c, p):
+                    if category.compose(p1, h) == f and category.compose(p2, h) == g:
+                        count += 1
+                if count != 1:
+                    return False
+    return True
+
+
+def _is_equalizer(category, f, g, e, i):
+    for c in range(len(category.objects)):
+        for h in category.hom(c, category.dom[f]):
+            if category.compose(f, h) != category.compose(g, h):
+                continue
+            count = 0
+            for k in category.hom(c, e):
+                if category.compose(i, k) == h:
+                    count += 1
+            if count != 1:
+                return False
+    return True
+
+
+def scan_is_cauchy_complete(category):
+    for e in range(len(category.morphisms)):
+        c = category.dom[e]
+        if category.cod[e] != c or category.compose(e, e) != e:
+            continue
+        if not _splits(category, e, c):
+            return CauchyReport(False, category.morphisms[e])
+    return CauchyReport(True)
+
+
+def scan_is_subcanonical(category, J):
+    for c in range(len(category.objects)):
+        if not is_sheaf(category, J, yoneda(category, c)):
+            return SubcanonicalVerdict(False, category.objects[c])
+    return SubcanonicalVerdict(True)
+
+
+def scan_is_locally_connected_site(category, J):
+    for c in range(len(category.objects)):
+        for S in J.covering_masks(c):
+            if not is_sieve_connected(category, Sieve(c, S)):
+                return SiteVerdict(
+                    False,
+                    (
+                        category.objects[c],
+                        sorted(category.morphisms[f] for f in bits(S)),
+                    ),
+                )
+    return SiteVerdict(True)
+
+
+def scan_is_regular_site(category, J):
+    cart = scan_is_cartesian(category)
+    strict = True
+    witness = None
+    for c in range(len(category.objects)):
+        for S in J.covering_masks(c):
+            if not any(
+                category.principal_sieve(f) == S for f in bits(S)
+            ):
+                strict = False
+                witness = (
+                    category.objects[c],
+                    sorted(category.morphisms[f] for f in bits(S)),
+                )
+                break
+        if not strict:
+            break
+    variant = all(
+        rep_is_supercompact(category, J, c)
+        for c in range(len(category.objects))
+    )
+    return RegularSiteVerdict(bool(cart), strict, variant, witness)
+
+
+def product_category(left, right):
+    """The product category: pairs of objects and of arrows, composed
+    componentwise."""
+    def name(pair, names):
+        return "(%s,%s)" % (names[0][pair[0]], names[1][pair[1]])
+
+    objs = (left.objects, right.objects)
+    mors = (left.morphisms, right.morphisms)
+    arrows = list(itertools.product(range(len(left.morphisms)), range(len(right.morphisms))))
+    return validate_category(
+        [name(o, objs) for o in itertools.product(*map(range, map(len, objs)))],
+        [
+            (
+                name(m, mors),
+                name((left.dom[m[0]], right.dom[m[1]]), objs),
+                name((left.cod[m[0]], right.cod[m[1]]), objs),
+            )
+            for m in arrows
+        ],
+        {
+            name(o, objs): name((left.identity[o[0]], right.identity[o[1]]), mors)
+            for o in itertools.product(*map(range, map(len, objs)))
+        },
+        {
+            (name(g, mors), name(f, mors)): name(
+                (left.compose(g[0], f[0]), right.compose(g[1], f[1])), mors
+            )
+            for g in arrows
+            for f in arrows
+            if left.cod[f[0]] == left.dom[g[0]] and right.cod[f[1]] == right.dom[g[1]]
+        },
+    )
+
+
+def reversed_lists(cat):
+    """The same category with its objects and its arrows listed in reverse
+    order: arrows run into earlier objects, and identities come last."""
+    names = cat.morphisms
+    return validate_category(
+        cat.objects[::-1],
+        [
+            (names[f], cat.objects[cat.dom[f]], cat.objects[cat.cod[f]])
+            for f in reversed(range(len(names)))
+        ],
+        {cat.objects[c]: names[cat.identity[c]] for c in range(len(cat.objects))},
+        {(names[g], names[f]): names[h] for (g, f), h in cat.table.items()},
+    )
+
+
+def fake_square():
+    """Objects a, q and a terminal t with |hom(c, q)| = |hom(c, a)|^2 for
+    every c, where q is no product of a with itself.  The endomorphisms
+    1, s, k0, k1 of q act on hom(q, a) = {v0, v1} as the four self-maps of
+    a 2-set, so (v0, v1) is jointly injective on hom(q, q); but every arrow
+    v.u with u: a -> q is z, so no pair is jointly injective on hom(a, q)."""
+    maps = {"1_q": (0, 1), "s": (1, 0), "k0": (0, 0), "k1": (1, 1)}
+    name = {m: n for n, m in maps.items()}
+    us, vs = ["u0", "u1", "u2", "u3"], ["v0", "v1"]
+    arrows = (
+        [("1_a", "a", "a"), ("z", "a", "a"), ("!a", "a", "t"), ("!q", "q", "t")]
+        + [(u, "a", "q") for u in us]
+        + [(v, "q", "a") for v in vs]
+        + [(h, "q", "q") for h in maps]
+        + [("1_t", "t", "t")]
+    )
+    composites = {("z", "z"): "z"}
+    for h, hm in maps.items():
+        for v in vs:
+            composites[(v, h)] = vs[hm[int(v[1])]]
+        for g, gm in maps.items():
+            composites[(g, h)] = name[tuple(hm[gm[i]] for i in range(2))]
+        composites.update({(h, u): u if h in ("1_q", "s") else "u0" for u in us})
+    for u in us:
+        composites[(u, "z")] = "u0"
+        composites[("!q", u)] = "!a"
+        for v in vs:
+            composites[(v, u)] = "z"
+            composites[(u, v)] = "k" + v[1]
+    for v in vs:
+        composites[("z", v)] = v
+        composites[("!a", v)] = "!q"
+    for h in maps:
+        composites[("!q", h)] = "!q"
+    composites[("!a", "z")] = "!a"
+    return validate_category(
+        "aqt", arrows, {"a": "1_a", "q": "1_q", "t": "1_t"}, composites
+    )
+
+
+def _class_categories():
+    """The search, monoid and Ore categories, products of small ones, each
+    monoid with a terminal object added, and the categories of seeded random
+    sites, each once and each also with its lists reversed."""
+    out = []
+    for param in ORE_CATEGORIES:
+        out.append((param.id, param.values[0]))
+    t2 = map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)])
+    out += [
+        ("chain2 x chain3", product_category(chain(2), chain(3))),
+        ("2^2 x chain2", product_category(boolean_lattice(2), chain(2))),
+        ("codiscrete2 x chain2", product_category(codiscrete(2), chain(2))),
+        ("codiscrete2 x codiscrete2", product_category(codiscrete(2), codiscrete(2))),
+        ("Z2+t x chain2", product_category(with_terminal(cyclic_group(2)), chain(2))),
+        ("T2+t x codiscrete2", product_category(with_terminal(t2), codiscrete(2))),
+        ("idem+t x idem+t", product_category(with_terminal(idem()), with_terminal(idem()))),
+        ("fake square", fake_square()),
+    ]
+    for param in MONOID_CATEGORIES:
+        out.append((param.id + "+t", with_terminal(param.values[0])))
+    for seed in range(64):
+        for site in random_sites(seed, 16):
+            out.append((site.name, site.category))
+    seen = []
+    for name, cat in out + [(name + " reversed", reversed_lists(cat)) for name, cat in out]:
+        if cat not in seen:
+            seen.append(cat)
+            yield name, cat
+
+
+CLASS_CATEGORIES = list(_class_categories())
+
+
+def test_site_classes_match_the_scans_under_every_topology():
+    counts = Counter()
+    for name, cat in CLASS_CATEGORIES:
+        cart = _is_cartesian(cat)
+        assert cart == scan_is_cartesian(cat), name
+        assert _is_cauchy_complete(cat) == scan_is_cauchy_complete(cat), name
+        counts["cartesian", cart.failure and cart.failure[0]] += 1
+        for J in enumerate_topologies(cat).elements:
+            lc = is_locally_connected_site(cat, J)
+            assert lc == scan_is_locally_connected_site(cat, J), name
+            regular = is_regular_site(cat, J)
+            assert regular == scan_is_regular_site(cat, J), name
+            sub = _is_subcanonical(cat, J)
+            assert sub == scan_is_subcanonical(cat, J), name
+            counts["locally connected", bool(lc)] += 1
+            counts["strict", regular.strict] += 1
+            counts["subcanonical", bool(sub)] += 1
+    assert counts["cartesian", None] >= 15 and counts["cartesian", "product"] >= 40
+    for key in ("locally connected", "strict", "subcanonical"):
+        assert counts[key, True] >= 300 and counts[key, False] >= 300
+
+
+def is_thin(cat):
+    return all(len(arrows) == 1 for arrows in cat._hom.values())
+
+
+def test_cartesian_categories_are_thin_and_have_every_equalizer():
+    """A finite category with a terminal object and binary products is thin
+    (see `is_cartesian`), so the search's equalizer stage never fails."""
+    stages = Counter()
+    for name, cat in CLASS_CATEGORIES:
+        report = scan_is_cartesian(cat)
+        if report:
+            assert is_thin(cat), name
+        else:
+            assert report.failure[0] != "equalizer", name
+        stages[report.failure and report.failure[0], is_thin(cat)] += 1
+    # cartesian categories, and categories with a terminal object that fail
+    # at products because they are not thin
+    assert stages[None, True] >= 15 and stages["product", False] >= 30
+
+
+def test_an_object_with_the_hom_sizes_of_a_product_need_not_be_one():
+    cat = fake_square()
+    a, q = cat.obj_index("a"), cat.obj_index("q")
+    assert all(
+        len(cat.hom(c, q)) == len(cat.hom(c, a)) ** 2 for c in range(len(cat.objects))
+    )
+    assert _is_cartesian(cat) == scan_is_cartesian(cat)
+    assert _is_cartesian(cat).failure == ("product", "a", "a")
