@@ -42,11 +42,11 @@ def fact(category, key, compute, *args):
     The site facts several report tasks read are memoised here: the
     category's `is_cartesian`, `has_right_ore` and `is_cauchy_complete`,
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
-    `is_rigid` and `is_subcanonical`.  The first caller computes a fact
-    under the category's own lock while callers on other threads wait for
-    it; the lock is reentrant, as one fact reads others of the same
-    category.  A compute function must take no other lock, nor read the
-    facts of another category.
+    `is_rigid`, `is_subcanonical` and the plus frame of `sheaf._plus`.  The
+    first caller computes a fact under the category's own lock while callers
+    on other threads wait for it; the lock is reentrant, as one fact reads
+    others of the same category.  A compute function must take no other
+    lock, nor read the facts of another category.
     """
     facts = category._facts
     if key in facts:

@@ -22,6 +22,11 @@ Two facts spare the search for matching families:
   the sheafify command reads its verdict off that unit instead of running
   `is_sheaf`.  P+ itself need not be a sheaf (it is one when P is
   separated), so the second plus is always applied.
+
+A plus step reads the topology off a frame memoised per category and least
+sieves (`category.fact`, shared by `--jobs` threads): the arrows of each
+M_c, whether it is maximal, and per non-identity h: d -> c the positions in
+M_c of the h.g, g in M_d.  So the representables of a report share one.
 """
 
 from __future__ import annotations
@@ -108,6 +113,22 @@ def is_sheaf(category, J, P):
     return SheafVerdict(True)
 
 
+def _plus_frame(category, J):
+    """The topology's part of a plus step (module docstring); positions are
+    None at identities."""
+    arrows = tuple(tuple(bits(M)) for M in J.minimal)
+    maximal = tuple(M == category.maximal_sieve(c) for c, M in enumerate(J.minimal))
+    pos = [{f: i for i, f in enumerate(a)} for a in arrows]
+    table = category.table
+    at = tuple(
+        None
+        if category.identity[c] == h
+        else tuple(pos[c][table[h, g]] for g in arrows[d])
+        for h, (d, c) in enumerate(zip(category.dom, category.cod))
+    )
+    return arrows, maximal, at
+
+
 def _plus(category, J, P):
     """One plus construction step, with its unit map.
 
@@ -116,35 +137,24 @@ def _plus(category, J, P):
     Where M_c is maximal those restrictions are the families themselves.
     Identities act as identities.
     """
-    arrows = [tuple(bits(M)) for M in J.minimal]
+    arrows, maximal, at = fact(category, ("plus", J.minimal), _plus_frame, J)
     rests = [_restrictions(P, c, a) for c, a in enumerate(arrows)]
     fams = [
         tuple(sorted(rest))
-        if M == category.maximal_sieve(c)
-        else matching_families(category, P, c, M)
-        for c, (M, rest) in enumerate(zip(J.minimal, rests))
+        if maximal[c]
+        else matching_families(category, P, c, J.minimal[c])
+        for c, rest in enumerate(rests)
     ]
     index = [{fam: k for k, fam in enumerate(f)} for f in fams]
-    pos = [{f: i for i, f in enumerate(a)} for a in arrows]
-    table = category.table
-    actions = []
-    for h, (d, c) in enumerate(zip(category.dom, category.cod)):
-        if category.identity[c] == h:
-            actions.append(tuple(range(len(fams[c]))))
-            continue
-        at = [pos[c][table[h, g]] for g in arrows[d]]
-        actions.append(
-            tuple(index[d][tuple([fam[i] for i in at])] for fam in fams[c])
-        )
-    plus = Presheaf._trusted(category, tuple(len(f) for f in fams), tuple(actions))
-    unit = NatTransformation._trusted(
-        P,
-        plus,
-        tuple(
-            tuple(index[c][r] for r in rest) for c, rest in enumerate(rests)
-        ),
+    actions = tuple(
+        tuple(range(len(fams[c])))
+        if at[h] is None
+        else tuple(index[d][tuple([fam[i] for i in at[h]])] for fam in fams[c])
+        for h, (d, c) in enumerate(zip(category.dom, category.cod))
     )
-    return plus, unit
+    plus = Presheaf._trusted(category, tuple(len(f) for f in fams), actions)
+    units = tuple(tuple(map(index[c].__getitem__, r)) for c, r in enumerate(rests))
+    return plus, NatTransformation._trusted(P, plus, units)
 
 
 def sheafify(category, J, P):

@@ -32,6 +32,9 @@ from .topology import (
 SCHEMA = "finsite-site/1"
 
 _CONSTANTS = {None: "null", True: "true", False: "false"}
+# scalars of these exact types are written inline, not through `write`
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__}
+_SCALARS.update(dict.fromkeys((bool, type(None)), _CONSTANTS.__getitem__))
 
 NAMED_TOPOLOGIES = {
     "trivial": trivial_topology,
@@ -75,6 +78,7 @@ def canonical_json(data):
     because among JSON values only a string equals a string.
     """
     memo = {}
+    scalar = _SCALARS.get
 
     def array(value, pad):
         if not value:
@@ -83,7 +87,10 @@ def canonical_json(data):
         if all(type(x) is str for x in value):
             items = map(encode_basestring_ascii, value)
         else:
-            items = [write(x, inner) for x in value]
+            items = []
+            for x in value:
+                emit = scalar(type(x))
+                items.append(emit(x) if emit else write(x, inner))
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
     def write(value, pad):
@@ -110,10 +117,12 @@ def canonical_json(data):
             if not value:
                 return "{}"
             inner = pad + "  "
-            items = [  # encode_basestring_ascii raises TypeError on other keys
-                encode_basestring_ascii(k) + ": " + write(v, inner)
-                for k, v in sorted(value.items())
-            ]
+            items = []
+            for k, v in sorted(value.items()):
+                emit = scalar(type(v))
+                text = emit(v) if emit else write(v, inner)
+                # encode_basestring_ascii raises TypeError on other keys
+                items.append(encode_basestring_ascii(k) + ": " + text)
             return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
         raise TypeError("%s is not canonical JSON data" % type(value).__name__)
 

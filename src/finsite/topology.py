@@ -4,8 +4,8 @@ On a finite category the covering sieves on c are closed upward and under
 intersection, so they are exactly the sieves containing one least covering
 sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  A
 topology is stored as these minimal sieves, one mask per object; the sorted
-tuple of covering sieve masks of each object is derived from them on first
-use, and is what reports and site files list.
+tuple of covering sieve masks of an object is derived from its M_c when
+asked for, and is what reports and site files list.
 
 A category and its Karoubi envelope have the same presheaf topos, so the
 topologies are read off the idempotents.  An idempotent e' is a retract of e,
@@ -67,18 +67,16 @@ class GrothendieckTopology:
 
     @cached_property
     def covering(self):
-        """Per object index, the ascending masks of the covering sieves:
-        the sieves that contain the least one."""
-        return tuple(
-            tuple(S for S in sieve_masks_on(self.category, c) if not M & ~S)
-            for c, M in enumerate(self.minimal)
-        )
+        """Per object index, the ascending masks of the covering sieves."""
+        return tuple(map(self.covering_masks, range(len(self.minimal))))
 
     def covers(self, c, mask):
         return not self.minimal[c] & ~mask
 
     def covering_masks(self, c):
-        return self.covering[c]
+        """The ascending masks of the sieves on c that contain M_c."""
+        M = self.minimal[c]
+        return tuple(S for S in sieve_masks_on(self.category, c) if not M & ~S)
 
     def leq(self, other):
         return not any(b & ~a for a, b in zip(self.minimal, other.minimal))
@@ -95,7 +93,7 @@ class GrothendieckTopology:
             if names is None:
                 names = cat._described[(c, M)] = tuple(
                     tuple(sorted(cat.morphisms[f] for f in bits(S)))
-                    for S in self.covering[c]
+                    for S in self.covering_masks(c)
                 )
             out[cat.objects[c]] = names
         return out

@@ -58,6 +58,14 @@ categories, of monoids with a terminal object added, and of seeded random
 sites, each also with its objects and arrows listed in reverse order.  The
 same categories check the theorem the finite-limit search rests on: a
 cartesian category is thin, so the equalizer stage never fails.
+
+The report writes the rigid-site transfer as a theorem of the comparison
+lemma; the check it replaced, through the comparison functors along the
+irreducibles, is kept here and run under every rigid topology of the
+corpus, search and monoid categories, while a sample of non-rigid ones shows
+no such entry.  Plus steps under two topologies of one category, taken in
+turn so that each reads its frame from the category's memo, are compared
+with the same steps on a fresh copy of the category.
 """
 
 import itertools
@@ -71,12 +79,14 @@ import pytest
 
 from finsite.category import (
     CartesianReport,
+    FiniteCategory,
     CauchyReport,
     OreReport,
     _is_cartesian,
     _is_cauchy_complete,
     _splits,
     bits,
+    full_subcategory_from_mask,
     has_right_ore,
     is_cauchy_complete,
     subcategory_from_masks,
@@ -94,10 +104,12 @@ from finsite.corpus import (
 from finsite.classify import (
     RegularSiteVerdict,
     SiteVerdict,
+    classify_report,
     comparison_functors,
     is_locally_connected_site,
     is_regular_site,
     is_rigid,
+    j_irreducible_objects,
 )
 from finsite.cli import main
 from finsite.density import is_dense
@@ -115,6 +127,7 @@ from finsite.objects import (
 from finsite.presheaf import (
     NatTransformation,
     Presheaf,
+    are_isomorphic,
     compose_nat,
     coproduct_presheaf,
     equalizer_presheaf,
@@ -150,6 +163,7 @@ from finsite.sieves import (
 )
 from finsite.siteio import SiteFile, canonical_json, save_site
 from finsite.topology import (
+    GrothendieckTopology,
     TopologyLattice,
     TopologyVerdict,
     _decides_on_least,
@@ -1834,3 +1848,116 @@ def test_an_object_with_the_hom_sizes_of_a_product_need_not_be_one():
     )
     assert _is_cartesian(cat) == scan_is_cartesian(cat)
     assert _is_cartesian(cat).failure == ("product", "a", "a")
+
+
+# ---------------------------------------------------------------------------
+# The rigid-site transfer, which the report writes as a theorem, recomputed
+# through the comparison functors; and the plus frame, shared per topology.
+
+
+def _rigid_transfer(category, J):
+    """For a rigid site, check that each irreducible's sheafified
+    representable restricts to an indecomposable projective presheaf on the
+    irreducibles."""
+    irr = j_irreducible_objects(category, J)
+    mask = 0
+    for c in irr:
+        mask |= 1 << c
+    sub = full_subcategory_from_mask(category, mask)
+    functors = comparison_functors(category, J, sub)
+    realized = functors.realized
+    sub_trivial = trivial_topology(realized.category)
+    induced_trivial = (
+        functors.sub_topology.minimal == sub_trivial.minimal
+    )
+    all_ok = True
+    for c in irr:
+        restricted = functors.restrict(representable_sheaf(category, J, c))
+        local = realized.local_object(c)
+        # a presheaf isomorphic to a representable is a retract of one, so
+        # it is an indecomposable projective without a separate search
+        if are_isomorphic(restricted, yoneda(realized.category, local)) is None:
+            all_ok = False
+            break
+    return {
+        "induced_topology_trivial": induced_trivial,
+        "irreducibles_become_representable_projectives": all_ok,
+    }
+
+
+def rigid_entry(report):
+    entries = [t for t in report["transfers"] if t["from"] == "rigid site"]
+    assert len(entries) <= 1
+    return entries[0] if entries else None
+
+
+def test_rigid_transfer_is_the_comparison_lemma():
+    """Under every rigid topology the comparison functors along the
+    irreducibles exist, the induced topology is trivial and each irreducible
+    restricts to its representable, as the report writes without checking;
+    a non-rigid report (those with small first plus steps) has no entry."""
+    seen = Counter()
+    cats = []
+    for cat in CATEGORIES + [
+        p.values[0] for p in SEARCH_CATEGORIES + MONOID_CATEGORIES
+    ]:
+        if cat not in cats:
+            cats.append(cat)
+    for cat in cats:
+        for J in enumerate_topologies(cat).elements:
+            if not is_rigid(cat, J):
+                if all(
+                    sum(_plus(cat, J, yoneda(cat, c))[0].sizes) <= 27
+                    for c in range(len(cat.objects))
+                ):
+                    assert rigid_entry(classify_report(cat, J)) is None
+                    seen["not rigid"] += 1
+                continue
+            rt = _rigid_transfer(cat, J)
+            assert rt["induced_topology_trivial"], (cat.morphisms, J.minimal)
+            assert rt["irreducibles_become_representable_projectives"]
+            assert rigid_entry(classify_report(cat, J)) == {
+                "from": "rigid site",
+                "claim": "irreducibles restrict to indecomposable projectives",
+                "verified": rt["irreducibles_become_representable_projectives"],
+                "induced_topology_trivial": rt["induced_topology_trivial"],
+                "licensed_by": "site-to-representable transfer",
+            }
+            seen["rigid"] += 1
+    assert len(cats) == 74
+    assert seen["rigid"] == 428 and seen["not rigid"] == 62
+
+
+def fresh_copy(cat):
+    """An equal category with none of the memos of `cat`."""
+    return FiniteCategory(
+        cat.objects, cat.morphisms, cat.dom, cat.cod, cat.identity, cat.table
+    )
+
+
+def test_plus_frames_alternating_on_one_category_match_fresh_ones():
+    """Sheafify under two topologies of one category object in turn, so that
+    each reads its frame from the category's memo, and compare sheaf and
+    unit with those on a fresh copy, which builds its frame anew."""
+    checked = 0
+    for param in SEARCH_CATEGORIES:
+        cat = param.values[0]
+        elements = lattice(cat).elements
+        if len(elements) < 2:
+            continue
+        rng = random.Random(repr(cat.morphisms))
+        for k in range(6):
+            J = (elements[0], elements[-1])[k % 2]
+            P = random_presheaf(cat, rng)
+            got, unit = sheafify(cat, J, P)
+            assert ("plus", J.minimal) in cat._facts
+            fresh = fresh_copy(cat)
+            want, want_unit = sheafify(
+                fresh,
+                GrothendieckTopology(fresh, J.minimal),
+                Presheaf(fresh, P.sizes, P.actions),
+            )
+            assert (got.sizes, got.actions) == (want.sizes, want.actions)
+            assert unit.components == want_unit.components
+            checked += 1
+    assert checked == 252

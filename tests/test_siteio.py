@@ -141,6 +141,42 @@ def test_floats_other_keys_and_sets_raise_type_error(value):
         canonical_json(value)
 
 
+class Name(str):
+    def __str__(self):
+        return "renamed"
+
+
+class Count(int):
+    def __repr__(self):
+        return "counted"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        [True, 1, False, 0, None, "1", "true"],
+        {"a": True, "b": 1, "c": False, "d": 0, "e": None, "f": "x"},
+        [[], {}, (), [[]], {"a": {}}, {"a": []}, ([], {}), [{"b": ()}]],
+        {"a": [{}, [], 0, [None]], "b": {"c": ()}},
+        [Name("n"), Count(5), {"k": Name("m"), "j": Count(-2)}, (Name("t"),)],
+        [1, "a", (True, 2, None), {"x": [False, "y", 3]}, -(10**30)],
+    ],
+    ids=repr,
+)
+def test_scalars_written_inline_match_the_stdlib_bytes(data):
+    """Items and values of exact type str, int, bool or None are written
+    inline; subclasses take the type checks, which print their JSON value."""
+    assert canonical_json(data) == stdlib_json(data)
+
+
+@pytest.mark.parametrize(
+    "value", [[1, 2.5], {"a": 1, "b": 0.5}, [True, {"c": [float("nan")]}]], ids=repr
+)
+def test_a_float_among_inline_scalars_raises_type_error(value):
+    with pytest.raises(TypeError):
+        canonical_json(value)
+
+
 def test_every_subcommand_emits_the_stdlib_bytes(tmp_path, monkeypatch):
     emitted = []
 
