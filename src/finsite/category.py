@@ -288,20 +288,58 @@ def validate_category(objects, morphisms, identities, composites):
             else:
                 table[key] = f
 
-    # Totality and associativity over composable arrows: g after f for g
-    # out of cod f, h after g for h out of cod g, each list ascending.
-    outof = [[] for _ in objects]
-    for g in range(n):
-        outof[dom[g]].append(g)
-    for f in range(n):
-        for g in outof[cod[f]]:
-            if (g, f) not in table:
-                raise UndefinedComposite(
-                    "no composite for %r after %r" % (names[g], names[f]),
-                    witnesses=(names[g], names[f]),
-                )
+    # Totality by count: every entry is a composable pair by now, and the
+    # pairs (g, f) with cod f = c = dom g number |into(c)| |outof(c)|, so the
+    # table is total exactly when it has that many entries in all.  Only a
+    # short table is scanned, to name its first missing pair.
+    into = [0] * len(objects)
+    outof = [0] * len(objects)
+    for a, b in zip(dom, cod):
+        outof[a] += 1
+        into[b] += 1
+    if len(table) != sum(map(mul, into, outof)):
+        g, f = next(
+            (g, f)
+            for f in range(n)
+            for g in range(n)
+            if cod[f] == dom[g] and (g, f) not in table
+        )
+        raise UndefinedComposite(
+            "no composite for %r after %r" % (names[g], names[f]),
+            witnesses=(names[g], names[f]),
+        )
 
-    for f in range(n):
+    category = FiniteCategory(objects, names, dom, cod, identity, table)
+    _check_associative(category)
+    return category
+
+
+def _check_associative(category):
+    """Raise NonAssociative at the first triple, by f, then g out of cod f,
+    then h out of cod g, each ascending, with h(gf) != (hg)f.
+
+    - Thin categories.  h(gf) and (hg)f both lie in hom(dom f, cod h), so
+      where no hom-set holds two arrows the equation cannot fail, and no
+      triple is scanned.
+    - Light's test (Clifford-Preston, The Algebraic Theory of Semigroups I,
+      1.2) for the rest.  Call g associative when h(gf) = (hg)f for every f
+      into dom g and h out of cod g.  The identities are, by the identity
+      laws, and a composite g'g of associative arrows is:
+      h((g'g)f) = h(g'(gf)) = (hg')(gf) = ((hg')g)f = (h(g'g))f, using g,
+      then g', then g, then g'.  So when every arrow of `_generators` is
+      associative, so is every arrow they reach, which is every arrow.  That
+      costs O(|into(dom g)| |outof(cod g)|) per generator instead of a scan
+      over every triple; only a failing test runs the scan, which names the
+      witness.
+    """
+    if len(category._hom) == len(category.morphisms):
+        return
+    if all(_associative(category, g) for g in _generators(category)):
+        return
+    table, outof, cod, names = (
+        category.table, category._outof, category.cod, category.morphisms
+    )
+    for f in range(len(names)):
         for g in outof[cod[f]]:
             gf = table[(g, f)]
             for h in outof[cod[g]]:
@@ -312,7 +350,43 @@ def validate_category(objects, morphisms, identities, composites):
                         witnesses=(names[h], names[g], names[f]),
                     )
 
-    return FiniteCategory(objects, names, dom, cod, identity, table)
+
+def _associative(category, g):
+    """h(gf) = (hg)f for every f into dom g and h out of cod g."""
+    table = category.table
+    outof = category._outof[category.cod[g]]
+    hg = [table[(h, g)] for h in outof]
+    for f in category._into[category.dom[g]]:
+        gf = table[(g, f)]
+        for h, hg_h in zip(outof, hg):
+            if table[(h, gf)] != table[(hg_h, f)]:
+                return False
+    return True
+
+
+def _generators(category):
+    """Arrows that, with the identities, generate every arrow by composition.
+
+    Greedy, in index order: an arrow not yet reached is taken, and the
+    reached set, the identities at first, is closed again under composing
+    on the left with the arrows taken.  Each reached arrow is a composite of
+    arrows taken, and every arrow is reached or taken."""
+    table, dom, cod = category.table, category.dom, category.cod
+    reached = set(category.identity)
+    taken = []
+    taken_out = [[] for _ in category.objects]
+    for a in range(len(category.morphisms)):
+        if a in reached:
+            continue
+        taken.append(a)
+        taken_out[dom[a]].append(a)
+        todo = [table[(a, r)] for r in category._into[dom[a]] if r in reached]
+        while todo:
+            x = todo.pop()
+            if x not in reached:
+                reached.add(x)
+                todo.extend(table[(t, x)] for t in taken_out[cod[x]])
+    return taken
 
 
 @dataclass(frozen=True)

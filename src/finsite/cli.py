@@ -11,7 +11,7 @@ import argparse
 import functools
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import asdict
 
 from .classify import classify_report
@@ -212,22 +212,49 @@ def cmd_classify(args):
     _emit(args, data)
 
 
+def _strided_map(jobs):
+    """A map over `jobs` threads: task i runs in share i mod jobs, share 0 on
+    the calling thread and each other share on a thread of its own.  The
+    results keep task order, and the first task to raise, in task order,
+    raises here, as with an executor's map: each share stops at its first
+    failure, after every task of its own before it has succeeded."""
+
+    def mapper(fn, tasks):
+        tasks = list(tasks)
+        results = [None] * len(tasks)
+        failed = []
+
+        def run(k):
+            for i in range(k, len(tasks), jobs):
+                try:
+                    results[i] = fn(tasks[i])
+                except BaseException as exc:  # raised again on the caller
+                    failed.append((i, exc))
+                    return
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(1, jobs)]
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
+        if failed:
+            raise min(failed, key=lambda item: item[0])[1]
+        return results
+
+    return mapper
+
+
 def cmd_report(args):
     site = load_site(args.file)
     J = _require_topology(site)
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            data = classify_report(
-                site.category,
-                J,
-                name=site.name,
-                include_objects=True,
-                mapper=pool.map,
-            )
-    else:
-        data = classify_report(
-            site.category, J, name=site.name, include_objects=True
-        )
+    data = classify_report(
+        site.category,
+        J,
+        name=site.name,
+        include_objects=True,
+        mapper=_strided_map(args.jobs) if args.jobs > 1 else None,
+    )
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(canonical_json(data))

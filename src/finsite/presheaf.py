@@ -44,7 +44,7 @@ class Presheaf:
                     "action of %r has arity %d, expected %d"
                     % (cat.morphisms[f], len(tab), self.sizes[b])
                 )
-            if any(x < 0 or x >= self.sizes[a] for x in tab):
+            if tab and (min(tab) < 0 or max(tab) >= self.sizes[a]):
                 raise PresheafLawError(
                     "action of %r leaves the value set" % (cat.morphisms[f],)
                 )
@@ -56,12 +56,11 @@ class Presheaf:
                 )
         # once identities act as identities, every entry holding one holds
         identities = set(cat.identity)
+        actions = self.actions
         for (g, f), h in cat.table.items():
             if g in identities or f in identities:
                 continue
-            gf = self.actions[h]
-            via = tuple(self.actions[f][x] for x in self.actions[g])
-            if gf != via:
+            if actions[h] != tuple(map(actions[f].__getitem__, actions[g])):
                 raise PresheafLawError(
                     "functoriality fails at %r after %r"
                     % (cat.morphisms[g], cat.morphisms[f])

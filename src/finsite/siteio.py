@@ -250,9 +250,9 @@ def parse_topology(category, data):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )
-        covering.append(tuple(sorted(masks)))
+        covering.append(masks)
     try:
-        return topology(category, tuple(covering))
+        return topology(category, covering)
     except TopologyAxiomViolation as exc:
         if exc.axiom != "sieve":  # every arrow lands in its object by now
             raise

@@ -119,15 +119,19 @@ def is_topology(category, covering):
     an assignment that fails there is scanned axiom by axiom, which names
     the first violation as the axioms state it.
     """
-    cov = [sorted(set(masks)) for masks in covering]
+    return _verdict(category, [sorted(set(masks)) for masks in covering])
+
+
+def _verdict(category, cov):
+    """`is_topology` on per-object ascending lists of distinct masks."""
     n_obj = len(category.objects)
     if len(cov) != n_obj:
         return TopologyVerdict(False, "shape", (len(cov), n_obj))
-    sets = [set(masks) for masks in cov]
     for c in range(n_obj):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
                 return TopologyVerdict(False, "sieve", (c, S))
+    sets = [set(masks) for masks in cov]
     if _decides_on_least(category, sets):
         return TopologyVerdict(True)
     return _scan_axioms(category, cov, sets)
@@ -268,8 +272,17 @@ def _retract_classes(category):
 
 
 def topology(category, covering):
-    cov = tuple(tuple(masks) for masks in covering)
-    verdict = is_topology(category, cov)
+    """The topology with the given covering sieves, checked by `is_topology`.
+
+    The checked coverage is stored as the topology's `covering`: each listed
+    mask is then a sieve containing M_c, the intersection of the list, and
+    the list is closed under S |-> S | principal(f) for f into c, so it
+    holds every sieve S containing M_c (add to M_c the principal sieves of
+    the arrows of S one by one: each step stays in the list and ends at S).
+    It is the ascending tuple `covering_masks(c)` would enumerate.
+    """
+    cov = tuple(tuple(sorted(set(masks))) for masks in covering)
+    verdict = _verdict(category, cov)
     if not verdict:
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"
@@ -277,7 +290,9 @@ def topology(category, covering):
             verdict.axiom,
             verdict.witness,
         )
-    return GrothendieckTopology(category, _least(category, cov))
+    J = GrothendieckTopology(category, _least(category, cov))
+    J.__dict__["covering"] = cov
+    return J
 
 
 def trivial_topology(category):

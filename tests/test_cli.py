@@ -4,10 +4,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
-from finsite.cli import main
+from finsite import classify
+from finsite.cli import _strided_map, main
 from finsite.corpus import corpus, named_site
 from finsite.siteio import serialize_site
 
@@ -138,6 +140,48 @@ def test_report_bytes_are_stable_across_runs_and_jobs(capsys, site_file):
     data = json.loads(outputs[0])
     assert data["schema"] == "finsite-report/1"
     assert data["objects"]["z"]["atom"] is False
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_report_jobs_runs_the_tasks_on_that_many_threads(
+    capsys, monkeypatch, site_file, jobs
+):
+    """Each thread waits at a barrier in its first task, so the report ends
+    only if `jobs` threads run at once; the bytes are those of --jobs 1."""
+    path = site_file("vee-cover")
+    code, want, _ = run(capsys, "report", path)
+    assert code == 0
+    run_task = classify._run_task
+    barrier = threading.Barrier(jobs, timeout=10)
+    lock = threading.Lock()
+    idents = []
+
+    def recording(task):
+        ident = threading.get_ident()
+        with lock:
+            first = ident not in idents
+            idents.append(ident)
+        if first:
+            barrier.wait()
+        return run_task(task)
+
+    monkeypatch.setattr(classify, "_run_task", recording)
+    code, out, _ = run(capsys, "report", path, "--jobs", str(jobs))
+    assert code == 0 and out == want
+    assert len(set(idents)) == jobs
+    assert len(idents) == 10 + 3  # the site tasks and one per object
+
+
+def test_strided_map_keeps_order_and_raises_the_first_failure():
+    def square_or_fail(x):
+        if x in (2, 4):
+            raise ValueError(x)
+        return x * x
+
+    assert _strided_map(3)(square_or_fail, [1, 3, 5, 6]) == [1, 9, 25, 36]
+    with pytest.raises(ValueError) as info:
+        _strided_map(3)(square_or_fail, range(7))
+    assert info.value.args == (2,)
 
 
 def test_report_golden_bytes(capsys, site_file):

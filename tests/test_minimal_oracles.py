@@ -83,6 +83,7 @@ from finsite.category import (
     CauchyReport,
     OreReport,
     _is_cartesian,
+    _generators,
     _is_cauchy_complete,
     _splits,
     bits,
@@ -172,6 +173,7 @@ from finsite.topology import (
     generated_topology,
     is_topology,
     maximal_topology,
+    topology,
     trivial_topology,
 )
 
@@ -561,6 +563,13 @@ def orbit_quotient():
     )
 
 
+ONE_OBJECT_MONOIDS = [("Z%d" % n, cyclic_group(n)) for n in range(2, 7)] + [
+    ("K4", map_monoid([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])),
+    ("S3", map_monoid(list(itertools.permutations(range(3))))),
+    ("T2", map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)])),
+]
+
+
 def _search_categories():
     out = []
     for site in corpus(seed=0, random_count=4):
@@ -574,12 +583,7 @@ def _search_categories():
         out.append(("poset%d" % seed, random_poset_category(random.Random(seed), 14)))
         out.append(("path%d" % seed, random_path_category(random.Random(seed), 14)))
     out += [("idem", idem()), ("orbit", orbit_quotient())]
-    out += [("Z%d" % n, cyclic_group(n)) for n in range(2, 7)]
-    out += [
-        ("K4", map_monoid([(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])),
-        ("S3", map_monoid(list(itertools.permutations(range(3))))),
-        ("T2", map_monoid([(0, 1), (1, 0), (0, 0), (1, 1)])),
-    ]
+    out += ONE_OBJECT_MONOIDS
     seen = []
     for name, cat in out:
         if cat not in seen:
@@ -1375,12 +1379,31 @@ def scan_category_laws(names, dom, cod, table):
     return None
 
 
-def test_category_law_witnesses_match_the_scan_over_all_pairs():
-    rng = random.Random("laws")
-    broken = {"UndefinedComposite": 0, "NonAssociative": 0}
+def law_verdict(cat, table):
+    """`validate_category` on the data of cat with the given table, as
+    (law, witnesses) of the error it raises, or None."""
+    names = cat.morphisms
+    try:
+        validate_category(
+            cat.objects,
+            [(m, cat.objects[cat.dom[k]], cat.objects[cat.cod[k]])
+             for k, m in enumerate(names)],
+            {cat.objects[c]: names[cat.identity[c]]
+             for c in range(len(cat.objects))},
+            {(names[a], names[b]): names[h] for (a, b), h in table.items()},
+        )
+    except CategoryLawError as exc:
+        return (type(exc).__name__, exc.witnesses)
+    return None
+
+
+def law_cases(rng):
+    """(category, table): each search and monoid category with one entry
+    dropped or changed, six times over, and one-object magmas with identity:
+    the monoids Z2..Z6, K4, S3 and T2 as they are, and twelve times each
+    with one to three non-identity entries changed at random."""
     for param in SEARCH_CATEGORIES + MONOID_CATEGORIES:
         cat = param.values[0]
-        names = cat.morphisms
         pairs = [
             (g, f) for (g, f) in cat.table
             if not (cat.is_identity(g) or cat.is_identity(f))
@@ -1392,23 +1415,31 @@ def test_category_law_witnesses_match_the_scan_over_all_pairs():
                 del table[(g, f)]
             else:
                 table[(g, f)] = rng.choice(cat.hom(cat.dom[f], cat.cod[g]))
-            want = scan_category_laws(names, cat.dom, cat.cod, table)
-            try:
-                validate_category(
-                    cat.objects,
-                    [(m, cat.objects[cat.dom[k]], cat.objects[cat.cod[k]])
-                     for k, m in enumerate(names)],
-                    {cat.objects[c]: names[cat.identity[c]]
-                     for c in range(len(cat.objects))},
-                    {(names[a], names[b]): names[h] for (a, b), h in table.items()},
-                )
-                got = None
-            except CategoryLawError as exc:
-                got = (type(exc).__name__, exc.witnesses)
-            assert got == want
-            if want:
-                broken[want[0]] += 1
-    assert min(broken.values()) >= 10
+            yield cat, table
+    for _, cat in ONE_OBJECT_MONOIDS:
+        yield cat, cat.table
+        n = len(cat.morphisms)
+        pairs = [(g, f) for g in range(1, n) for f in range(1, n)]
+        for _ in range(12 if 3 <= n <= 6 else 0):
+            table = dict(cat.table)
+            for key in rng.sample(pairs, rng.randint(1, 3)):
+                table[key] = rng.randrange(n)
+            yield cat, table
+
+
+def test_category_law_witnesses_match_the_scan_over_all_pairs():
+    """Totality by count and associativity on thin categories and by Light's
+    test give the verdict and witness of the scan over all pairs."""
+    broken = Counter()
+    for cat, table in law_cases(random.Random("laws")):
+        want = scan_category_laws(cat.morphisms, cat.dom, cat.cod, table)
+        assert law_verdict(cat, table) == want
+        if want:
+            broken[want[0], is_thin(cat)] += 1
+    # a thin category has one well-typed table, which is associative
+    assert broken["UndefinedComposite", True] >= 10
+    assert broken["UndefinedComposite", False] >= 10
+    assert broken["NonAssociative", False] >= 10
 
 
 # ---------------------------------------------------------------------------
@@ -1961,3 +1992,57 @@ def test_plus_frames_alternating_on_one_category_match_fresh_ones():
             assert unit.components == want_unit.components
             checked += 1
     assert checked == 252
+
+
+# ---------------------------------------------------------------------------
+# Light's generating set, and the checked coverage stored as the covering.
+
+
+def oracle_categories():
+    """The distinct categories of the oracles above."""
+    out = [cat for _, cat in CLASS_CATEGORIES]
+    return out + [cat for cat in CATEGORIES if cat not in out]
+
+
+def test_generators_and_identities_generate_every_arrow():
+    """Closing the identities and `_generators` under every composable pair
+    reaches every arrow, and no identity is taken."""
+    for cat in oracle_categories():
+        taken = _generators(cat)
+        assert not set(taken) & set(cat.identity)
+        reached = set(cat.identity) | set(taken)
+        todo = list(reached)
+        while todo:
+            x = todo.pop()
+            for y in list(reached):
+                for g, f in ((x, y), (y, x)):
+                    if cat.cod[f] == cat.dom[g]:
+                        h = cat.compose(g, f)
+                        if h not in reached:
+                            reached.add(h)
+                            todo.append(h)
+        assert reached == set(range(len(cat.morphisms)))
+
+
+def test_stored_covering_is_every_sieve_above_the_least():
+    """`topology()` stores the checked coverage, given here in shuffled
+    order with one sieve listed twice, as `covering`; it equals the sieves
+    containing M_c that `covering_masks` enumerates on a fresh copy."""
+    rng = random.Random("covering")
+    checked = 0
+    for cat in oracle_categories():
+        fresh = fresh_copy(cat)
+        for J in lattice(cat).elements:
+            listed = []
+            for masks in J.covering:
+                masks = list(masks) + [rng.choice(masks)]
+                rng.shuffle(masks)
+                listed.append(masks)
+            got = topology(cat, listed)
+            assert "covering" in got.__dict__
+            want = GrothendieckTopology(fresh, J.minimal)
+            assert got.covering == tuple(
+                want.covering_masks(c) for c in range(len(cat.objects))
+            )
+            checked += 1
+    assert checked >= 5000

@@ -321,6 +321,23 @@ def test_law_violations_surface_as_their_own_errors():
         parse_site(json.dumps(bad_p))
 
 
+def test_coverage_in_any_order_loads_to_the_ascending_covering():
+    longest = 0
+    for site in corpus(seed=0, random_count=6):
+        if site.topology is None:
+            continue
+        doc = json.loads(serialize_site(site))
+        for sieves in doc["topology"]["coverage"].values():
+            sieves.reverse()
+        J = parse_site(json.dumps(doc)).topology
+        assert J.covering == site.topology.covering
+        assert J.covering == tuple(
+            J.covering_masks(c) for c in range(len(site.category.objects))
+        )
+        longest = max(longest, *map(len, J.covering))
+    assert longest == 4
+
+
 def test_topology_block_is_optional():
     doc = json.loads(serialize_site(named_site("arrow-j2")))
     del doc["topology"]
