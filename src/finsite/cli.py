@@ -212,37 +212,33 @@ def cmd_classify(args):
     _emit(args, data)
 
 
-def _strided_map(jobs):
-    """A map over `jobs` threads: task i runs in share i mod jobs, share 0 on
-    the calling thread and each other share on a thread of its own.  The
-    results keep task order, and the first task to raise, in task order,
-    raises here, as with an executor's map: each share stops at its first
-    failure, after every task of its own before it has succeeded."""
+def _strided_map(jobs, fn, tasks):
+    """map(fn, tasks) over `jobs` threads: task i runs in share i mod jobs,
+    share 0 on the calling thread and each other share on a thread of its
+    own.  The results keep task order, and the first task to raise, in task
+    order, raises here, as with an executor's map: each share stops at its
+    first failure, after every task of its own before it has succeeded."""
+    tasks = list(tasks)
+    results = [None] * len(tasks)
+    failed = []
 
-    def mapper(fn, tasks):
-        tasks = list(tasks)
-        results = [None] * len(tasks)
-        failed = []
+    def run(k):
+        for i in range(k, len(tasks), jobs):
+            try:
+                results[i] = fn(tasks[i])
+            except BaseException as exc:  # raised again on the caller
+                failed.append((i, exc))
+                return
 
-        def run(k):
-            for i in range(k, len(tasks), jobs):
-                try:
-                    results[i] = fn(tasks[i])
-                except BaseException as exc:  # raised again on the caller
-                    failed.append((i, exc))
-                    return
-
-        threads = [threading.Thread(target=run, args=(k,)) for k in range(1, jobs)]
-        for thread in threads:
-            thread.start()
-        run(0)
-        for thread in threads:
-            thread.join()
-        if failed:
-            raise min(failed, key=lambda item: item[0])[1]
-        return results
-
-    return mapper
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, jobs)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    if failed:
+        raise min(failed, key=lambda item: item[0])[1]
+    return results
 
 
 def cmd_report(args):
@@ -253,7 +249,7 @@ def cmd_report(args):
         J,
         name=site.name,
         include_objects=True,
-        mapper=_strided_map(args.jobs) if args.jobs > 1 else None,
+        mapper=functools.partial(_strided_map, args.jobs) if args.jobs > 1 else None,
     )
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:

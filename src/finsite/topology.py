@@ -5,7 +5,8 @@ intersection, so they are exactly the sieves containing one least covering
 sieve M_c (Mac Lane-Moerdijk, Sheaves in Geometry and Logic, III).  A
 topology is stored as these minimal sieves, one mask per object; the sorted
 tuple of covering sieve masks of an object is derived from its M_c when
-asked for, and is what reports and site files list.
+asked for, or kept from the coverage `topology` checked, and is what reports
+and site files list.
 
 A category and its Karoubi envelope have the same presheaf topos, so the
 topologies are read off the idempotents.  An idempotent e' is a retract of e,
@@ -119,19 +120,15 @@ def is_topology(category, covering):
     an assignment that fails there is scanned axiom by axiom, which names
     the first violation as the axioms state it.
     """
-    return _verdict(category, [sorted(set(masks)) for masks in covering])
-
-
-def _verdict(category, cov):
-    """`is_topology` on per-object ascending lists of distinct masks."""
+    cov = [sorted(set(masks)) for masks in covering]
     n_obj = len(category.objects)
     if len(cov) != n_obj:
         return TopologyVerdict(False, "shape", (len(cov), n_obj))
+    sets = [set(masks) for masks in cov]
     for c in range(n_obj):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
                 return TopologyVerdict(False, "sieve", (c, S))
-    sets = [set(masks) for masks in cov]
     if _decides_on_least(category, sets):
         return TopologyVerdict(True)
     return _scan_axioms(category, cov, sets)
@@ -282,7 +279,7 @@ def topology(category, covering):
     It is the ascending tuple `covering_masks(c)` would enumerate.
     """
     cov = tuple(tuple(sorted(set(masks))) for masks in covering)
-    verdict = _verdict(category, cov)
+    verdict = is_topology(category, cov)
     if not verdict:
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"

@@ -178,9 +178,9 @@ def test_strided_map_keeps_order_and_raises_the_first_failure():
             raise ValueError(x)
         return x * x
 
-    assert _strided_map(3)(square_or_fail, [1, 3, 5, 6]) == [1, 9, 25, 36]
+    assert _strided_map(3, square_or_fail, [1, 3, 5, 6]) == [1, 9, 25, 36]
     with pytest.raises(ValueError) as info:
-        _strided_map(3)(square_or_fail, range(7))
+        _strided_map(3, square_or_fail, range(7))
     assert info.value.args == (2,)
 
 

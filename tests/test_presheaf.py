@@ -64,10 +64,13 @@ def test_functoriality_is_checked():
     cat = arrow()
     with pytest.raises(PresheafLawError):
         Presheaf(cat, (1, 1), ((0,), (0,)))  # missing a table
-    with pytest.raises(PresheafLawError):
-        Presheaf(cat, (1, 1), ((0,), (0,), (0, 0)))  # wrong arity
-    with pytest.raises(PresheafLawError):
-        Presheaf(cat, (1, 1), ((0,), (0,), (1,)))  # value out of range
+    with pytest.raises(PresheafLawError, match="has arity 2, expected 1"):
+        Presheaf(cat, (1, 1), ((0,), (0,), (0, 0)))
+    for out_of_range in ((1,), (-1,)):
+        with pytest.raises(PresheafLawError, match="leaves the value set"):
+            Presheaf(cat, (1, 1), ((0,), (0,), out_of_range))
+    with pytest.raises(PresheafLawError, match="has arity 0"):  # arity first
+        Presheaf(cat, (1, 1), ((0,), (), (5,)))
     with pytest.raises(PresheafLawError):
         Presheaf(cat, (2, 1), ((0, 0), (0,), (0,)))  # identity not identity
     grp = z2()
@@ -101,6 +104,14 @@ def test_law_errors_name_the_identity_or_the_composite():
         Presheaf(cat, (2, 2, 2), tuple(tables))
     tables[cat.mor_index("a->c")] = (0, 1)
     Presheaf(cat, (2, 2, 2), tuple(tables))
+    # P(a->c) is P(a->b) after P(b->c), not the other way round
+    tables[cat.mor_index("a->b")] = (1, 0)
+    tables[cat.mor_index("b->c")] = (0, 0)
+    tables[cat.mor_index("a->c")] = (1, 1)
+    Presheaf(cat, (2, 2, 2), tuple(tables))
+    tables[cat.mor_index("a->c")] = (0, 0)
+    with pytest.raises(PresheafLawError, match="functoriality fails"):
+        Presheaf(cat, (2, 2, 2), tuple(tables))
 
 
 def test_apply_and_sizes():
