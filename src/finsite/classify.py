@@ -38,18 +38,16 @@ from .category import bits, fact, has_right_ore, is_cartesian, is_cauchy_complet
 from .density import is_dense
 from .errors import NotDense
 from .objects import (
-    _is_supercompact,
-    _subobjects,
-    is_atom,
-    is_indecomposable,
     rep_is_coherent,
     rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
+    representable_properties,
+    terminal_is_indecomposable,
 )
-from .presheaf import Presheaf, compatible_families, terminal_presheaf
-from .sheaf import is_subcanonical, representable_sheaf, sheafify
+from .presheaf import Presheaf, compatible_families
+from .sheaf import is_subcanonical, sheafify
 from .sieves import Sieve, generate_mask, is_sieve_connected
 from .topology import atomic_topology, induced_topology
 
@@ -303,18 +301,13 @@ def separating_set_check(category, J, predicate):
 
     predicate: "indecomposable" or "atom".  The representables form a
     separating set of the sheaf category, which is what licenses reading
-    topos-level structure off this check.
+    topos-level structure off this check.  Each is decided on the presheaf
+    site (see `objects.py`).
     """
-    checks = {
-        "indecomposable": is_indecomposable,
-        "atom": is_atom,
-    }
-    try:
-        check = checks[predicate]
-    except KeyError:
-        raise ValueError("predicate must be one of %r" % (sorted(checks),))
+    if predicate not in ("atom", "indecomposable"):
+        raise ValueError("predicate must be one of %r" % (["atom", "indecomposable"],))
     return all(
-        check(category, J, representable_sheaf(category, J, c))
+        representable_properties(category, J, c)[predicate]
         for c in range(len(category.objects))
     )
 
@@ -365,16 +358,16 @@ REPORT_SCHEMA = "finsite-report/1"
 
 
 def _object_properties(category, J, c):
-    # representable sheaves are sheaves by construction: nothing to check
-    rep = representable_sheaf(category, J, c)
-    lattice = _subobjects(category, J, rep)
+    # decided on the presheaf site E_D, where the sheafified representable
+    # is the restricted one and no sheaf is built (see `objects.py`)
+    rep = representable_properties(category, J, c)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
     compact = rep_is_compact(category, J, c)
     return {
-        "atom": lattice.is_atom(),
-        "indecomposable": lattice.is_indecomposable(),
-        "supercompact": _is_supercompact(category, J, rep),
+        "atom": rep["atom"],
+        "indecomposable": rep["indecomposable"],
+        "supercompact": rep["supercompact"],
         "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
@@ -387,10 +380,7 @@ def _object_properties(category, J, c):
             "holds": bool(reg),
             "probe_restricted": reg.probe_restricted,
         },
-        "values": {
-            category.objects[d]: rep.sizes[d]
-            for d in range(len(category.objects))
-        },
+        "values": dict(zip(category.objects, rep["sizes"])),
     }
 
 
@@ -506,10 +496,8 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
             objects[o]["indecomposable"] for o in category.objects
         )
         all_atoms = all(objects[o]["atom"] for o in category.objects)
-        # the terminal presheaf is a sheaf for every topology
-        terminal_ok = _subobjects(
-            category, J, terminal_presheaf(category)
-        ).is_indecomposable()
+        # the terminal sheaf, decided on the presheaf site (objects.py)
+        terminal_ok = terminal_is_indecomposable(category, J)
         derived.append(
             {
                 "property": "locally connected topos",

@@ -22,16 +22,76 @@ Sub(A) is a Heyting algebra, so a subobject has a complement exactly when
 its pseudo-complement (the largest subobject disjoint from it) is one;
 indecomposability tests that for each element instead of every pair.
 
-A sheaf A is supercompact exactly when one element x in A(dom e), for an
-idempotent e in D = {e : e in M_dom(e)} with A(e)x = x, generates it: the
-closure of its orbit is A.  Proof: J = J_D (see `topology.py`), and sending
-A to the fixed points of the e in D is an equivalence Sh(C, J) ~ [E_D^op,
-Set], E_D the idempotents of D in the Karoubi envelope, as M_c is generated
-by the envelope's arrows g.e: e -> 1_c.  In a presheaf topos the subobjects
-of single elements cover, and a quotient of a representable is
-supercompact.  Mutual retracts are isomorphic there, so one e per retract
-class will do.  A map injective on every object is monic: its kernel pair
-is the diagonal, a copy of its domain.
+The presheaf site.  J = J_D for the retract-closed set D of idempotents e
+with e in M_dom(e) (see `topology.py`).  Let E_D have one object per retract
+class in D, its least idempotent e_k (`_RetractClasses.least`), and as
+arrows u: e_j -> e_k the u: dom e_j -> dom e_k of C with e_k.u.e_j = u,
+composed in C, e_k being the identity of e_k: the full subcategory of the
+Karoubi envelope Kar(C) on those idempotents.  Then
+
+    Sh(C, J) ~ [E_D^op, Set],  A |-> A|E_D,  A|E_D(e) = {x : A(e)x = x},
+
+u acting by A(u) (Johnstone, Elephant A1.1.10 and C2.2.3).  Proof: C and
+Kar(C) have the same presheaves, P |-> (e |-> the fixed points of P(e)).
+Under it M_c is the sieve generated by the arrows g.e: e -> 1_c of Kar(C)
+with e in D, so J is the topology on Kar(C) whose least sieve on an object
+is generated by the arrows into it from the idempotents in D.  Each e in D
+is covered only by its maximal sieve (1_e = e.e.e is one of those arrows)
+and every object is covered by arrows out of such e, so the full
+subcategory on them is dense with the trivial induced topology, and the
+comparison lemma gives the equivalence.  Mutual retracts are isomorphic in
+Kar(C), so one idempotent per class gives an equivalent site.  E_D is built
+once per topology and memoised on the category (`presheaf_site`), so
+`--jobs` threads share it.
+
+The restriction r: P |-> P|E_D inverts the unit P -> a(P) of
+sheafification: for a sheaf A, Nat(P, A) = Nat(rP, rA) (A is the right Kan
+extension of rA) and Nat(a(P), A) = Nat(r a(P), rA) (the equivalence), so
+r of the unit is bijective on Nat(-, rA) for every rA, which is every
+presheaf on E_D, and Yoneda makes it an isomorphism.  Hence the sheafified
+representable a(y c) corresponds to the restricted representable
+
+    R_c(e_k) = {x: dom e_k -> c : x.e_k = x},  u acting by x |-> x.u,
+
+and each per-object question of the report is decided on R_c in a presheaf
+topos, where a subobject is a subpresheaf and needs no local closure.  The
+orbit of x in R(e_k), the restrictions of x along every u into e_k, is the
+least subpresheaf holding x, and every subpresheaf is the union of the
+orbits of its elements.
+
+- Atom: exactly two subobjects, 0 and R.  That is R nonempty with every
+  nonempty subpresheaf equal to R, and each such holds an orbit: every
+  element's orbit is R.
+- Indecomposable: R nonempty, and no complemented subobject besides 0 and
+  R.  A subpresheaf S with a complement S' splits each R(e) disjointly and
+  both are closed under the action, so x and x.u lie on one side: S is a
+  union of components of the category of elements of R, and each such
+  union is complemented by the rest.  So R is nonempty and connected; two
+  elements whose orbits meet lie in one component, and growing the orbit
+  of one element by every orbit that meets it reaches its component.
+- Supercompact: R is not the join of its proper subobjects.  Joins are
+  unions, and R is the union of the orbits of its elements, so some orbit
+  is R; conversely, if the orbit of x is R, a family joining to R holds x
+  in one member, which is then R.  (An empty R is the empty join.)
+- The terminal sheaf restricts to the terminal presheaf, whose category of
+  elements is E_D: it is indecomposable exactly when E_D is nonempty and
+  connected.
+- Values: a(y c)(d) = Nat(y d, a(y c)) = Nat(a(y d), a(y c)) =
+  Nat(R_d, R_c), since y(1_d)|E_D = R_d; the natural maps are counted with
+  the compatible-family solver.  Where M_d is maximal both plus units are
+  bijective at d (`sheaf.py`), so the value is hom(d, c).
+- Regular probe: the maps a(y d) -> a(y c) are the natural maps
+  R_d -> R_c.  Monos and kernel pairs are limits, kept by the equivalence
+  and taken objectwise on E_D, so a map injective at every e is monic, and
+  a kernel pair is supercompact when one element generates it.  Every map
+  out of a subterminal R_d, one with at most one element at every e, is
+  monic, so such d are skipped.
+
+The sheaf-side functions (`subobjects`, `is_atom`, `is_indecomposable`,
+`is_supercompact_object`) take any sheaf.  By the same equivalence a sheaf
+A is supercompact exactly when one fixed point x in A(dom e) of an e in D
+generates it, the closure of its orbit being A; one e per retract class
+will do.
 """
 
 from __future__ import annotations
@@ -39,10 +99,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .category import bits
+from .category import FiniteCategory, bits, fact
 from .errors import WrongTopology
-from .presheaf import kernel_pair, presheaf_homs, yoneda
-from .sheaf import representable_sheaf, require_sheaf
+from .presheaf import (
+    Presheaf,
+    _natural_maps,
+    _natural_values,
+    kernel_pair,
+    presheaf_homs,
+    terminal_presheaf,
+    yoneda,
+)
+from .sheaf import require_sheaf
 from .topology import _retract_classes, trivial_topology
 
 
@@ -340,27 +408,36 @@ def rep_is_regular(category, J, c):
 
     Probes run over maps from representable sheaves only, which is the
     computable restriction of the defining quantifier; the verdict records
-    that restriction.  Only supercompact l(d) are probed, so a monic probe
-    passes without building its kernel pair, a copy of l(d).
+    that restriction.  Only supercompact l(d) are probed, as the maps
+    R_d -> R_c on the presheaf site (module docstring), so a monic probe
+    passes without building its kernel pair, a copy of R_d.
     """
     if not rep_is_supercompact(category, J, c):
         return ProbeVerdict(False, False, witness=("supercompact", category.objects[c]))
-    target = representable_sheaf(category, J, c)
-    for d in range(len(category.objects)):
-        if not rep_is_supercompact(category, J, d):
-            continue
-        source = representable_sheaf(category, J, d)
-        if max(source.sizes) < 2:
-            continue  # every map out of a subterminal sheaf is monic
-        for t in presheaf_homs(source, target):
-            if all(len(set(comp)) == len(comp) for comp in t.components):
+    target = restricted_representable(category, J, c)
+    for d, source in fact(category, ("probes", J.minimal), _probes, J):
+        for t in _natural_maps(source, target):
+            if t.is_componentwise_injective():
                 continue
             W, _, _ = kernel_pair(t)
-            if not _is_supercompact(category, J, W):
+            if not _generated_by_one(W):
                 return ProbeVerdict(
                     False, False, witness=("kernel-pair", category.objects[d])
                 )
     return ProbeVerdict(True, False)
+
+
+def _probes(category, J):
+    """The (d, R_d) that `rep_is_regular` probes, d ascending: l(d)
+    supercompact, and R_d not subterminal, as every map out of a subterminal
+    presheaf is monic."""
+    return tuple(
+        (d, R)
+        for d in range(len(category.objects))
+        if rep_is_supercompact(category, J, d)
+        for R in [restricted_representable(category, J, d)]
+        if max(R.sizes, default=0) > 1
+    )
 
 
 def rep_is_coherent(category, J, c):
@@ -371,3 +448,116 @@ def rep_is_coherent(category, J, c):
     is probed; the verdict is flagged degenerate.
     """
     return ProbeVerdict(True, True)
+
+
+# ---------------------------------------------------------------------------
+# The presheaf site E_D and the report's per-object checks on it (module
+# docstring).
+
+
+def presheaf_site(category, J):
+    """E_D for J = J_D as a finite category, memoised on the category per
+    topology.  Its objects are the least idempotents e_k, ascending by
+    retract class, and its arrows the triples (u, j, k) of u: e_j -> e_k,
+    ascending by k, then j, then u."""
+    return fact(category, ("presheaf-site", J.minimal), _presheaf_site, J)
+
+
+def _presheaf_site(category, J):
+    classes = _retract_classes(category)
+    idempotents = [classes.least[k] for k in bits(classes.downset(J.minimal))]
+    table = category.table
+    morphisms = [
+        (u, j, k)
+        for k, (b, ek) in enumerate(idempotents)
+        for j, (a, ej) in enumerate(idempotents)
+        for u in category.hom(a, b)
+        if table[u, ej] == u and table[ek, u] == u
+    ]
+    index = {m: f for f, m in enumerate(morphisms)}
+    into = [[] for _ in idempotents]
+    for f, (_, _, k) in enumerate(morphisms):
+        into[k].append(f)
+    composites = {
+        (g, f): index[table[v, u], j, l]
+        for g, (v, k, l) in enumerate(morphisms)
+        for f in into[k]
+        for u, j, _ in [morphisms[f]]
+    }
+    return FiniteCategory(
+        [e for _, e in idempotents],
+        morphisms,
+        [j for _, j, _ in morphisms],
+        [k for _, _, k in morphisms],
+        [index[e, k, k] for k, (_, e) in enumerate(idempotents)],
+        composites,
+    )
+
+
+def restricted_representable(category, J, c):
+    """R_c, the representable at c restricted to E_D, as a presheaf on
+    `presheaf_site`; memoised on the category per topology and object."""
+    return fact(category, ("restricted", J.minimal, c), _restricted, J, c)
+
+
+def _restricted(category, J, c):
+    E = presheaf_site(category, J)
+    table = category.table
+    values = [
+        tuple(x for x in category.hom(category.dom[e], c) if table[x, e] == x)
+        for e in E.objects
+    ]
+    index = [{x: i for i, x in enumerate(v)} for v in values]
+    actions = tuple(
+        tuple(index[j][table[x, u]] for x in values[k]) for u, j, k in E.morphisms
+    )
+    return Presheaf._trusted(E, tuple(map(len, values)), actions)
+
+
+def _generated_by_one(P):
+    """Some element's orbit is all of P: supercompact in a presheaf topos."""
+    start, orbits = P._orbits
+    full = (1 << start[-1]) - 1
+    return full in orbits
+
+
+def _connected(P):
+    """P is nonempty and its category of elements connected: indecomposable
+    in a presheaf topos.  The component of the first element is its orbit
+    grown by every orbit that meets it."""
+    start, orbits = P._orbits
+    if not orbits:
+        return False
+    reached, grown = 0, orbits[0]
+    while grown != reached:
+        reached = grown
+        for orbit in orbits:
+            if orbit & reached:
+                grown |= orbit
+    return reached == (1 << start[-1]) - 1
+
+
+def representable_properties(category, J, c):
+    """The atom, indecomposable and supercompact verdicts of the sheafified
+    representable at c, and its value sizes, decided on R_c."""
+    R = restricted_representable(category, J, c)
+    start, orbits = R._orbits
+    full = (1 << start[-1]) - 1
+    sizes = []
+    for d, M in enumerate(J.minimal):
+        if M == category.maximal_sieve(d):
+            sizes.append(len(category.hom(d, c)))
+        else:
+            _, maps = _natural_values(restricted_representable(category, J, d), R)
+            sizes.append(sum(1 for _ in maps))
+    return {
+        "atom": bool(full) and all(orbit == full for orbit in orbits),
+        "indecomposable": _connected(R),
+        "supercompact": _generated_by_one(R),
+        "sizes": tuple(sizes),
+    }
+
+
+def terminal_is_indecomposable(category, J):
+    """The terminal sheaf is indecomposable: E_D is nonempty and connected."""
+    return _connected(terminal_presheaf(presheaf_site(category, J)))

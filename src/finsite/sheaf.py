@@ -26,7 +26,8 @@ Two facts spare the search for matching families:
 A plus step reads the topology off a frame memoised per category and least
 sieves (`category.fact`, shared by `--jobs` threads): the arrows of each
 M_c, whether it is maximal, and per non-identity h: d -> c the positions in
-M_c of the h.g, g in M_d.  So the representables of a report share one.
+M_c of the h.g, g in M_d.  So every sheafification under one topology
+shares one.
 """
 
 from __future__ import annotations

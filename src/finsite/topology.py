@@ -37,6 +37,9 @@ so D is read back from J_D.  Inclusion of the M(D) reverses inclusion of D.
 So the topologies are the down-sets of the retract classes (mutual
 retracts, such as the two constant self-maps of a two-point set, form one
 class); M_c(D) is the OR of per-class sieves computed once per category.
+D also gives each topology a second site: Sh(C, J_D) is the presheaf topos
+on the least idempotents of the classes in D, where the report decides its
+per-object checks (proof in the `objects.py` docstring).
 """
 
 from __future__ import annotations
@@ -120,7 +123,11 @@ def is_topology(category, covering):
     an assignment that fails there is scanned axiom by axiom, which names
     the first violation as the axioms state it.
     """
-    cov = [sorted(set(masks)) for masks in covering]
+    return _verdict(category, [sorted(set(masks)) for masks in covering])
+
+
+def _verdict(category, cov):
+    """`is_topology` for per-object ascending lists of distinct masks."""
     n_obj = len(category.objects)
     if len(cov) != n_obj:
         return TopologyVerdict(False, "shape", (len(cov), n_obj))
@@ -269,7 +276,8 @@ def _retract_classes(category):
 
 
 def topology(category, covering):
-    """The topology with the given covering sieves, checked by `is_topology`.
+    """The topology with the given covering sieves, checked as by
+    `is_topology` on the sorted, deduplicated lists it keeps.
 
     The checked coverage is stored as the topology's `covering`: each listed
     mask is then a sieve containing M_c, the intersection of the list, and
@@ -279,7 +287,7 @@ def topology(category, covering):
     It is the ascending tuple `covering_masks(c)` would enumerate.
     """
     cov = tuple(tuple(sorted(set(masks))) for masks in covering)
-    verdict = is_topology(category, cov)
+    verdict = _verdict(category, cov)
     if not verdict:
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"

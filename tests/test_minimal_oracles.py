@@ -74,11 +74,23 @@ force closure checks that the generating set reaches every arrow.  The
 coverage `topology()` stores as `covering` is compared, under every topology
 of these categories, with the sieves containing M_c enumerated on a fresh
 copy.
+
+The report decides its per-object checks on the presheaf site E_D.  The
+sheaf-side block it ran before (double-plus representables, closed
+subobject lattices, supercompactness by closed orbits, the regular probe
+through sheaf kernel pairs, the terminal sheaf's lattice) is kept here and
+compared, field by field, under every topology of the corpus, search and
+monoid categories and on the random sites of seeds 0-63; E_D passes
+`validate_category`, and each restricted representable is y(1_c)|E_D and
+passes the presheaf law check.  With sheafification and the closed hulls
+made to raise, the report keeps its bytes.
 """
 
 import itertools
 import json
 import random
+import sys
+import time
 from collections import Counter
 from functools import reduce
 from operator import and_, or_
@@ -119,19 +131,26 @@ from finsite.classify import (
     is_regular_site,
     is_rigid,
     j_irreducible_objects,
+    separating_set_check,
 )
-from finsite.cli import main
+from finsite.cli import _strided_map, main
 from finsite.density import is_dense
-from finsite.errors import CategoryLawError
+from finsite.errors import CategoryLawError, TopologyAxiomViolation
 from finsite.objects import (
     ProbeVerdict,
     _is_supercompact,
+    _subobjects,
     closed_hull,
     is_supercompact_object,
+    presheaf_site,
+    rep_is_coherent,
+    rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
+    restricted_representable,
     subobjects,
+    terminal_is_indecomposable,
 )
 from finsite.presheaf import (
     NatTransformation,
@@ -1364,6 +1383,16 @@ def test_least_sieve_verdict_matches_the_axiom_scans(cat, maximal):
         assert _decides_on_least(cat, [set(m) for m in covering]) == bool(want)
         assert bool(want) == naive_is_topology(cat, covering)
         valid += bool(want)
+        # topology() checks its own sorted lists: the same verdict and
+        # witness on the lists reversed, each with its first mask repeated
+        listed = [list(masks[::-1]) + list(masks[:1]) for masks in covering]
+        if want:
+            got = topology(cat, listed).covering
+            assert got == tuple(tuple(sorted(set(masks))) for masks in covering)
+        else:
+            with pytest.raises(TopologyAxiomViolation) as err:
+                topology(cat, listed)
+            assert (err.value.axiom, err.value.witness) == (want.axiom, want.witness)
     assert valid == len(enumerate_topologies(cat))
 
 
@@ -2063,3 +2092,265 @@ def test_stored_covering_is_every_sieve_above_the_least():
             )
             checked += 1
     assert checked >= 5000
+
+
+# ---------------------------------------------------------------------------
+# The report's per-object checks on the presheaf site E_D, against the
+# sheaf-side block they replaced: double-plus representables, their closed
+# subobject lattices, supercompactness by closed orbits and the regular
+# probe through sheaf kernel pairs.
+
+
+def sheaf_rep_is_regular(category, J, c):
+    """Supercompact, with supercompact kernel pairs of representable probes.
+
+    Probes run over maps from representable sheaves only, which is the
+    computable restriction of the defining quantifier; the verdict records
+    that restriction.  Only supercompact l(d) are probed, so a monic probe
+    passes without building its kernel pair, a copy of l(d).
+    """
+    if not rep_is_supercompact(category, J, c):
+        return ProbeVerdict(False, False, witness=("supercompact", category.objects[c]))
+    target = representable_sheaf(category, J, c)
+    for d in range(len(category.objects)):
+        if not rep_is_supercompact(category, J, d):
+            continue
+        source = representable_sheaf(category, J, d)
+        if max(source.sizes) < 2:
+            continue  # every map out of a subterminal sheaf is monic
+        for t in presheaf_homs(source, target):
+            if all(len(set(comp)) == len(comp) for comp in t.components):
+                continue
+            W, _, _ = kernel_pair(t)
+            if not _is_supercompact(category, J, W):
+                return ProbeVerdict(
+                    False, False, witness=("kernel-pair", category.objects[d])
+                )
+    return ProbeVerdict(True, False)
+
+
+def sheaf_object_properties(category, J, c):
+    # representable sheaves are sheaves by construction: nothing to check
+    rep = representable_sheaf(category, J, c)
+    lattice = _subobjects(category, J, rep)
+    coh = rep_is_coherent(category, J, c)
+    reg = sheaf_rep_is_regular(category, J, c)
+    compact = rep_is_compact(category, J, c)
+    return {
+        "atom": lattice.is_atom(),
+        "indecomposable": lattice.is_indecomposable(),
+        "supercompact": _is_supercompact(category, J, rep),
+        "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
+        "irreducible": rep_is_irreducible(category, J, c),
+        "supercompact_by_sieves": rep_is_supercompact(category, J, c),
+        "coherent": {
+            "holds": bool(coh),
+            "degenerate": coh.degenerate,
+            "probe_restricted": coh.probe_restricted,
+        },
+        "regular": {
+            "holds": bool(reg),
+            "probe_restricted": reg.probe_restricted,
+        },
+        "values": {
+            category.objects[d]: rep.sizes[d]
+            for d in range(len(category.objects))
+        },
+    }
+
+
+def sheaf_terminal_is_indecomposable(category, J):
+    # the terminal presheaf is a sheaf for every topology
+    return _subobjects(
+        category, J, terminal_presheaf(category)
+    ).is_indecomposable()
+
+
+def small_first_plus(cat, J):
+    """Every representable's first plus has at most 27 elements, which
+    leaves out four topologies of three submonoids of T_4 (64 to 4,096)."""
+    return all(
+        sum(_plus(cat, J, yoneda(cat, c))[0].sizes) <= 27
+        for c in range(len(cat.objects))
+    )
+
+
+def site_cases():
+    """Every topology of the distinct corpus, search and monoid categories,
+    then the sites of `random_sites` for seeds 0-63."""
+    cats = []
+    for cat in CATEGORIES + [
+        p.values[0] for p in SEARCH_CATEGORIES + MONOID_CATEGORIES
+    ]:
+        if cat not in cats:
+            cats.append(cat)
+    for cat in cats:
+        for J in enumerate_topologies(cat).elements:
+            yield cat, J
+    for seed in range(64):
+        for site in random_sites(seed):
+            yield site.category, site.topology
+
+
+def test_object_checks_on_the_presheaf_site_match_the_sheaf_side_block():
+    seen = Counter()
+    for cat, J in site_cases():
+        if not small_first_plus(cat, J):
+            seen["large"] += 1
+            continue
+        report = classify_report(cat, J)
+        want = [sheaf_object_properties(cat, J, c) for c in range(len(cat.objects))]
+        for c, name in enumerate(cat.objects):
+            assert report["objects"][name] == want[c], (cat.morphisms, J.minimal, c)
+        terminal = sheaf_terminal_is_indecomposable(cat, J)
+        assert terminal_is_indecomposable(cat, J) == terminal
+        for predicate in ("atom", "indecomposable"):
+            assert separating_set_check(cat, J, predicate) == all(
+                w[predicate] for w in want
+            )
+        seen["sites"] += 1
+        seen["terminal", terminal] += 1
+        for w in want:
+            for field in ("atom", "indecomposable", "supercompact"):
+                seen[field, w[field]] += 1
+            seen["regular", w["regular"]["holds"]] += 1
+    assert seen["large"] == 4 and seen["sites"] == 490 + 256
+    for field in ("terminal", "atom", "indecomposable", "supercompact", "regular"):
+        assert seen[field, True] >= 50 and seen[field, False] >= 50, seen
+
+
+def validated(E):
+    """E_D rebuilt from its data by `validate_category`, which checks every
+    law."""
+    names = E.morphisms
+    return validate_category(
+        E.objects,
+        [(m, E.objects[m[1]], E.objects[m[2]]) for m in names],
+        {e: names[f] for e, f in zip(E.objects, E.identity)},
+        {(names[g], names[f]): names[h] for (g, f), h in E.table.items()},
+    )
+
+
+def restricted_yoneda(cat, E, d):
+    """y(1_d)|E_D: the fixed points of y(d)(e_k) at each e_k, u acting as
+    y(d)(u) does."""
+    Y = yoneda(cat, d)
+    keep = [
+        [x for x in range(Y.sizes[cat.dom[e]]) if Y.actions[e][x] == x]
+        for e in E.objects
+    ]
+    pos = [{x: i for i, x in enumerate(k)} for k in keep]
+    return tuple(map(len, keep)), tuple(
+        tuple(pos[j][Y.actions[u][x]] for x in keep[k]) for u, j, k in E.morphisms
+    )
+
+
+def mutual_retracts(cat):
+    """Pairs (e, e') of idempotents, each r.e.s of the other."""
+    idempotents = [f for f in range(len(cat.morphisms)) if cat.table.get((f, f)) == f]
+    below = {
+        e: {
+            cat.compose(cat.compose(r, e), s)
+            for r in cat.outof(cat.cod[e])
+            for s in cat.into(cat.dom[e])
+        }
+        for e in idempotents
+    }
+    return idempotents, {
+        (a, b) for a in idempotents for b in idempotents if a in below[b] and b in below[a]
+    }
+
+
+def test_presheaf_site_and_restricted_representables_obey_the_laws():
+    """E_D has one object per retract class of D = {e : e in M_dom(e)},
+    passes `validate_category` and composes as C does, each arrow v: e_k ->
+    e_l having e_l.v.e_k = v; each R_c is y(1_c)|E_D and passes the presheaf
+    law check."""
+    checked = Counter()
+    retracts = {}
+    for cat, J in site_cases():
+        if cat not in retracts:
+            retracts[cat] = mutual_retracts(cat)
+        idempotents, mutual = retracts[cat]
+        E = presheaf_site(cat, J)
+        for e in idempotents:
+            in_D = J.minimal[cat.dom[e]] >> e & 1
+            assert sum((e, x) in mutual for x in E.objects) == in_D
+        checked["objects"] += len(E.objects)
+        assert validated(E) == E
+        for j, ej in enumerate(E.objects):
+            for k, ek in enumerate(E.objects):
+                assert len(E.hom(j, k)) == sum(
+                    cat.compose(cat.compose(ek, u), ej) == u
+                    for u in cat.hom(cat.dom[ej], cat.dom[ek])
+                )
+        for (g, f), h in E.table.items():
+            (v, k, l), (u, j, _) = E.morphisms[g], E.morphisms[f]
+            assert E.morphisms[h] == (cat.compose(v, u), j, l)
+            assert cat.compose(cat.compose(E.objects[l], v), E.objects[k]) == v
+        for c in range(len(cat.objects)):
+            R = restricted_representable(cat, J, c)
+            assert (R.sizes, R.actions) == restricted_yoneda(cat, E, c)
+            check_presheaf_laws(R)
+            checked["representables"] += 1
+    assert checked["objects"] >= 1000 and checked["representables"] >= 2000
+
+
+def raiser(name):
+    def refuse(*args, **kwargs):
+        raise AssertionError("%s ran on the report path" % (name,))
+
+    return refuse
+
+
+def test_the_report_builds_no_sheaf(monkeypatch):
+    """With the sheafification and the closed hulls made to raise, the
+    report of every corpus site and every topology of the one-object
+    monoids has the bytes it had before."""
+    cases = [(s.category, s.topology) for s in corpus(seed=0, random_count=8)]
+    for _, cat in ONE_OBJECT_MONOIDS:
+        cases += [(cat, J) for J in enumerate_topologies(cat).elements]
+    want = [canonical_json(classify_report(cat, J)) for cat, J in cases]
+    originals = {}
+    for module_name, name in (
+        ("sheaf", "representable_sheaf"),
+        ("sheaf", "sheafify"),
+        ("sheaf", "_plus"),
+        ("objects", "closed_hull"),
+        ("objects", "_close_locally"),
+        ("objects", "_subobjects"),
+        ("objects", "_is_supercompact"),
+    ):
+        originals[name] = getattr(sys.modules["finsite." + module_name], name)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("finsite"):
+            for attr, value in list(vars(module).items()):
+                for name, original in originals.items():
+                    if value is original:
+                        monkeypatch.setattr(module, attr, raiser(name))
+    for (cat, J), report in zip(cases, want):
+        fresh = fresh_copy(cat)
+        J = GrothendieckTopology(fresh, J.minimal)
+        assert canonical_json(classify_report(fresh, J)) == report
+        assert canonical_json(classify_report(fresh, J, mapper=jobs2)) == report
+
+
+def jobs2(fn, tasks):
+    return _strided_map(2, fn, tasks)
+
+
+def test_t4_sub7_report_finishes():
+    """The report of the 10-element submonoid of T_4 under M = (894,), whose
+    representable sheaf has 4,096 elements, decides its objects on E_D; the
+    double plus agrees on its values and the closed orbits on supercompact."""
+    (cat,) = [p.values[0] for p in MONOID_CATEGORIES if p.id == "T4-sub7"]
+    J = GrothendieckTopology(cat, (894,))
+    assert J.minimal in [K.minimal for K in enumerate_topologies(cat).elements]
+    start = time.perf_counter()
+    report = classify_report(cat, J)
+    assert time.perf_counter() - start < 5
+    (name,) = cat.objects
+    A = representable_sheaf(cat, J, 0)
+    assert A.sizes == (4096,)
+    assert report["objects"][name]["values"] == {name: 4096}
+    assert report["objects"][name]["supercompact"] == _is_supercompact(cat, J, A)
