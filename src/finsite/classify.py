@@ -305,7 +305,7 @@ def separating_set_check(category, J, predicate):
     site (see `objects.py`).
     """
     if predicate not in ("atom", "indecomposable"):
-        raise ValueError("predicate must be one of %r" % (["atom", "indecomposable"],))
+        raise ValueError("predicate must be one of ['atom', 'indecomposable']")
     return all(
         representable_properties(category, J, c)[predicate]
         for c in range(len(category.objects))

@@ -104,7 +104,6 @@ from .errors import WrongTopology
 from .presheaf import (
     Presheaf,
     _natural_maps,
-    _natural_values,
     kernel_pair,
     presheaf_homs,
     terminal_presheaf,
@@ -548,8 +547,8 @@ def representable_properties(category, J, c):
         if M == category.maximal_sieve(d):
             sizes.append(len(category.hom(d, c)))
         else:
-            _, maps = _natural_values(restricted_representable(category, J, d), R)
-            sizes.append(sum(1 for _ in maps))
+            source = restricted_representable(category, J, d)
+            sizes.append(sum(1 for _ in _natural_maps(source, R)))
     return {
         "atom": bool(full) and all(orbit == full for orbit in orbits),
         "indecomposable": _connected(R),

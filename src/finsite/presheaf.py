@@ -95,25 +95,6 @@ class Presheaf:
         return tuple(start), tuple(orbits)
 
     @cached_property
-    def _naturality(self):
-        """The target-free part of `_natural_maps` out of this presheaf: the
-        offset of each object's elements, the object of each element, and
-        per element (b, x) the pairs (f, node of (a, P(f)x)) over the
-        non-identity f: a -> b."""
-        cat = self.category
-        start = [0]
-        for n in self.sizes:
-            start.append(start[-1] + n)
-        objects = [c for c, n in enumerate(self.sizes) for _ in range(n)]
-        edges = [[] for _ in objects]
-        for f, (a, b) in enumerate(zip(cat.dom, cat.cod)):
-            if cat.is_identity(f):
-                continue
-            for x, y in enumerate(self.actions[f]):
-                edges[start[b] + x].append((f, start[a] + y))
-        return tuple(start), tuple(objects), tuple(map(tuple, edges))
-
-    @cached_property
     def _hull_steps(self):
         """Memo of the local closure tables of `objects.closed_hull`, keyed
         by the least covering sieves of the topology."""
@@ -277,31 +258,31 @@ def _propagate(edges, value, trail, i, x):
 
 
 def _natural_maps(P, Q):
-    """Natural maps P -> Q as compatible families on the elements of P."""
-    start, values = _natural_values(P, Q)
+    """Natural maps P -> Q as compatible families on the elements of P.
+
+    Element x of P(c) is a node with values in Q(c); f: a -> b ties node
+    (b, x) to node (a, P(f)x) through Q(f), which is naturality at f.
+    """
+    cat = P.category
+    if cat != Q.category:
+        raise PresheafLawError("presheaves live on different categories")
+    start = [0]
+    for n in P.sizes:
+        start.append(start[-1] + n)
+    sizes = [Q.sizes[c] for c, n in enumerate(P.sizes) for _ in range(n)]
+    edges = [[] for _ in sizes]
+    for f in range(len(cat.morphisms)):
+        if cat.is_identity(f):
+            continue
+        a, b = cat.dom[f], cat.cod[f]
+        for x, y in enumerate(P.actions[f]):
+            edges[start[b] + x].append((Q.actions[f], start[a] + y))
     return (
         NatTransformation._trusted(
             P, Q, tuple(v[start[c]:start[c + 1]] for c in range(len(P.sizes)))
         )
-        for v in values
+        for v in compatible_families(sizes, edges)
     )
-
-
-def _natural_values(P, Q):
-    """The offsets of P's objects in a node list, and the generator of the
-    natural maps P -> Q as tuples of values over those nodes.
-
-    Element x of P(c) is a node with values in Q(c); f: a -> b ties node
-    (b, x) to node (a, P(f)x) through Q(f), which is naturality at f.  The
-    nodes and ties are P's alone (`Presheaf._naturality`), so the targets
-    of several searches share them.
-    """
-    if P.category != Q.category:
-        raise PresheafLawError("presheaves live on different categories")
-    start, objects, ties = P._naturality
-    actions = Q.actions
-    edges = [[(actions[f], j) for f, j in node] for node in ties]
-    return start, compatible_families([Q.sizes[c] for c in objects], edges)
 
 
 def _natural_isos(P, Q):
