@@ -44,6 +44,7 @@ from .objects import (
     rep_is_regular,
     rep_is_supercompact,
     representable_properties,
+    representable_sizes,
     terminal_is_indecomposable,
 )
 from .presheaf import Presheaf, compatible_families
@@ -360,14 +361,11 @@ REPORT_SCHEMA = "finsite-report/1"
 def _object_properties(category, J, c):
     # decided on the presheaf site E_D, where the sheafified representable
     # is the restricted one and no sheaf is built (see `objects.py`)
-    rep = representable_properties(category, J, c)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
     compact = rep_is_compact(category, J, c)
     return {
-        "atom": rep["atom"],
-        "indecomposable": rep["indecomposable"],
-        "supercompact": rep["supercompact"],
+        **representable_properties(category, J, c),
         "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
@@ -380,7 +378,7 @@ def _object_properties(category, J, c):
             "holds": bool(reg),
             "probe_restricted": reg.probe_restricted,
         },
-        "values": dict(zip(category.objects, rep["sizes"])),
+        "values": dict(zip(category.objects, representable_sizes(category, J, c))),
     }
 
 

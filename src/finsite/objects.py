@@ -103,7 +103,6 @@ from .category import FiniteCategory, bits, fact
 from .errors import WrongTopology
 from .presheaf import (
     Presheaf,
-    _natural_maps,
     kernel_pair,
     presheaf_homs,
     terminal_presheaf,
@@ -415,7 +414,7 @@ def rep_is_regular(category, J, c):
         return ProbeVerdict(False, False, witness=("supercompact", category.objects[c]))
     target = restricted_representable(category, J, c)
     for d, source in fact(category, ("probes", J.minimal), _probes, J):
-        for t in _natural_maps(source, target):
+        for t in presheaf_homs(source, target):
             if t.is_componentwise_injective():
                 continue
             W, _, _ = kernel_pair(t)
@@ -538,23 +537,27 @@ def _connected(P):
 
 def representable_properties(category, J, c):
     """The atom, indecomposable and supercompact verdicts of the sheafified
-    representable at c, and its value sizes, decided on R_c."""
+    representable at c, decided on R_c."""
     R = restricted_representable(category, J, c)
     start, orbits = R._orbits
     full = (1 << start[-1]) - 1
-    sizes = []
-    for d, M in enumerate(J.minimal):
-        if M == category.maximal_sieve(d):
-            sizes.append(len(category.hom(d, c)))
-        else:
-            source = restricted_representable(category, J, d)
-            sizes.append(sum(1 for _ in _natural_maps(source, R)))
     return {
         "atom": bool(full) and all(orbit == full for orbit in orbits),
         "indecomposable": _connected(R),
         "supercompact": _generated_by_one(R),
-        "sizes": tuple(sizes),
     }
+
+
+def representable_sizes(category, J, c):
+    """The value sizes of the sheafified representable at c: hom(d, c) where
+    M_d is maximal, otherwise the number of natural maps R_d -> R_c."""
+    R = restricted_representable(category, J, c)
+    return tuple(
+        len(category.hom(d, c))
+        if M == category.maximal_sieve(d)
+        else len(presheaf_homs(restricted_representable(category, J, d), R))
+        for d, M in enumerate(J.minimal)
+    )
 
 
 def terminal_is_indecomposable(category, J):

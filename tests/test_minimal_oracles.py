@@ -2257,7 +2257,10 @@ def mutual_retracts(cat):
         for e in idempotents
     }
     return idempotents, {
-        (a, b) for a in idempotents for b in idempotents if a in below[b] and b in below[a]
+        (a, b)
+        for a in idempotents
+        for b in idempotents
+        if a in below[b] and b in below[a]
     }
 
 
