@@ -92,7 +92,7 @@ import random
 import sys
 import time
 from collections import Counter
-from functools import reduce
+from functools import partial, reduce
 from operator import and_, or_
 
 import pytest
@@ -2314,32 +2314,30 @@ def test_the_report_builds_no_sheaf(monkeypatch):
     for _, cat in ONE_OBJECT_MONOIDS:
         cases += [(cat, J) for J in enumerate_topologies(cat).elements]
     want = [canonical_json(classify_report(cat, J)) for cat, J in cases]
-    originals = {}
-    for module_name, name in (
-        ("sheaf", "representable_sheaf"),
-        ("sheaf", "sheafify"),
-        ("sheaf", "_plus"),
-        ("objects", "closed_hull"),
-        ("objects", "_close_locally"),
-        ("objects", "_subobjects"),
-        ("objects", "_is_supercompact"),
-    ):
-        originals[name] = getattr(sys.modules["finsite." + module_name], name)
+    originals = {
+        name: getattr(sys.modules["finsite." + module_name], name)
+        for module_name, name in (
+            ("sheaf", "representable_sheaf"),
+            ("sheaf", "sheafify"),
+            ("sheaf", "_plus"),
+            ("objects", "closed_hull"),
+            ("objects", "_close_locally"),
+            ("objects", "_subobjects"),
+            ("objects", "_is_supercompact"),
+        )
+    }
     for module_name, module in list(sys.modules.items()):
         if module_name.startswith("finsite"):
             for attr, value in list(vars(module).items()):
                 for name, original in originals.items():
                     if value is original:
                         monkeypatch.setattr(module, attr, raiser(name))
+    jobs2 = partial(_strided_map, 2)
     for (cat, J), report in zip(cases, want):
         fresh = fresh_copy(cat)
         J = GrothendieckTopology(fresh, J.minimal)
         assert canonical_json(classify_report(fresh, J)) == report
         assert canonical_json(classify_report(fresh, J, mapper=jobs2)) == report
-
-
-def jobs2(fn, tasks):
-    return _strided_map(2, fn, tasks)
 
 
 def test_t4_sub7_report_finishes():
