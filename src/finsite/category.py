@@ -43,7 +43,8 @@ def fact(category, key, compute, *args):
     category's `is_cartesian`, `has_right_ore` and `is_cauchy_complete`,
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
     `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, and the
-    presheaf site of `objects.py` with its restricted representables.  The
+    presheaf site of `objects.py` with its restricted representables and
+    the regular probe's sources.  The
     first caller computes a fact under the category's own lock while callers
     on other threads wait for it; the lock is reentrant, as one fact reads
     others of the same category.  A compute function must take no other
