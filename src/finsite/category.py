@@ -40,15 +40,17 @@ def fact(category, key, compute, *args):
     """compute(category, *args), computed once per category and key.
 
     The site facts several report tasks read are memoised here: the
-    category's `is_cartesian`, `has_right_ore` and `is_cauchy_complete`,
+    category's `is_cartesian`, `has_right_ore`, `is_cauchy_complete` and
+    the retract classes of its idempotents (`topology._retract_classes`),
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
-    `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, and the
+    `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, the
+    sheafified representables of `sheaf.representable_sheaf`, and the
     presheaf site of `objects.py` with its restricted representables and
-    the regular probe's sources.  The
-    first caller computes a fact under the category's own lock while callers
-    on other threads wait for it; the lock is reentrant, as one fact reads
-    others of the same category.  A compute function must take no other
-    lock, nor read the facts of another category.
+    the regular probe's sources.  The first caller computes a fact under
+    the category's own lock while callers on other threads wait for it; the
+    lock is reentrant, as one fact reads others of the same category.  A
+    compute function must take no other lock, nor read the facts of another
+    category.
     """
     facts = category._facts
     if key in facts:
@@ -84,8 +86,6 @@ class FiniteCategory:
         "_sieves",
         "_described",
         "_realized",
-        "_rep_sheaves",
-        "_retracts",
         "_facts",
         "_fact_lock",
         "_hash",
@@ -122,12 +122,10 @@ class FiniteCategory:
                 mask |= 1 << self.table[(f, g)]
             principal.append(mask)
         self._principal = tuple(principal)
-        # memos filled by sieves.py, Subcategory.realize, sheaf.py and topology.py
+        # memos filled by sieves.py, Subcategory.realize and topology.py
         self._sieves = {}
         self._described = {}
         self._realized = {}
-        self._rep_sheaves = {}
-        self._retracts = None
         # site facts, filled by `fact` under `_fact_lock`
         self._facts = {}
         self._fact_lock = threading.RLock()

@@ -18,10 +18,6 @@ gains an element locally.  Closing a subpresheaf is idempotent (the axioms
 of the topology make the closure a closed subpresheaf), so it takes one pass
 over the elements.
 
-Sub(A) is a Heyting algebra, so a subobject has a complement exactly when
-its pseudo-complement (the largest subobject disjoint from it) is one;
-indecomposability tests that for each element instead of every pair.
-
 The presheaf site.  J = J_D for the retract-closed set D of idempotents e
 with e in M_dom(e) (see `topology.py`).  Let E_D have one object per retract
 class in D, its least idempotent e_k (`_RetractClasses.least`), and as
@@ -54,10 +50,12 @@ representable a(y c) corresponds to the restricted representable
     R_c(e_k) = {x: dom e_k -> c : x.e_k = x},  u acting by x |-> x.u,
 
 and each per-object question of the report is decided on R_c in a presheaf
-topos, where a subobject is a subpresheaf and needs no local closure.  The
-orbit of x in R(e_k), the restrictions of x along every u into e_k, is the
-least subpresheaf holding x, and every subpresheaf is the union of the
-orbits of its elements.
+topos, where a subobject is a subpresheaf and needs no local closure.  So
+are the public `is_atom`, `is_indecomposable` and `is_supercompact_object`
+on any sheaf A, on A|E_D (`restrict`): the three are invariant under
+equivalence.  For a presheaf R on E_D, the orbit of x in R(e_k), the
+restrictions of x along every u into e_k, is the least subpresheaf holding
+x, and every subpresheaf is the union of the orbits of its elements.
 
 - Atom: exactly two subobjects, 0 and R.  That is R nonempty with every
   nonempty subpresheaf equal to R, and each such holds an orbit: every
@@ -86,12 +84,14 @@ orbits of its elements.
   a kernel pair is supercompact when one element generates it.  Every map
   out of a subterminal R_d, one with at most one element at every e, is
   monic, so such d are skipped.
-
-The sheaf-side functions (`subobjects`, `is_atom`, `is_indecomposable`,
-`is_supercompact_object`) take any sheaf.  By the same equivalence a sheaf
-A is supercompact exactly when one fixed point x in A(dom e) of an e in D
-generates it, the closure of its orbit being A; one e per retract class
-will do.
+- Indecomposable projective, under the trivial topology: every idempotent
+  lies in D, so E_D is a skeleton of Kar(C).  Kar(C) is Cauchy complete, so
+  a retract of a representable of [Kar(C)^op, Set] is representable, and
+  the retracts of representables on E_D are exactly the E(-, e_k).  P|E_D
+  is isomorphic to E(-, e_k) exactly when some x in P|E_D(e_k) makes the
+  Yoneda map u |-> P(u)x bijective: its image is the orbit of x, so the
+  orbit is all of P|E_D, and a surjection between finite sets of one size
+  is a bijection, so |P|E_D(e_j)| = |E(e_j, e_k)| for every j.
 """
 
 from __future__ import annotations
@@ -101,13 +101,7 @@ from functools import cached_property
 
 from .category import FiniteCategory, bits, fact
 from .errors import WrongTopology
-from .presheaf import (
-    Presheaf,
-    kernel_pair,
-    presheaf_homs,
-    terminal_presheaf,
-    yoneda,
-)
+from .presheaf import Presheaf, kernel_pair, presheaf_homs, terminal_presheaf
 from .sheaf import require_sheaf
 from .topology import _retract_classes, trivial_topology
 
@@ -220,38 +214,6 @@ class SubobjectLattice:
     def leq(self, x, y):
         return all(a & ~b == 0 for a, b in zip(x, y))
 
-    def pseudo_complement(self, x):
-        """The largest subobject y with x meet y = zero.
-
-        Sub(A) is a Heyting algebra, so the join of all such y is one of
-        them; being the largest, it has the most elements.
-        """
-        zero = self.zero
-        return max(
-            (y for y in self.elements if self.meet(x, y) == zero),
-            key=lambda y: sum(m.bit_count() for m in y),
-        )
-
-    def is_atom(self):
-        """Exactly two subobjects (and hence a strict bottom below A)."""
-        return len(self.elements) == 2
-
-    def is_indecomposable(self):
-        """Nonzero, and no complemented subobject besides zero and A.
-
-        In a Heyting algebra a complement of x, if there is one, is its
-        pseudo-complement, so x is complemented exactly when x joined with
-        its pseudo-complement is A: one hull per element.
-        """
-        zero, top = self.zero, self.top
-        if zero == top:
-            return False
-        return not any(
-            self.join(x, self.pseudo_complement(x)) == top
-            for x in self.elements
-            if x != zero and x != top
-        )
-
 
 def subobjects(category, J, A):
     """Enumerate every subobject of the sheaf A.
@@ -286,36 +248,24 @@ def _subobjects(category, J, A):
 
 
 def is_atom(category, J, A):
-    """Exactly two subobjects (and hence a strict bottom below A)."""
-    return subobjects(category, J, A).is_atom()
+    """Exactly two subobjects (and hence a strict bottom below A), decided
+    on A|E_D."""
+    require_sheaf(category, J, A, "ambient object")
+    return _properties(restrict(category, J, A))["atom"]
 
 
 def is_indecomposable(category, J, A):
-    """Nonzero, and no complemented subobject pair besides {0, A}."""
-    return subobjects(category, J, A).is_indecomposable()
+    """Nonzero, and no complemented subobject pair besides {0, A}, decided
+    on A|E_D."""
+    require_sheaf(category, J, A, "ambient object")
+    return _properties(restrict(category, J, A))["indecomposable"]
 
 
 def is_supercompact_object(category, J, A):
-    """A is not the join of its proper subobjects: one element generates it
-    (see the module docstring)."""
+    """A is not the join of its proper subobjects, decided on A|E_D: one
+    element generates it."""
     require_sheaf(category, J, A, "object")
-    return _is_supercompact(category, J, A)
-
-
-def _is_supercompact(category, J, A):
-    """`is_supercompact_object` for an A known to be a sheaf."""
-    classes = _retract_classes(category)
-    D = classes.downset(J.minimal)
-    start, orbits = A._orbits
-    full = (1 << start[-1]) - 1
-    steps = _local_steps(category, J, A)
-    for k in bits(D):
-        a, e = classes.least[k]
-        tab = A.actions[e]
-        for x in range(A.sizes[a]):
-            if tab[x] == x and _close_locally(steps, orbits[start[a] + x]) == full:
-                return True
-    return False
+    return _properties(restrict(category, J, A))["supercompact"]
 
 
 @dataclass(frozen=True)
@@ -369,25 +319,24 @@ def is_indecomposable_projective(category, J, P):
     """P is a retract of some representable (presheaf context only).
 
     In presheaf categories the retracts of representables are exactly the
-    indecomposable projectives.  By Yoneda, the maps y(c) -> P are the
-    elements x of P(c), acting as h |-> P(h)x, so P is a retract of y(c)
-    when some section s: P -> y(c) and some x in P(c) have P(s(p))x = p for
-    every element p of P.
+    indecomposable projectives.  Under the trivial topology they are the P
+    with P|E_D isomorphic to some E(-, e_k): some x in P|E_D(e_k) has orbit
+    all of P|E_D, and |P|E_D(e_j)| = |E(e_j, e_k)| for every j (module
+    docstring).
     """
     if J.minimal != trivial_topology(category).minimal:
         raise WrongTopology(
             "indecomposable projectives are computed over the trivial topology"
         )
-    for c in range(len(category.objects)):
-        for s in presheaf_homs(P, yoneda(category, c)):
-            for x in range(P.sizes[c]):
-                if all(
-                    P.apply(category.hom(d, c)[i], x) == p
-                    for d, comp in enumerate(s.components)
-                    for p, i in enumerate(comp)
-                ):
-                    return True
-    return False
+    R = restrict(category, J, P)
+    E = R.category
+    start, orbits = R._orbits
+    full = (1 << start[-1]) - 1
+    return any(
+        R.sizes == tuple(len(E.hom(j, k)) for j in range(len(E.objects)))
+        and full in orbits[start[k] : start[k + 1]]
+        for k in range(len(E.objects))
+    )
 
 
 @dataclass(frozen=True)
@@ -418,7 +367,7 @@ def rep_is_regular(category, J, c):
             if t.is_componentwise_injective():
                 continue
             W, _, _ = kernel_pair(t)
-            if not _generated_by_one(W):
+            if not _properties(W)["supercompact"]:
                 return ProbeVerdict(
                     False, False, witness=("kernel-pair", category.objects[d])
                 )
@@ -512,11 +461,19 @@ def _restricted(category, J, c):
     return Presheaf._trusted(E, tuple(map(len, values)), actions)
 
 
-def _generated_by_one(P):
-    """Some element's orbit is all of P: supercompact in a presheaf topos."""
-    start, orbits = P._orbits
-    full = (1 << start[-1]) - 1
-    return full in orbits
+def restrict(category, J, A):
+    """A|E_D as a presheaf on `presheaf_site`: at e_k the fixed points of
+    A(e_k), ascending, with u: e_j -> e_k acting by A(u)."""
+    E = presheaf_site(category, J)
+    values = [
+        tuple(x for x, y in enumerate(A.actions[e]) if x == y) for e in E.objects
+    ]
+    index = [{x: i for i, x in enumerate(v)} for v in values]
+    actions = tuple(
+        tuple(index[j][A.actions[u][x]] for x in values[k])
+        for u, j, k in E.morphisms
+    )
+    return Presheaf._trusted(E, tuple(map(len, values)), actions)
 
 
 def _connected(P):
@@ -535,17 +492,22 @@ def _connected(P):
     return reached == (1 << start[-1]) - 1
 
 
-def representable_properties(category, J, c):
-    """The atom, indecomposable and supercompact verdicts of the sheafified
-    representable at c, decided on R_c."""
-    R = restricted_representable(category, J, c)
+def _properties(R):
+    """The atom, indecomposable and supercompact verdicts of a presheaf R on
+    E_D (module docstring)."""
     start, orbits = R._orbits
     full = (1 << start[-1]) - 1
     return {
         "atom": bool(full) and all(orbit == full for orbit in orbits),
         "indecomposable": _connected(R),
-        "supercompact": _generated_by_one(R),
+        "supercompact": full in orbits,
     }
+
+
+def representable_properties(category, J, c):
+    """The atom, indecomposable and supercompact verdicts of the sheafified
+    representable at c, decided on R_c."""
+    return _properties(restricted_representable(category, J, c))
 
 
 def representable_sizes(category, J, c):

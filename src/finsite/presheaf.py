@@ -122,6 +122,12 @@ class NatTransformation:
     def __post_init__(self):
         P, Q = self.source, self.target
         cat = P.category
+        _same_category(P, Q)
+        if len(self.components) != len(cat.objects):
+            raise PresheafLawError(
+                "%d components for %d objects"
+                % (len(self.components), len(cat.objects))
+            )
         for c, comp in enumerate(self.components):
             if len(comp) != P.sizes[c]:
                 raise PresheafLawError("component at %r has wrong arity" % (c,))
@@ -165,6 +171,11 @@ class NatTransformation:
             self.is_componentwise_injective()
             and self.is_componentwise_surjective()
         )
+
+
+def _same_category(P, Q):
+    if P.category != Q.category:
+        raise PresheafLawError("presheaves live on different categories")
 
 
 def identity_nat(P):
@@ -264,8 +275,7 @@ def _natural_maps(P, Q):
     (b, x) to node (a, P(f)x) through Q(f), which is naturality at f.
     """
     cat = P.category
-    if cat != Q.category:
-        raise PresheafLawError("presheaves live on different categories")
+    _same_category(P, Q)
     start = [0]
     for n in P.sizes:
         start.append(start[-1] + n)

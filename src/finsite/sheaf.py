@@ -32,6 +32,7 @@ shares one.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .category import bits, fact
@@ -77,17 +78,6 @@ def matching_families(category, P, c, mask):
     return tuple(compatible_families(sizes, edges))
 
 
-def amalgamations(category, P, c, mask, family):
-    arrows = tuple(bits(mask))
-    out = []
-    for x in range(P.sizes[c]):
-        if all(
-            P.apply(f, x) == family[i] for i, f in enumerate(arrows)
-        ):
-            out.append(x)
-    return out
-
-
 @dataclass(frozen=True)
 class SheafVerdict:
     ok: bool
@@ -102,13 +92,16 @@ def is_sheaf(category, J, P):
 
     A presheaf that is a sheaf for every M_d is one for every covering
     sieve, since each contains M_c.  Maximal M_c are skipped: their families
-    are the elements of P(c) and always amalgamate uniquely.
+    are the elements of P(c) and always amalgamate uniquely.  The
+    amalgamations of a family are the elements whose restriction tuple it
+    is, so each M_c counts the tuples of P(c) once.
     """
     for c, S in enumerate(J.minimal):
         if S == category.maximal_sieve(c):
             continue
+        counts = Counter(_restrictions(P, c, tuple(bits(S))))
         for family in matching_families(category, P, c, S):
-            n = len(amalgamations(category, P, c, S, family))
+            n = counts[family]
             if n != 1:
                 return SheafVerdict(False, (c, S, family, n))
     return SheafVerdict(True)
@@ -168,12 +161,11 @@ def sheafify(category, J, P):
 def representable_sheaf(category, J, c):
     """Sheafification of the representable at object index c, memoised on
     the category."""
-    key = (J.minimal, c)
-    sheaf = category._rep_sheaves.get(key)
-    if sheaf is None:
-        sheaf, _ = sheafify(category, J, yoneda(category, c))
-        category._rep_sheaves[key] = sheaf
-    return sheaf
+    return fact(category, ("rep-sheaf", J.minimal, c), _representable_sheaf, J, c)
+
+
+def _representable_sheaf(category, J, c):
+    return sheafify(category, J, yoneda(category, c))[0]
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .category import bits, has_right_ore
+from .category import bits, fact, has_right_ore
 from .errors import (
     CodomainMismatch,
     InvalidSubcategory,
@@ -245,9 +245,10 @@ class _RetractClasses:
 
 def _retract_classes(category):
     """The retract classes of the category's idempotents, memoised on it."""
-    if category._retracts is not None:
-        return category._retracts
-    cat = category
+    return fact(category, ("retracts",), _retracts)
+
+
+def _retracts(cat):
     idempotents = [f for f in range(len(cat.morphisms)) if cat.table.get((f, f)) == f]
     on = {}
     for e in idempotents:
@@ -266,13 +267,12 @@ def _retract_classes(category):
         classes.setdefault(below, []).append(e)
     order = sorted(classes.items(), key=lambda item: (len(item[0]), item[1][0]))
     position = {e: k for k, (_, members) in enumerate(order) for e in members}
-    category._retracts = _RetractClasses(
+    return _RetractClasses(
         len(cat.objects),
         tuple((cat.dom[members[0]], members[0]) for _, members in order),
         tuple(reduce(or_, (1 << position[x] for x in below), 0) for below, _ in order),
         tuple(sieves[members[0]] for _, members in order),
     )
-    return category._retracts
 
 
 def topology(category, covering):

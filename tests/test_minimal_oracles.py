@@ -77,13 +77,17 @@ copy.
 
 The report decides its per-object checks on the presheaf site E_D.  The
 sheaf-side block it ran before (double-plus representables, closed
-subobject lattices, supercompactness by closed orbits, the regular probe
-through sheaf kernel pairs, the terminal sheaf's lattice) is kept here and
-compared, field by field, under every topology of the corpus, search and
-monoid categories and on the random sites of seeds 0-63; E_D passes
-`validate_category`, and each restricted representable is y(1_c)|E_D and
-passes the presheaf law check.  With sheafification and the closed hulls
-made to raise, the report keeps its bytes.
+subobject lattices read pair by pair, supercompactness as a join of
+principal subobjects, the regular probe through sheaf kernel pairs, the
+terminal sheaf's lattice) is kept here and compared, field by field, under
+every topology of the corpus, search and monoid categories and on the
+random sites of seeds 0-63; E_D passes `validate_category`, and each
+restricted representable is y(1_c)|E_D and passes the presheaf law check.
+With sheafification and the closed hulls made to raise, the report keeps
+its bytes.  The public object predicates, which decide on A|E_D as well,
+are compared with the walks on sheafified random presheaves, and the
+projective test with the section-and-retraction search, on split retracts
+of representables too.
 """
 
 import itertools
@@ -138,9 +142,13 @@ from finsite.density import is_dense
 from finsite.errors import CategoryLawError, TopologyAxiomViolation
 from finsite.objects import (
     ProbeVerdict,
-    _is_supercompact,
+    SubobjectLattice,
+    _properties,
     _subobjects,
     closed_hull,
+    is_atom,
+    is_indecomposable,
+    is_indecomposable_projective,
     is_supercompact_object,
     presheaf_site,
     rep_is_coherent,
@@ -148,6 +156,7 @@ from finsite.objects import (
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
+    restrict,
     restricted_representable,
     subobjects,
     terminal_is_indecomposable,
@@ -175,7 +184,6 @@ from finsite.sheaf import (
     _is_subcanonical,
     _plus,
     _restrictions,
-    amalgamations,
     is_sheaf,
     matching_families,
     representable_sheaf,
@@ -204,6 +212,7 @@ from finsite.topology import (
     trivial_topology,
 )
 
+from test_objects import retract_of_representable
 from test_topology import naive_is_topology
 
 
@@ -262,6 +271,16 @@ def cases():
 
 # ---------------------------------------------------------------------------
 # Oracles over whole covering sets.
+
+
+def amalgamations(cat, P, c, mask, family):
+    """The elements of P(c) whose restrictions along the sieve are the
+    family."""
+    return [
+        x
+        for x in range(P.sizes[c])
+        if all(P.apply(f, x) == family[i] for i, f in enumerate(bits(mask)))
+    ]
 
 
 def scan_is_sheaf(cat, J, P):
@@ -1193,11 +1212,8 @@ def test_subobject_paths_match_the_walks_on_representable_sheaves():
         for A in reps + [terminal_presheaf(cat)]:
             lat = subobjects(cat, J, A)
             assert lat.elements == walk_subobjects(cat, J, A)
-            assert lat.is_indecomposable() == pairwise_indecomposable(lat)
-            for x in lat.elements:
-                disjoint = [y for y in lat.elements if lat.meet(x, y) == lat.zero]
-                neg = lat.pseudo_complement(x)
-                assert neg in disjoint and all(lat.leq(y, neg) for y in disjoint)
+            assert is_atom(cat, J, A) == (len(lat) == 2)
+            assert is_indecomposable(cat, J, A) == pairwise_indecomposable(lat)
             for c in range(len(cat.objects)):
                 for x in range(A.sizes[c]):
                     seed = [0] * len(A.sizes)
@@ -1222,6 +1238,75 @@ def test_subobject_paths_match_the_walks_on_representable_sheaves():
                             s, t
                         )
     assert lattices >= 300
+
+
+def test_atoms_and_indecomposables_of_random_sheaves_match_the_walks():
+    """The public predicates, decided on A|E_D, against the closed sets of
+    the walk on sheafified random presheaves under every topology."""
+    seen = Counter()
+    for cat, J, rng in cases():
+        for _ in range(3):
+            A, _ = sheafify(cat, J, random_presheaf(cat, rng))
+            lat = SubobjectLattice(cat, J, A, walk_subobjects(cat, J, A))
+            atom = is_atom(cat, J, A)
+            assert atom == (len(lat) == 2)
+            indecomposable = is_indecomposable(cat, J, A)
+            assert indecomposable == pairwise_indecomposable(lat)
+            seen["atom", atom] += 1
+            seen["indecomposable", indecomposable] += 1
+    assert seen["atom", True] >= 30 and seen["atom", False] >= 200, seen
+    assert seen["indecomposable", True] >= 80, seen
+    assert seen["indecomposable", False] >= 100, seen
+
+
+def split_retract(cat, e):
+    """y(c).e for an idempotent e on c: the x: d -> c with e.x = x, acting
+    by precomposition."""
+    c = cat.dom[e]
+    values = [
+        [x for x in cat.hom(d, c) if cat.compose(e, x) == x]
+        for d in range(len(cat.objects))
+    ]
+    index = [{x: i for i, x in enumerate(v)} for v in values]
+    return Presheaf(
+        cat,
+        tuple(map(len, values)),
+        tuple(
+            tuple(index[cat.dom[u]][cat.compose(x, u)] for x in values[cat.cod[u]])
+            for u in range(len(cat.morphisms))
+        ),
+    )
+
+
+def test_indecomposable_projectives_match_the_retraction_search():
+    """On E_D against every section and retraction through a representable:
+    representables, random presheaves, and the retract y(c).e of each
+    non-identity idempotent e, which is one; its double, decomposable, is
+    not."""
+    seen = Counter()
+    for param in SEARCH_CATEGORIES + MONOID_CATEGORIES:
+        cat = param.values[0]
+        J = trivial_topology(cat)
+        rng = random.Random(repr(cat.morphisms))
+        samples = [yoneda(cat, c) for c in range(len(cat.objects))]
+        samples += [random_presheaf(cat, rng) for _ in range(4)]
+        for P in samples:
+            verdict = is_indecomposable_projective(cat, J, P)
+            assert verdict == retract_of_representable(cat, P), param.id
+            seen[verdict] += 1
+        for e in range(len(cat.morphisms)):
+            if cat.table.get((e, e)) != e or cat.is_identity(e):
+                continue
+            P = split_retract(cat, e)
+            PP, _, _ = coproduct_presheaf(P, P)
+            assert is_indecomposable_projective(cat, J, P), (param.id, e)
+            assert retract_of_representable(cat, P), (param.id, e)
+            # a retract of a representable is indecomposable
+            assert not is_indecomposable_projective(cat, J, PP), (param.id, e)
+            assert not is_indecomposable(cat, J, PP), (param.id, e)
+            seen["retracts"] += 1
+    assert seen[True] >= 100 and seen[False] >= 100, seen
+    assert seen["retracts"] == 121, seen
 
 
 def test_pullbacks_of_random_maps_match_the_product_equalizer():
@@ -1568,7 +1653,7 @@ def test_one_generator_and_monic_probes_match_the_join_and_every_kernel_pair():
                     if key not in joins:
                         joins[key] = join_is_supercompact(cat, J, W)
                     # a kernel pair is a sheaf, so the probe skips the check
-                    got = _is_supercompact(cat, J, W)
+                    got = _properties(restrict(cat, J, W))["supercompact"]
                     assert got == joins[key]
                     if all(len(set(comp)) == len(comp) for comp in t.components):
                         assert is_bijective(p1) and is_bijective(p2)
@@ -2097,8 +2182,8 @@ def test_stored_covering_is_every_sieve_above_the_least():
 # ---------------------------------------------------------------------------
 # The report's per-object checks on the presheaf site E_D, against the
 # sheaf-side block they replaced: double-plus representables, their closed
-# subobject lattices, supercompactness by closed orbits and the regular
-# probe through sheaf kernel pairs.
+# subobject lattices read pair by pair, supercompactness as a join of
+# principal subobjects, and the regular probe through sheaf kernel pairs.
 
 
 def sheaf_rep_is_regular(category, J, c):
@@ -2122,7 +2207,7 @@ def sheaf_rep_is_regular(category, J, c):
             if all(len(set(comp)) == len(comp) for comp in t.components):
                 continue
             W, _, _ = kernel_pair(t)
-            if not _is_supercompact(category, J, W):
+            if not _properties(restrict(category, J, W))["supercompact"]:
                 return ProbeVerdict(
                     False, False, witness=("kernel-pair", category.objects[d])
                 )
@@ -2137,9 +2222,9 @@ def sheaf_object_properties(category, J, c):
     reg = sheaf_rep_is_regular(category, J, c)
     compact = rep_is_compact(category, J, c)
     return {
-        "atom": lattice.is_atom(),
-        "indecomposable": lattice.is_indecomposable(),
-        "supercompact": _is_supercompact(category, J, rep),
+        "atom": len(lattice) == 2,
+        "indecomposable": pairwise_indecomposable(lattice),
+        "supercompact": join_is_supercompact(category, J, rep),
         "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
@@ -2161,9 +2246,9 @@ def sheaf_object_properties(category, J, c):
 
 def sheaf_terminal_is_indecomposable(category, J):
     # the terminal presheaf is a sheaf for every topology
-    return _subobjects(
-        category, J, terminal_presheaf(category)
-    ).is_indecomposable()
+    return pairwise_indecomposable(
+        _subobjects(category, J, terminal_presheaf(category))
+    )
 
 
 def small_first_plus(cat, J):
@@ -2323,7 +2408,6 @@ def test_the_report_builds_no_sheaf(monkeypatch):
             ("objects", "closed_hull"),
             ("objects", "_close_locally"),
             ("objects", "_subobjects"),
-            ("objects", "_is_supercompact"),
         )
     }
     for module_name, module in list(sys.modules.items()):
@@ -2343,7 +2427,8 @@ def test_the_report_builds_no_sheaf(monkeypatch):
 def test_t4_sub7_report_finishes():
     """The report of the 10-element submonoid of T_4 under M = (894,), whose
     representable sheaf has 4,096 elements, decides its objects on E_D; the
-    double plus agrees on its values and the closed orbits on supercompact."""
+    double plus agrees on its values, and its restriction to E_D on
+    supercompact."""
     (cat,) = [p.values[0] for p in MONOID_CATEGORIES if p.id == "T4-sub7"]
     J = GrothendieckTopology(cat, (894,))
     assert J.minimal in [K.minimal for K in enumerate_topologies(cat).elements]
@@ -2354,4 +2439,6 @@ def test_t4_sub7_report_finishes():
     A = representable_sheaf(cat, J, 0)
     assert A.sizes == (4096,)
     assert report["objects"][name]["values"] == {name: 4096}
-    assert report["objects"][name]["supercompact"] == _is_supercompact(cat, J, A)
+    assert report["objects"][name]["supercompact"] == _properties(
+        restrict(cat, J, A)
+    )["supercompact"]

@@ -211,6 +211,18 @@ def test_naturality_is_validated():
         NatTransformation(P, Q, ((0, 1), (0, 1)))
 
 
+def test_nat_transformations_check_the_category_and_the_component_count():
+    T2, T = terminal_presheaf(discrete2()), terminal_presheaf(arrow())
+    with pytest.raises(PresheafLawError, match="^presheaves live on different"):
+        NatTransformation(T2, T, ((0,), (0,)))
+    with pytest.raises(PresheafLawError, match="^presheaves live on different"):
+        presheaf_homs(T2, T)
+    for components in (((0,),), ((0,), (0,), (0,))):
+        with pytest.raises(PresheafLawError, match=r"^\d components for 2 objects$"):
+            NatTransformation(T, T, components)
+    assert NatTransformation(T, T, ((0,), (0,))) == identity_nat(T)
+
+
 def test_identity_and_composition_of_nats():
     cat = z2()
     reg = yoneda(cat, 0)

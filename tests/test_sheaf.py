@@ -22,7 +22,6 @@ from finsite.presheaf import (
 )
 from finsite.sheaf import (
     _plus,
-    amalgamations,
     is_sheaf,
     is_subcanonical,
     matching_families,
@@ -30,7 +29,11 @@ from finsite.sheaf import (
     require_sheaf,
     sheafify,
 )
-from finsite.topology import enumerate_topologies, trivial_topology
+from finsite.topology import (
+    GrothendieckTopology,
+    enumerate_topologies,
+    trivial_topology,
+)
 
 
 def brute_matching(cat, P, c, mask):
@@ -67,8 +70,12 @@ def test_empty_sieve_has_one_empty_family():
     cat = arrow()
     P = yoneda(cat, 1)
     assert matching_families(cat, P, 0, 0) == ((),)
-    # its amalgamations are every element of P at that object
-    assert amalgamations(cat, P, 0, 0, ()) == list(range(P.sizes[0]))
+    # its amalgamations are every element of a presheaf at that object
+    J = GrothendieckTopology(cat, (0, cat.maximal_sieve(1)))
+    T = terminal_presheaf(cat)
+    TT, _, _ = coproduct_presheaf(T, T)
+    assert is_sheaf(cat, J, T)
+    assert is_sheaf(cat, J, TT).witness == (0, 0, (), 2)
 
 
 def test_amalgamation_counts_detect_failure():
@@ -79,10 +86,9 @@ def test_amalgamation_counts_detect_failure():
     fams = matching_families(cat, P, 1, f_sieve)
     assert fams == ((0,),)
     # both elements over b restrict to the same section, so two amalgamations
-    assert amalgamations(cat, P, 1, f_sieve, (0,)) == [0, 1]
     verdict = is_sheaf(cat, J, P)
     assert not verdict
-    assert verdict.witness[3] == 2
+    assert verdict.witness == (1, f_sieve, (0,), 2)
 
 
 def test_representable_fails_where_sections_are_missing():
@@ -163,6 +169,8 @@ def test_memos_are_released_with_their_category():
     site.subcategories["sides"].realize()
     classify_report(cat, J)
     assert ("rigid", J.minimal) in cat._facts and "cartesian" in cat._facts
+    assert ("rep-sheaf", J.minimal, 0) in cat._facts
+    assert ("retracts",) in cat._facts
     ref = weakref.ref(cat)
     del site, cat, J
     gc.collect()
