@@ -93,34 +93,51 @@ class FiniteCategory:
     )
 
     def __init__(self, objects, morphisms, dom, cod, identity, table):
-        self.objects = tuple(objects)
-        self.morphisms = tuple(morphisms)
-        self.dom = tuple(dom)
-        self.cod = tuple(cod)
-        self.identity = tuple(identity)
-        self.table = dict(table)
-        self._obj_index = {name: i for i, name in enumerate(self.objects)}
-        self._mor_index = {name: i for i, name in enumerate(self.morphisms)}
-        n_obj = len(self.objects)
+        objects, morphisms = tuple(objects), tuple(morphisms)
+        self._shape(
+            objects,
+            morphisms,
+            {name: i for i, name in enumerate(objects)},
+            {name: i for i, name in enumerate(morphisms)},
+            tuple(dom),
+            tuple(cod),
+        )
+        self._complete(tuple(identity), dict(table))
+
+    def _shape(self, objects, morphisms, obj_index, mor_index, dom, cod):
+        """Names with their indices, and the arrows between each pair of
+        objects; all arguments are kept, none copied."""
+        self.objects = objects
+        self.morphisms = morphisms
+        self.dom = dom
+        self.cod = cod
+        self._obj_index = obj_index
+        self._mor_index = mor_index
+        n_obj = len(objects)
         hom = {}
         into = [[] for _ in range(n_obj)]
         outof = [[] for _ in range(n_obj)]
         maximal = [0] * n_obj
-        for f, (a, b) in enumerate(zip(self.dom, self.cod)):
+        for f, (a, b) in enumerate(zip(dom, cod)):
             hom.setdefault((a, b), []).append(f)
             into[b].append(f)
             outof[a].append(f)
             maximal[b] |= 1 << f
         self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._into = tuple(tuple(v) for v in into)
-        self._outof = tuple(tuple(v) for v in outof)
+        self._into = tuple(map(tuple, into))
+        self._outof = tuple(map(tuple, outof))
         self._maximal = tuple(maximal)
-        principal = []
-        for f in range(len(self.morphisms)):
-            mask = 0
-            for g in self._into[self.dom[f]]:
-                mask |= 1 << self.table[(f, g)]
-            principal.append(mask)
+
+    def _complete(self, identity, table):
+        """The identities and the total composition table, kept as given,
+        and what they determine."""
+        self.identity = identity
+        self.table = table
+        # the sieve f generates is f after each g into dom f, one entry
+        # (f, g) of the table each
+        principal = [0] * len(self.dom)
+        for (f, _), h in table.items():
+            principal[f] |= 1 << h
         self._principal = tuple(principal)
         # memos filled by sieves.py, Subcategory.realize and topology.py
         self._sieves = {}
@@ -214,17 +231,18 @@ def validate_category(objects, morphisms, identities, composites):
         involving identities may be left out and are filled in.
 
     Raises a CategoryLawError subclass naming the first violated law, with
-    witnesses attached.
+    witnesses attached.  The names are resolved here; the laws are checked
+    on indices by `lawful_category`, which site files reach directly.
     """
     objects = tuple(objects)
     morphisms = tuple(tuple(m) for m in morphisms)
-    if len(set(objects)) != len(objects):
-        raise UnknownObject("duplicate object names")
-    names = [m[0] for m in morphisms]
-    if len(set(names)) != len(names):
-        raise UnknownName("duplicate morphism names")
     obj_index = {name: i for i, name in enumerate(objects)}
+    if len(obj_index) != len(objects):
+        raise UnknownObject("duplicate object names")
+    names = tuple(m[0] for m in morphisms)
     mor_index = {name: i for i, name in enumerate(names)}
+    if len(mor_index) != len(names):
+        raise UnknownName("duplicate morphism names")
     dom = []
     cod = []
     for name, a, b in morphisms:
@@ -253,51 +271,58 @@ def validate_category(objects, morphisms, identities, composites):
         if identity[i] is None:
             raise MissingIdentity("object %r has no identity" % (obj,), witnesses=(obj,))
 
+    dom, cod = tuple(dom), tuple(cod)
     table = {}
     for (g_name, f_name), h_name in composites.items():
         for nm in (g_name, f_name, h_name):
             if nm not in mor_index:
+                # the entries before this one are checked first, in order
+                _check_typed(objects, names, dom, cod, table)
                 raise UnknownName("composition table mentions unknown morphism %r" % (nm,))
-        g, f, h = mor_index[g_name], mor_index[f_name], mor_index[h_name]
-        if cod[f] != dom[g]:
-            raise TypeMismatch(
-                "entry %r after %r composes non-composable arrows" % (g_name, f_name),
-                witnesses=(g_name, f_name),
-            )
-        if dom[h] != dom[f] or cod[h] != cod[g]:
-            raise TypeMismatch(
-                "composite of %r after %r must go %r -> %r, got %r"
-                % (f_name, g_name, objects[dom[f]], objects[cod[g]], h_name),
-                witnesses=(g_name, f_name, h_name),
-            )
-        table[(g, f)] = h
+        table[mor_index[g_name], mor_index[f_name]] = mor_index[h_name]
+    return lawful_category(
+        objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
+    )
+
+
+def lawful_category(objects, names, obj_index, mor_index, dom, cod, identity, table):
+    """The category on resolved data, once it passes every law.
+
+    objects, names: tuples of distinct names, indexed by obj_index and
+    mor_index; dom, cod: per arrow, object indices; identity: per object,
+    an endomorphism of it; table: (g, f) -> h on arrow indices, in the order
+    the composites were listed.  The table is completed in place and kept.
+
+    The laws are checked in this order, each raising at its first witness:
+    the ends of every listed composite (TypeMismatch), the identity laws
+    (IdentityLawViolation; the elided identity composites are filled in),
+    totality (UndefinedComposite) and associativity (NonAssociative).
+    """
+    _check_typed(objects, names, dom, cod, table)
+    category = FiniteCategory.__new__(FiniteCategory)
+    category._shape(objects, names, obj_index, mor_index, dom, cod)
 
     # Identity laws: fill in elided entries, reject contradicting ones.
-    n = len(morphisms)
-    for f in range(n):
-        left = (identity[cod[f]], f)
-        right = (f, identity[dom[f]])
-        for key in (left, right):
-            if key in table:
-                if table[key] != f:
+    fill = table.setdefault
+    for f, a, b in zip(range(len(dom)), dom, cod):
+        if fill((identity[b], f), f) != f or fill((f, identity[a]), f) != f:
+            for key in ((identity[b], f), (f, identity[a])):
+                h = table[key]
+                if h != f:
                     raise IdentityLawViolation(
                         "identity composite at %r is %r, expected %r"
-                        % (names[f], names[table[key]], names[f]),
-                        witnesses=(names[key[0]], names[key[1]], names[table[key]]),
+                        % (names[f], names[h], names[f]),
+                        witnesses=(names[key[0]], names[key[1]], names[h]),
                     )
-            else:
-                table[key] = f
 
     # Totality by count: every entry is a composable pair by now, and the
     # pairs (g, f) with cod f = c = dom g number |into(c)| |outof(c)|, so the
     # table is total exactly when it has that many entries in all.  Only a
     # short table is scanned, to name its first missing pair.
-    into = [0] * len(objects)
-    outof = [0] * len(objects)
-    for a, b in zip(dom, cod):
-        outof[a] += 1
-        into[b] += 1
-    if len(table) != sum(map(mul, into, outof)):
+    if len(table) != sum(
+        map(mul, map(len, category._into), map(len, category._outof))
+    ):
+        n = len(names)
         g, f = next(
             (g, f)
             for f in range(n)
@@ -309,9 +334,26 @@ def validate_category(objects, morphisms, identities, composites):
             witnesses=(names[g], names[f]),
         )
 
-    category = FiniteCategory(objects, names, dom, cod, identity, table)
+    category._complete(identity, table)
     _check_associative(category)
     return category
+
+
+def _check_typed(objects, names, dom, cod, table):
+    """Raise TypeMismatch at the first entry of the table, in its order,
+    whose arrows do not compose or whose composite has the wrong ends."""
+    for (g, f), h in table.items():
+        if cod[f] != dom[g]:
+            raise TypeMismatch(
+                "entry %r after %r composes non-composable arrows" % (names[g], names[f]),
+                witnesses=(names[g], names[f]),
+            )
+        if dom[h] != dom[f] or cod[h] != cod[g]:
+            raise TypeMismatch(
+                "composite of %r after %r must go %r -> %r, got %r"
+                % (names[f], names[g], objects[dom[f]], objects[cod[g]], names[h]),
+                witnesses=(names[g], names[f], names[h]),
+            )
 
 
 def _check_associative(category):
@@ -505,10 +547,11 @@ def subcategory_from_masks(parent, objects_mask, morphisms_mask):
             raise InvalidSubcategory(
                 "morphism %r leaves the object selection" % (parent.morphisms[f],)
             )
+    table, into = parent.table, parent._into
     for g in mors:
-        for f in mors:
-            if parent.cod[f] == parent.dom[g]:
-                h = parent.compose(g, f)
+        for f in into[parent.dom[g]]:
+            if morphisms_mask >> f & 1:
+                h = table[g, f]
                 if not morphisms_mask >> h & 1:
                     raise InvalidSubcategory(
                         "not closed: %r after %r = %r is missing"

@@ -32,6 +32,12 @@ class Presheaf:
     actions: tuple  # per morphism, tuple of ints
 
     def __post_init__(self):
+        self._check_laws(self.category.identity)
+
+    def _check_laws(self, identities):
+        """Shapes, arities and value ranges, the identity arrows given act
+        as identities, and functoriality, each raising at its first
+        failure."""
         cat = self.category
         if len(self.sizes) != len(cat.objects) or len(self.actions) != len(
             cat.morphisms
@@ -48,23 +54,32 @@ class Presheaf:
                 raise PresheafLawError(
                     "action of %r leaves the value set" % (cat.morphisms[f],)
                 )
-        for c in range(len(cat.objects)):
-            ident = self.actions[cat.identity[c]]
-            if ident != tuple(range(self.sizes[c])):
+        for f in identities:
+            c = cat.dom[f]
+            if self.actions[f] != tuple(range(self.sizes[c])):
                 raise PresheafLawError(
                     "identity of %r must act as the identity" % (cat.objects[c],)
                 )
         # once identities act as identities, every entry holding one holds
-        identities = set(cat.identity)
+        skip = set(cat.identity)
         actions = self.actions
         for (g, f), h in cat.table.items():
-            if g in identities or f in identities:
+            if g in skip or f in skip:
                 continue
             if actions[h] != tuple(map(actions[f].__getitem__, actions[g])):
                 raise PresheafLawError(
                     "functoriality fails at %r after %r"
                     % (cat.morphisms[g], cat.morphisms[f])
                 )
+
+    @classmethod
+    def _checked(cls, category, sizes, actions, identities):
+        """A presheaf from outside data whose identity arrows other than
+        those given act as identities by construction; every other law is
+        checked as `Presheaf(...)` checks it."""
+        P = cls._trusted(category, sizes, actions)
+        P._check_laws(identities)
+        return P
 
     @classmethod
     def _trusted(cls, category, sizes, actions):
@@ -98,6 +113,12 @@ class Presheaf:
     def _hull_steps(self):
         """Memo of the local closure tables of `objects.closed_hull`, keyed
         by the least covering sieves of the topology."""
+        return {}
+
+    @cached_property
+    def _sheaf_verdicts(self):
+        """Memo of `sheaf.is_sheaf`, keyed by the least covering sieves of
+        the topology."""
         return {}
 
     def size(self, c):

@@ -94,8 +94,18 @@ def is_sheaf(category, J, P):
     sieve, since each contains M_c.  Maximal M_c are skipped: their families
     are the elements of P(c) and always amalgamate uniquely.  The
     amalgamations of a family are the elements whose restriction tuple it
-    is, so each M_c counts the tuples of P(c) once.
+    is, so each M_c counts the tuples of P(c) once.  The verdict is memoised
+    on P per least sieves, so the object predicates that each require A to
+    be a sheaf check it once.
     """
+    verdicts = P._sheaf_verdicts
+    verdict = verdicts.get(J.minimal)
+    if verdict is None:
+        verdict = verdicts[J.minimal] = _is_sheaf(category, J, P)
+    return verdict
+
+
+def _is_sheaf(category, J, P):
     for c, S in enumerate(J.minimal):
         if S == category.maximal_sieve(c):
             continue

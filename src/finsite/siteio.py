@@ -3,29 +3,62 @@
 A site file bundles one category with an optional topology plus named
 subcategories and presheaves.  Identity composites may be left out of the
 input; serialization always emits the same canonical bytes for equal data.
+
+Loading checks, in this order, and raises at the first failure:
+
+1. The document: JSON, a dict, the schema, a str name (ParseError).
+2. The category block: the shape of every entry and the type of every name
+   (ParseError); repeated object and arrow names, the ends of each arrow,
+   the identities, each in turn (UnknownObject, UnknownName,
+   MissingIdentity); the names in each composite, after the ends of the
+   composites before it (UnknownName, TypeMismatch); then, in
+   `category.lawful_category`, the ends of the rest, the identity laws,
+   totality and associativity.
+3. The topology block: its form; object by object, each sieve's shape,
+   names and arrows into the object (ParseError, UnknownObject,
+   UnknownName); every object listed, no sieve listed twice; the axioms
+   (`topology.checked_topology`: TopologyAxiomViolation, or ParseError for
+   a listed set of arrows that is not a sieve).
+4. Each subcategory, by name: shape, names, identities and closure.
+5. Each presheaf, by name: its sizes, and their sum against the size bound
+   (`FINSITE_MAX_ASSIGNMENTS` or 2^16; SizeBoundExceeded) before any value
+   table is read or built; then its actions, every arrow but the
+   identities listed, and the presheaf laws (PresheafLawError).
+
+The category block is resolved in one walk over its entries and each sieve
+in one walk over its names.  Where that walk meets anything malformed,
+repeated or unknown, the block or sieve is read again entry by entry,
+which raises the first error in document order, so the order above holds
+either way.  The index maps, arrow lists and composition table the law
+checks build become the category's own, and each coverage list is sorted
+and made a set once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
 from json.encoder import encode_basestring_ascii
+from operator import or_
 
 from .category import (
     FiniteCategory,
     Subcategory,
     bits,
+    lawful_category,
     subcategory,
     validate_category,
 )
-from .errors import ParseError, TopologyAxiomViolation, UnknownName, UnknownObject
+from .errors import ParseError, SizeBoundExceeded, TopologyAxiomViolation
 from .presheaf import Presheaf
 from .topology import (
     GrothendieckTopology,
+    _resolve_bound,
     atomic_topology,
+    checked_topology,
     generated_topology,
     maximal_topology,
-    topology,
     trivial_topology,
 )
 
@@ -151,8 +184,88 @@ def _check_names(names, where):
             raise ParseError("%s must be str, got %r" % (where, name))
 
 
+_STR = {str}
+_LIST = {list}
+_INT = {int}
+_THREE = {3}
+_BIT = (1).__lshift__  # arrow index -> its bit in a mask
+
+
+def _triples(entries):
+    """The columns of a list of [a, b, c] lists of names, or None where an
+    entry is another value or a name is not a str."""
+    if not ({*map(type, entries)} <= _LIST and {*map(len, entries)} <= _THREE):
+        return None
+    columns = tuple(zip(*entries)) or ((), (), ())
+    if not {*map(type, columns[0] + columns[1] + columns[2])} <= _STR:
+        return None
+    return columns
+
+
+def _resolve_category(data):
+    """The category block's names resolved to indices in one walk: the
+    arguments of `lawful_category`, or None where any entry is malformed,
+    repeated or names something unknown."""
+    if type(data) is not dict:
+        return None
+    objects = data.get("objects")
+    morphisms = data.get("morphisms")
+    identities = data.get("identities")
+    composites = data.get("composites", [])
+    if not (
+        type(objects) is list
+        and type(morphisms) is list
+        and type(identities) is dict
+        and type(composites) is list
+        and {*map(type, objects)} <= _STR
+        and {*map(type, identities.values())} <= _STR
+    ):
+        return None
+    arrows = _triples(morphisms)
+    listed = _triples(composites)
+    if arrows is None or listed is None:
+        return None
+    objects = tuple(objects)
+    names, doms, cods = arrows
+    obj_index = dict(zip(objects, range(len(objects))))
+    mor_index = dict(zip(names, range(len(names))))
+    if len(obj_index) != len(objects) or len(mor_index) != len(names):
+        return None
+    try:
+        dom = tuple(map(obj_index.__getitem__, doms))
+        cod = tuple(map(obj_index.__getitem__, cods))
+        identity = [None] * len(objects)
+        for obj, mor in identities.items():
+            c, f = obj_index[obj], mor_index[mor]
+            if dom[f] != c or cod[f] != c:
+                return None
+            identity[c] = f
+        arrow = mor_index.__getitem__
+        gs, fs, hs = listed
+        table = dict(zip(zip(map(arrow, gs), map(arrow, fs)), map(arrow, hs)))
+    except KeyError:
+        return None
+    if None in identity or len(table) != len(composites):
+        return None
+    return objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
+
+
 def parse_category(data):
-    """Build a validated category from the "category" block."""
+    """Build a validated category from the "category" block.
+
+    A well-formed block is resolved in one walk and handed to the law
+    checks; any other is read again entry by entry, which raises the first
+    error in document order."""
+    resolved = _resolve_category(data)
+    if resolved is None:
+        return _diagnose_category(data)
+    return lawful_category(*resolved)
+
+
+def _diagnose_category(data):
+    """`parse_category` checking each entry in turn: the block's shape and
+    every name's type first, then, in `validate_category`, the names and
+    the laws."""
     _check_type(data, (dict,), "category block")
     objects = _check_type(
         _require(data, "objects", "category block"), (list,), "objects"
@@ -193,8 +306,22 @@ def parse_category(data):
     return validate_category(objects, morphisms, identities, composites)
 
 
+def _diagnose_sieve(category, c, obj_name, arrows):
+    """Raise the first error of a listed sieve that is not a list of the
+    names of arrows into c, in list order."""
+    _check_type(arrows, (list,), "sieve of %r" % obj_name)
+    _check_names(arrows, "arrow in a sieve")
+    for arrow_name in arrows:
+        if category.cod[category.mor_index(arrow_name)] != c:
+            raise ParseError("arrow %r does not land in %r" % (arrow_name, obj_name))
+
+
 def parse_topology(category, data):
-    """Accepts {"named": ...}, {"coverage": ...} or {"generate": ...}."""
+    """Accepts {"named": ...}, {"coverage": ...} or {"generate": ...}.
+
+    Each sieve's arrows are resolved in one walk; a malformed sieve is read
+    again arrow by arrow to name its first error.  A coverage is checked
+    on the sets it lists, built once: repeats, then the axioms."""
     _check_type(data, (dict,), "topology block")
     keys = sorted(set(data) & {"named", "coverage", "generate"})
     if len(keys) != 1:
@@ -213,46 +340,51 @@ def parse_topology(category, data):
         return NAMED_TOPOLOGIES[name](category)
 
     families = _check_type(data[kind], (dict,), "topology %s block" % kind)
-    per_object = {}
+    arrow = category._mor_index.__getitem__
+    maximal = category._maximal
+    listed = [None] * len(maximal)  # per object index, the masks listed
     for obj_name, sieves in families.items():
         c = category.obj_index(obj_name)
-        _check_type(sieves, (list,), "sieve list of %r" % obj_name)
-        masks = []
+        if not isinstance(sieves, list):
+            _check_type(sieves, (list,), "sieve list of %r" % obj_name)
+        outside = ~maximal[c]
+        listed[c] = masks = []
         for arrows in sieves:
-            _check_type(arrows, (list,), "sieve of %r" % obj_name)
-            mask = 0
-            _check_names(arrows, "arrow in a sieve")
-            for arrow_name in arrows:
-                f = category.mor_index(arrow_name)
-                if category.cod[f] != c:
-                    raise ParseError(
-                        "arrow %r does not land in %r" % (arrow_name, obj_name)
-                    )
-                mask |= 1 << f
-            masks.append(mask)
-        per_object[c] = masks
+            try:
+                if type(arrows) is list and {*map(type, arrows)} <= _STR:
+                    mask = reduce(or_, map(_BIT, map(arrow, arrows)), 0)
+                    if not mask & outside:
+                        masks.append(mask)
+                        continue
+            except KeyError:
+                pass
+            _diagnose_sieve(category, c, obj_name, arrows)
 
     if kind == "generate":
         seeds = {
             c: [sorted(bits(mask)) for mask in masks]
-            for c, masks in sorted(per_object.items())
+            for c, masks in enumerate(listed)
+            if masks is not None
         }
         return generated_topology(category, seeds)
 
     covering = []
-    for c in range(len(category.objects)):
-        if c not in per_object:
+    sets = []
+    for c, masks in enumerate(listed):
+        if masks is None:
             raise ParseError(
                 "coverage block is missing object %r" % (category.objects[c],)
             )
-        masks = per_object[c]
-        if len(set(masks)) != len(masks):
+        distinct = set(masks)
+        if len(distinct) != len(masks):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )
-        covering.append(masks)
+        masks.sort()
+        covering.append(tuple(masks))
+        sets.append(distinct)
     try:
-        return topology(category, covering)
+        return checked_topology(category, tuple(covering), sets)
     except TopologyAxiomViolation as exc:
         if exc.axiom != "sieve":  # every arrow lands in its object by now
             raise
@@ -282,6 +414,9 @@ def parse_subcategory(category, data, where):
 
 
 def parse_presheaf(category, data, where):
+    """A presheaf block.  Its sizes are checked against the size bound
+    (`FINSITE_MAX_ASSIGNMENTS` or the default 2^16 elements in all) before
+    any value table is read or built."""
     _check_type(data, (dict,), where)
     sizes_map = _check_type(_require(data, "sizes", where), (dict,), where)
     sizes = [None] * len(category.objects)
@@ -290,31 +425,40 @@ def parse_presheaf(category, data, where):
         if type(size) is not int or size < 0:
             raise ParseError("%s: size of %r must be a nonnegative int" % (where, obj_name))
         sizes[c] = size
-    for c, size in enumerate(sizes):
-        if size is None:
-            raise ParseError(
-                "%s is missing a size for %r" % (where, category.objects[c])
-            )
+    if None in sizes:
+        raise ParseError(
+            "%s is missing a size for %r"
+            % (where, category.objects[sizes.index(None)])
+        )
+    total, bound = sum(sizes), _resolve_bound(None)
+    if total > bound:
+        raise SizeBoundExceeded(
+            "%s has %d elements in all, over the bound %d" % (where, total, bound),
+            total,
+            bound,
+        )
     actions_map = _check_type(
         _require(data, "actions", where), (dict,), where
     )
     actions = [None] * len(category.morphisms)
     for mor_name, table in actions_map.items():
         f = category.mor_index(mor_name)
-        _check_type(table, (list,), "%s action %r" % (where, mor_name))
-        if not all(type(x) is int for x in table):
+        if not isinstance(table, list):
+            _check_type(table, (list,), "%s action %r" % (where, mor_name))
+        if not {*map(type, table)} <= _INT:
             raise ParseError("%s: action of %r must list ints" % (where, mor_name))
         actions[f] = tuple(table)
-    for f in range(len(category.morphisms)):
+    # an identity left out acts as the identity, and needs no check
+    listed = [f for f in category.identity if actions[f] is not None]
+    for c, f in enumerate(category.identity):
         if actions[f] is None:
-            if category.is_identity(f):
-                actions[f] = tuple(range(sizes[category.dom[f]]))
-            else:
-                raise ParseError(
-                    "%s is missing the action of %r"
-                    % (where, category.morphisms[f])
-                )
-    return Presheaf(category, tuple(sizes), tuple(actions))
+            actions[f] = tuple(range(sizes[c]))
+    if None in actions:
+        raise ParseError(
+            "%s is missing the action of %r"
+            % (where, category.morphisms[actions.index(None)])
+        )
+    return Presheaf._checked(category, tuple(sizes), tuple(actions), listed)
 
 
 def parse_site(text):

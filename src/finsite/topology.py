@@ -119,64 +119,93 @@ def is_topology(category, covering):
     covering: per object, an iterable of sieve masks.  A mask that is not a
     sieve on its object (an arrow into another object, or not closed under
     composition on the right) fails first, as axiom "sieve".  The remaining
-    axioms are decided on the least sieves M (see `_decides_on_least`); only
-    an assignment that fails there is scanned axiom by axiom, which names
-    the first violation as the axioms state it.
+    axioms are decided on the least sieves M (see `_least_if_topology`);
+    only an assignment that fails there is scanned axiom by axiom, which
+    names the first violation as the axioms state it.
     """
-    return _verdict(category, [sorted(set(masks)) for masks in covering])
+    return _verdict(category, *_listed(covering))[0]
 
 
-def _verdict(category, cov):
-    """`is_topology` for per-object ascending lists of distinct masks."""
+def _listed(covering):
+    """Per object, the ascending tuple of the distinct masks given, and
+    their set."""
+    sets = [set(masks) for masks in covering]
+    return tuple(tuple(sorted(listed)) for listed in sets), sets
+
+
+def _verdict(category, cov, sets):
+    """`is_topology` for per-object ascending tuples of distinct masks and
+    their sets, with the least sieves M when the verdict holds."""
+    M = _least_if_topology(category, sets)
+    if M is not None:
+        return TopologyVerdict(True), M
     n_obj = len(category.objects)
     if len(cov) != n_obj:
-        return TopologyVerdict(False, "shape", (len(cov), n_obj))
-    sets = [set(masks) for masks in cov]
+        return TopologyVerdict(False, "shape", (len(cov), n_obj)), None
     for c in range(n_obj):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
-                return TopologyVerdict(False, "sieve", (c, S))
-    if _decides_on_least(category, sets):
-        return TopologyVerdict(True)
-    return _scan_axioms(category, cov, sets)
+                return TopologyVerdict(False, "sieve", (c, S)), None
+    return _scan_axioms(category, cov, sets), None
 
 
-def _decides_on_least(category, sets):
-    """Is the assignment of sieve sets a topology?  With M_c the
-    intersection of the sieves listed at c, it is exactly when each listed
-    set holds M_c and is closed under S |-> S | principal(f) for f into c,
-    so that it is the set of sieves containing M_c, and M is stable and
-    transitive (the theorem above): M_d lies in h^*M_c for h: d -> c, and
-    M_c is the set of f.k with f in M_c and k in M_dom(f)."""
+def _least_if_topology(category, sets):
+    """The least sieves M of an assignment of sieve sets that is a
+    topology, else None.  With M_c the intersection of the sets listed at
+    c, it is one exactly when every listed set holds M_c, every listed mask
+    is a sieve on c and the set is closed under S |-> S | principal(f) for
+    f into c, so that it is the set of sieves containing M_c, and M is
+    stable and transitive (the theorem above): M_d lies in h^*M_c for
+    h: d -> c, and M_c is the set of f.k with f in M_c and k in M_dom(f)."""
+    maximal = category._maximal
+    if len(sets) != len(maximal):
+        return None
+    principal, into = category._principal, category._into
     M = _least(category, sets)
-    principal = category.principal_sieve
     for c, listed in enumerate(sets):
         if M[c] not in listed:
-            return False
-        into = category.into(c)
+            return None
+        into_c, top = into[c], maximal[c]
         for S in listed:
-            for f in into:
-                if not S >> f & 1 and S | principal(f) not in listed:
-                    return False
-    maximal = [category.maximal_sieve(c) for c in range(len(M))]
-    dom, cod = category.dom, category.cod
-    for h in range(len(category.morphisms)):
-        c = cod[h]
-        # a maximal M_c pulls back to a maximal sieve, which holds M_dom(h)
-        if M[c] != maximal[c] and M[dom[h]] & ~pullback_mask(category, M[c], h):
-            return False
+            if S == top:  # a sieve, and S | principal(f) is S
+                continue
+            if S & ~top:
+                return None
+            for f in into_c:
+                if S >> f & 1:
+                    if principal[f] & ~S:  # not closed on the right
+                        return None
+                elif S | principal[f] not in listed:
+                    return None
+    if M == maximal:  # the trivial topology: g = g.1 with 1 in M_dom(g)
+        return M
+    table = category.table
+    for h, (d, c) in enumerate(zip(category.dom, category.cod)):
+        M_c = M[c]
+        # a maximal M_c pulls back to a maximal sieve, which holds M_d
+        if M_c == maximal[c]:
+            continue
+        M_d = M[d]
+        for g in into[d]:
+            if M_d >> g & 1 and not M_c >> table[h, g] & 1:
+                return None
+    dom = category.dom
     for c, M_c in enumerate(M):
         reached = 0
-        for f in bits(M_c):
+        for f in into[c]:
+            if not M_c >> f & 1:
+                continue
             d = dom[f]
-            if M[d] == maximal[d]:  # f.k for every k into d
-                reached |= principal(f)
+            M_d = M[d]
+            if M_d == maximal[d]:  # f.k for every k into d
+                reached |= principal[f]
             else:
-                for k in bits(M[d]):
-                    reached |= 1 << category.compose(f, k)
+                for k in into[d]:
+                    if M_d >> k & 1:
+                        reached |= 1 << table[f, k]
         if reached != M_c:
-            return False
-    return True
+            return None
+    return M
 
 
 def _scan_axioms(category, cov, sets):
@@ -286,8 +315,13 @@ def topology(category, covering):
     the arrows of S one by one: each step stays in the list and ends at S).
     It is the ascending tuple `covering_masks(c)` would enumerate.
     """
-    cov = tuple(tuple(sorted(set(masks))) for masks in covering)
-    verdict = _verdict(category, cov)
+    return checked_topology(category, *_listed(covering))
+
+
+def checked_topology(category, cov, sets):
+    """`topology` for per-object ascending tuples of distinct masks and
+    their sets, as a site file's coverage block is read."""
+    verdict, M = _verdict(category, cov, sets)
     if not verdict:
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"
@@ -295,7 +329,7 @@ def topology(category, covering):
             verdict.axiom,
             verdict.witness,
         )
-    J = GrothendieckTopology(category, _least(category, cov))
+    J = GrothendieckTopology(category, M)
     J.__dict__["covering"] = cov
     return J
 

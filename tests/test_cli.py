@@ -294,6 +294,18 @@ def test_exit_code_2_for_size_bounds(capsys):
     assert code == 2 and "candidate assignments" in err
 
 
+@pytest.mark.parametrize("command", [["validate"], ["sheafify", "--presheaf", "P"]])
+def test_exit_code_2_for_a_presheaf_over_the_size_bound(capsys, site_file, command):
+    def huge(doc):
+        doc["presheaves"] = {"P": {"sizes": {"a": 10**12, "b": 0}, "actions": {}}}
+
+    code, out, err = run(capsys, *command, site_file("arrow-j2", huge))
+    assert code == 2 and out == ""
+    assert err == (
+        "error: presheaf 'P' has 1000000000000 elements in all, over the bound 65536\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

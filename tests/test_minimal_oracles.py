@@ -100,12 +100,15 @@ from functools import partial, reduce
 from operator import and_, or_
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from finsite.category import (
     CartesianReport,
     FiniteCategory,
     CauchyReport,
     OreReport,
+    Subcategory,
+    _check_associative,
     _is_cartesian,
     _generators,
     _is_cauchy_complete,
@@ -121,6 +124,7 @@ from finsite.corpus import (
     corpus,
     idem,
     monoid_category,
+    named_site,
     poset_category,
     random_path_category,
     random_poset_category,
@@ -139,7 +143,21 @@ from finsite.classify import (
 )
 from finsite.cli import _strided_map, main
 from finsite.density import is_dense
-from finsite.errors import CategoryLawError, TopologyAxiomViolation
+from finsite.errors import (
+    CategoryLawError,
+    FinsiteError,
+    IdentityLawViolation,
+    InvalidSubcategory,
+    MissingIdentity,
+    ParseError,
+    PresheafLawError,
+    SizeBoundExceeded,
+    TopologyAxiomViolation,
+    TypeMismatch,
+    UndefinedComposite,
+    UnknownName,
+    UnknownObject,
+)
 from finsite.objects import (
     ProbeVerdict,
     SubobjectLattice,
@@ -197,12 +215,22 @@ from finsite.sieves import (
     pullback_mask,
     sieve_masks_on,
 )
-from finsite.siteio import SiteFile, canonical_json, save_site
+from finsite.siteio import (
+    NAMED_TOPOLOGIES,
+    SCHEMA,
+    SiteFile,
+    canonical_json,
+    parse_site,
+    save_site,
+    serialize_site,
+)
 from finsite.topology import (
     GrothendieckTopology,
     TopologyLattice,
     TopologyVerdict,
-    _decides_on_least,
+    _least_if_topology,
+    _resolve_bound,
+    _scan_axioms,
     atomic_topology,
     enumerate_topologies,
     generated_topology,
@@ -212,6 +240,7 @@ from finsite.topology import (
     trivial_topology,
 )
 
+from test_fuzz import fuzzed_documents, lawful_documents
 from test_objects import retract_of_representable
 from test_topology import naive_is_topology
 
@@ -1465,7 +1494,8 @@ def test_least_sieve_verdict_matches_the_axiom_scans(cat, maximal):
     for covering in assignments(cat, maximal):
         want = scan_is_topology(cat, covering)
         assert is_topology(cat, covering) == want
-        assert _decides_on_least(cat, [set(m) for m in covering]) == bool(want)
+        least = _least_if_topology(cat, [set(m) for m in covering])
+        assert (least is not None) == bool(want)
         assert bool(want) == naive_is_topology(cat, covering)
         valid += bool(want)
         # topology() checks its own sorted lists: the same verdict and
@@ -2442,3 +2472,562 @@ def test_t4_sub7_report_finishes():
     assert report["objects"][name]["supercompact"] == _properties(
         restrict(cat, J, A)
     )["supercompact"]
+
+
+# ---------------------------------------------------------------------------
+# The multi-pass site loader, kept as the reference for `siteio.parse_site`.
+# It checks every entry's shape and every name's type in one pass, resolves
+# the names in a second, builds the category through `FiniteCategory(...)`,
+# sorts and sets each coverage list apart from its check, and builds the
+# presheaves through `Presheaf(...)`.  The presheaf size bound sits where
+# the library checks it, after the sizes and before the actions.
+
+
+def ref_require(mapping, key, where):
+    if key not in mapping:
+        raise ParseError("%s is missing %r" % (where, key))
+    return mapping[key]
+
+
+def ref_check_type(value, types, where):
+    if not isinstance(value, types):
+        raise ParseError(
+            "%s must be %s, got %s"
+            % (where, " or ".join(t.__name__ for t in types), type(value).__name__)
+        )
+    return value
+
+
+def ref_check_names(names, where):
+    for name in names:
+        if type(name) is not str:
+            raise ParseError("%s must be str, got %r" % (where, name))
+
+
+def ref_validate_category(objects, morphisms, identities, composites):
+    objects = tuple(objects)
+    morphisms = tuple(tuple(m) for m in morphisms)
+    if len(set(objects)) != len(objects):
+        raise UnknownObject("duplicate object names")
+    names = [m[0] for m in morphisms]
+    if len(set(names)) != len(names):
+        raise UnknownName("duplicate morphism names")
+    obj_index = {name: i for i, name in enumerate(objects)}
+    mor_index = {name: i for i, name in enumerate(names)}
+    dom, cod = [], []
+    for name, a, b in morphisms:
+        if a not in obj_index:
+            raise UnknownObject("morphism %r has unknown domain %r" % (name, a))
+        if b not in obj_index:
+            raise UnknownObject("morphism %r has unknown codomain %r" % (name, b))
+        dom.append(obj_index[a])
+        cod.append(obj_index[b])
+    identity = [None] * len(objects)
+    for obj, mor in identities.items():
+        if obj not in obj_index:
+            raise UnknownObject("identity declared for unknown object %r" % (obj,))
+        if mor not in mor_index:
+            raise UnknownName("identity %r is not a listed morphism" % (mor,))
+        i, f = obj_index[obj], mor_index[mor]
+        if dom[f] != i or cod[f] != i:
+            raise MissingIdentity(
+                "identity of %r must be an endomorphism of it" % (obj,),
+                witnesses=(obj, mor),
+            )
+        identity[i] = f
+    for i, obj in enumerate(objects):
+        if identity[i] is None:
+            raise MissingIdentity("object %r has no identity" % (obj,), witnesses=(obj,))
+    table = {}
+    for (g_name, f_name), h_name in composites.items():
+        for nm in (g_name, f_name, h_name):
+            if nm not in mor_index:
+                raise UnknownName("composition table mentions unknown morphism %r" % (nm,))
+        g, f, h = mor_index[g_name], mor_index[f_name], mor_index[h_name]
+        if cod[f] != dom[g]:
+            raise TypeMismatch(
+                "entry %r after %r composes non-composable arrows" % (g_name, f_name),
+                witnesses=(g_name, f_name),
+            )
+        if dom[h] != dom[f] or cod[h] != cod[g]:
+            raise TypeMismatch(
+                "composite of %r after %r must go %r -> %r, got %r"
+                % (f_name, g_name, objects[dom[f]], objects[cod[g]], h_name),
+                witnesses=(g_name, f_name, h_name),
+            )
+        table[(g, f)] = h
+    n = len(morphisms)
+    for f in range(n):
+        for key in ((identity[cod[f]], f), (f, identity[dom[f]])):
+            if key in table:
+                if table[key] != f:
+                    raise IdentityLawViolation(
+                        "identity composite at %r is %r, expected %r"
+                        % (names[f], names[table[key]], names[f]),
+                        witnesses=(names[key[0]], names[key[1]], names[table[key]]),
+                    )
+            else:
+                table[key] = f
+    for f in range(n):
+        for g in range(n):
+            if cod[f] == dom[g] and (g, f) not in table:
+                raise UndefinedComposite(
+                    "no composite for %r after %r" % (names[g], names[f]),
+                    witnesses=(names[g], names[f]),
+                )
+    category = FiniteCategory(objects, names, dom, cod, identity, table)
+    _check_associative(category)
+    return category
+
+
+def ref_parse_category(data):
+    ref_check_type(data, (dict,), "category block")
+    objects = ref_check_type(
+        ref_require(data, "objects", "category block"), (list,), "objects"
+    )
+    ref_check_names(objects, "object name")
+    raw_morphisms = ref_check_type(
+        ref_require(data, "morphisms", "category block"), (list,), "morphisms"
+    )
+    morphisms = []
+    for entry in raw_morphisms:
+        ref_check_type(entry, (list,), "morphism entry")
+        if len(entry) != 3:
+            raise ParseError("morphism entry must be [name, dom, cod], got %r" % (entry,))
+        ref_check_names(entry, "name in a morphism entry")
+        morphisms.append(tuple(entry))
+    identities = ref_check_type(
+        ref_require(data, "identities", "category block"), (dict,), "identities"
+    )
+    ref_check_names(identities.values(), "identity")
+    raw_composites = ref_check_type(data.get("composites", []), (list,), "composites")
+    composites = {}
+    for entry in raw_composites:
+        ref_check_type(entry, (list,), "composite entry")
+        if len(entry) != 3:
+            raise ParseError(
+                "composite entry must be [g, f, h] meaning g after f = h, got %r"
+                % (entry,)
+            )
+        ref_check_names(entry, "name in a composite entry")
+        g, f, h = entry
+        if (g, f) in composites:
+            raise ParseError("composite (%r after %r) listed twice" % (g, f))
+        composites[(g, f)] = h
+    return ref_validate_category(objects, morphisms, identities, composites)
+
+
+def ref_decides_on_least(category, sets):
+    M = tuple(
+        reduce(and_, masks, category.maximal_sieve(c)) for c, masks in enumerate(sets)
+    )
+    principal = category.principal_sieve
+    for c, listed in enumerate(sets):
+        if M[c] not in listed:
+            return False
+        for S in listed:
+            for f in category.into(c):
+                if not S >> f & 1 and S | principal(f) not in listed:
+                    return False
+    for h in range(len(category.morphisms)):
+        c, d = category.cod[h], category.dom[h]
+        if M[d] & ~pullback_mask(category, M[c], h):
+            return False
+    for c, M_c in enumerate(M):
+        reached = 0
+        for f in bits(M_c):
+            for k in bits(M[category.dom[f]]):
+                reached |= 1 << category.compose(f, k)
+        if reached != M_c:
+            return False
+    return True
+
+
+def ref_topology(category, covering):
+    cov = tuple(tuple(sorted(set(masks))) for masks in covering)
+    n_obj = len(category.objects)
+    sets = [set(masks) for masks in cov]
+    if len(cov) != n_obj:
+        verdict = TopologyVerdict(False, "shape", (len(cov), n_obj))
+    else:
+        verdict = next(
+            (
+                TopologyVerdict(False, "sieve", (c, S))
+                for c in range(n_obj)
+                for S in cov[c]
+                if S & ~category.maximal_sieve(c) or not is_right_closed(category, S)
+            ),
+            None,
+        )
+        if verdict is None:
+            if ref_decides_on_least(category, sets):
+                verdict = TopologyVerdict(True)
+            else:
+                verdict = _scan_axioms(category, cov, sets)
+    if not verdict:
+        raise TopologyAxiomViolation(
+            "covering assignment violates %s at %r" % (verdict.axiom, verdict.witness),
+            verdict.axiom,
+            verdict.witness,
+        )
+    least = tuple(
+        reduce(and_, masks, category.maximal_sieve(c)) for c, masks in enumerate(cov)
+    )
+    J = GrothendieckTopology(category, least)
+    J.__dict__["covering"] = cov
+    return J
+
+
+def ref_parse_topology(category, data):
+    ref_check_type(data, (dict,), "topology block")
+    keys = sorted(set(data) & {"named", "coverage", "generate"})
+    if len(keys) != 1:
+        raise ParseError(
+            "topology block needs exactly one of named/coverage/generate, got %r"
+            % (sorted(data),)
+        )
+    kind = keys[0]
+    if kind == "named":
+        name = ref_check_type(data["named"], (str,), "named topology")
+        if name not in NAMED_TOPOLOGIES:
+            raise ParseError(
+                "unknown named topology %r (have %s)"
+                % (name, ", ".join(sorted(NAMED_TOPOLOGIES)))
+            )
+        return NAMED_TOPOLOGIES[name](category)
+    families = ref_check_type(data[kind], (dict,), "topology %s block" % kind)
+    per_object = {}
+    for obj_name, sieves in families.items():
+        c = category.obj_index(obj_name)
+        ref_check_type(sieves, (list,), "sieve list of %r" % obj_name)
+        masks = []
+        for arrows in sieves:
+            ref_check_type(arrows, (list,), "sieve of %r" % obj_name)
+            mask = 0
+            ref_check_names(arrows, "arrow in a sieve")
+            for arrow_name in arrows:
+                f = category.mor_index(arrow_name)
+                if category.cod[f] != c:
+                    raise ParseError("arrow %r does not land in %r" % (arrow_name, obj_name))
+                mask |= 1 << f
+            masks.append(mask)
+        per_object[c] = masks
+    if kind == "generate":
+        seeds = {
+            c: [sorted(bits(mask)) for mask in masks]
+            for c, masks in sorted(per_object.items())
+        }
+        return generated_topology(category, seeds)
+    covering = []
+    for c in range(len(category.objects)):
+        if c not in per_object:
+            raise ParseError("coverage block is missing object %r" % (category.objects[c],))
+        masks = per_object[c]
+        if len(set(masks)) != len(masks):
+            raise ParseError("coverage of %r lists a sieve twice" % (category.objects[c],))
+        covering.append(masks)
+    try:
+        return ref_topology(category, covering)
+    except TopologyAxiomViolation as exc:
+        if exc.axiom != "sieve":
+            raise
+        c, mask = exc.witness
+        raise ParseError(
+            "coverage of %r lists %r, which is not a sieve"
+            % (category.objects[c], [category.morphisms[f] for f in bits(mask)])
+        ) from None
+
+
+def ref_parse_subcategory(category, data, where):
+    ref_check_type(data, (dict,), where)
+    objects = ref_check_type(ref_require(data, "objects", where), (list,), where)
+    ref_check_names(objects, "object name")
+    if "morphisms" in data:
+        morphisms = ref_check_type(data["morphisms"], (list,), where)
+        ref_check_names(morphisms, "morphism name")
+    else:
+        objs = {category.obj_index(o) for o in objects}
+        morphisms = [
+            category.morphisms[f]
+            for f in range(len(category.morphisms))
+            if category.dom[f] in objs and category.cod[f] in objs
+        ]
+    omask = sum({1 << category.obj_index(name) for name in objects})
+    mmask = sum({1 << category.mor_index(name) for name in morphisms})
+    for c in bits(omask):
+        if not mmask >> category.identity[c] & 1:
+            raise InvalidSubcategory("missing identity of %r" % (category.objects[c],))
+    mors = tuple(bits(mmask))
+    for f in mors:
+        if not (omask >> category.dom[f] & 1 and omask >> category.cod[f] & 1):
+            raise InvalidSubcategory(
+                "morphism %r leaves the object selection" % (category.morphisms[f],)
+            )
+    for g in mors:
+        for f in mors:
+            if category.cod[f] == category.dom[g]:
+                h = category.compose(g, f)
+                if not mmask >> h & 1:
+                    raise InvalidSubcategory(
+                        "not closed: %r after %r = %r is missing"
+                        % (category.morphisms[g], category.morphisms[f], category.morphisms[h])
+                    )
+    return Subcategory(category, omask, mmask)
+
+
+def ref_parse_presheaf(category, data, where):
+    ref_check_type(data, (dict,), where)
+    sizes_map = ref_check_type(ref_require(data, "sizes", where), (dict,), where)
+    sizes = [None] * len(category.objects)
+    for obj_name, size in sizes_map.items():
+        c = category.obj_index(obj_name)
+        if type(size) is not int or size < 0:
+            raise ParseError("%s: size of %r must be a nonnegative int" % (where, obj_name))
+        sizes[c] = size
+    for c, size in enumerate(sizes):
+        if size is None:
+            raise ParseError("%s is missing a size for %r" % (where, category.objects[c]))
+    total, bound = sum(sizes), _resolve_bound(None)
+    if total > bound:
+        raise SizeBoundExceeded(
+            "%s has %d elements in all, over the bound %d" % (where, total, bound),
+            total,
+            bound,
+        )
+    actions_map = ref_check_type(ref_require(data, "actions", where), (dict,), where)
+    actions = [None] * len(category.morphisms)
+    for mor_name, table in actions_map.items():
+        f = category.mor_index(mor_name)
+        ref_check_type(table, (list,), "%s action %r" % (where, mor_name))
+        if not all(type(x) is int for x in table):
+            raise ParseError("%s: action of %r must list ints" % (where, mor_name))
+        actions[f] = tuple(table)
+    for f in range(len(category.morphisms)):
+        if actions[f] is None:
+            if category.is_identity(f):
+                actions[f] = tuple(range(sizes[category.dom[f]]))
+            else:
+                raise ParseError(
+                    "%s is missing the action of %r" % (where, category.morphisms[f])
+                )
+    return Presheaf(category, tuple(sizes), tuple(actions))
+
+
+def ref_parse_site(text):
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError("invalid JSON: %s" % (exc,)) from None
+    ref_check_type(data, (dict,), "site document")
+    schema = data.get("schema")
+    if schema != SCHEMA:
+        raise ParseError("expected schema %r, got %r" % (SCHEMA, schema))
+    name = data.get("name", "site")
+    ref_check_type(name, (str,), "name")
+    category = ref_parse_category(ref_require(data, "category", "site document"))
+    J = None
+    if "topology" in data:
+        J = ref_parse_topology(category, data["topology"])
+    subcategories = {}
+    for sub_name, block in sorted(
+        ref_check_type(data.get("subcategories", {}), (dict,), "subcategories").items()
+    ):
+        subcategories[sub_name] = ref_parse_subcategory(
+            category, block, "subcategory %r" % sub_name
+        )
+    presheaves = {}
+    for p_name, block in sorted(
+        ref_check_type(data.get("presheaves", {}), (dict,), "presheaves").items()
+    ):
+        presheaves[p_name] = ref_parse_presheaf(category, block, "presheaf %r" % p_name)
+    return SiteFile(name, category, J, subcategories, presheaves)
+
+
+def loaded(site):
+    """Everything a load builds, derived structure and table order included."""
+    cat = site.category
+    return {
+        "name": site.name,
+        "category": (
+            cat.objects,
+            cat.morphisms,
+            cat.dom,
+            cat.cod,
+            cat.identity,
+            list(cat.table.items()),
+            cat._obj_index,
+            cat._mor_index,
+            cat._hom,
+            cat._into,
+            cat._outof,
+            cat._maximal,
+            cat._principal,
+        ),
+        "topology": site.topology and (site.topology.minimal, site.topology.covering),
+        "subcategories": {
+            n: (s.objects_mask, s.morphisms_mask) for n, s in site.subcategories.items()
+        },
+        "presheaves": {n: (P.sizes, P.actions) for n, P in site.presheaves.items()},
+    }
+
+
+def outcome(load, text):
+    """What a loader makes of a document: what it built, or the type, the
+    message and the attributes of what it raised."""
+    try:
+        return loaded(load(text))
+    except FinsiteError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+def z64_site():
+    names = ["e"] + ["a%d" % i for i in range(1, 64)]
+    table = {
+        (g, f): names[(i + j) % 64] for i, g in enumerate(names) for j, f in enumerate(names)
+    }
+    cat = monoid_category(names, "e", table)
+    return SiteFile("Z64", cat, trivial_topology(cat))
+
+
+def loader_sites():
+    """The corpus of seeds 0-3, random sites of seeds 0-15 under a
+    generated and an explicit coverage, each given a random presheaf and
+    subcategory where it has none, and Z64."""
+    sites = []
+    for seed in range(4):
+        sites += corpus(seed=seed, random_count=4)
+    for seed in range(16):
+        for site in random_sites(seed, 4):
+            sites.append(site)
+            rng = random.Random(site.name)
+            cat = site.category
+            J = site.topology
+            # the least sieves of one topology chosen at random in the lattice
+            K = rng.choice(enumerate_topologies(cat).elements)
+            sites.append(
+                SiteFile(
+                    site.name + "-more",
+                    cat,
+                    K if J.minimal != K.minimal else J,
+                    {"sub": random_subcategory(cat, rng), **site.subcategories},
+                    {"Q": random_presheaf(cat, rng, max_value=4), **site.presheaves},
+                )
+            )
+    sites.append(z64_site())
+    return sites
+
+
+def test_the_loader_builds_what_the_multi_pass_loader_builds():
+    sites = loader_sites()
+    assert len(sites) >= 180
+    for site in sites:
+        text = serialize_site(site)
+        got = outcome(parse_site, text)
+        assert isinstance(got, dict), (site.name, got)
+        assert got == outcome(ref_parse_site, text), site.name
+        # the same documents with a generating family for a coverage
+        if site.topology is not None:
+            doc = json.loads(text)
+            doc["topology"] = {"generate": doc["topology"]["coverage"]}
+            text = json.dumps(doc)
+            assert outcome(parse_site, text) == outcome(ref_parse_site, text), site.name
+
+
+@settings(
+    derandomize=True,
+    max_examples=600,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=fuzzed_documents())
+def test_fuzzed_documents_load_or_fail_as_the_multi_pass_loader_does(case):
+    _, text = case
+    assert outcome(parse_site, text) == outcome(ref_parse_site, text)
+
+
+@settings(
+    derandomize=True,
+    max_examples=300,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(case=lawful_documents())
+def test_lawful_changes_load_or_fail_as_the_multi_pass_loader_does(case):
+    _, _, text = case
+    assert outcome(parse_site, text) == outcome(ref_parse_site, text)
+
+
+def precedence_cases():
+    """(expected error type, document) pairs in which an earlier check must
+    win over a later one: a malformed entry after an unknown name, a law
+    broken before a name is unknown, and so on."""
+    cases = []
+
+    def case(error, change, site="vee-cover"):
+        doc = json.loads(serialize_site(named_site(site)))
+        change(doc)
+        cases.append((error, doc))
+
+    def cat(doc):
+        return doc["category"]
+
+    # the shapes of every entry are checked before any name is resolved
+    case(ParseError, lambda d: cat(d)["morphisms"].extend([["m", "nowhere", "x"], 7]))
+    case(ParseError, lambda d: cat(d)["morphisms"].extend([["m", "nowhere", "x"], ["n", "x"]]))
+    case(ParseError, lambda d: cat(d)["morphisms"].extend([["m", "nowhere", "x"], ["n", 1, "x"]]))
+    case(ParseError, lambda d: (cat(d)["identities"].update(x="nothing"), cat(d)["composites"].append(["a", "b"])))
+    case(ParseError, lambda d: (cat(d)["objects"].append(cat(d)["objects"][0]), cat(d)["composites"].append([1, 2, 3])))
+    case(ParseError, lambda d: cat(d)["composites"].extend([["nothing", "a", "b"], cat(d)["composites"][0]] if cat(d)["composites"] else [["nothing", "a", "b"], ["p", "q", "r"], ["p", "q", "s"]]))
+    case(ParseError, lambda d: (cat(d)["morphisms"].append(["m", "x", "x"]), cat(d).update(identities=[])))
+    case(ParseError, lambda d: cat(d)["composites"].append(cat(d)["composites"][0]), "square-cover")
+    # names, then laws, in document order
+    case(UnknownObject, lambda d: cat(d)["objects"].append(cat(d)["objects"][0]))
+    case(UnknownName, lambda d: cat(d)["morphisms"].append(cat(d)["morphisms"][1]))
+    case(UnknownObject, lambda d: (cat(d)["objects"].append(cat(d)["objects"][0]), cat(d)["morphisms"].append(["m", "nowhere", "x"])))
+    case(UnknownName, lambda d: (cat(d)["morphisms"].append(cat(d)["morphisms"][0]), cat(d)["identities"].update(x="nothing")))
+    case(UnknownObject, lambda d: cat(d)["morphisms"].insert(0, ["m", "nowhere", "nowhere"]))
+    case(UnknownObject, lambda d: cat(d)["identities"].update(nowhere="nothing"))
+    case(MissingIdentity, lambda d: (cat(d)["identities"].pop(cat(d)["objects"][-1]), cat(d)["composites"].append(["nothing", "x", "y"])))
+    case(TypeMismatch, lambda d: cat(d)["composites"].extend([[cat(d)["morphisms"][1][0]] * 3, ["nothing", "x", "y"]]))
+    case(UnknownName, lambda d: cat(d)["composites"].extend([["nothing", "x", "y"], [cat(d)["morphisms"][1][0]] * 3]))
+    case(IdentityLawViolation, lambda d: cat(d)["composites"].append(["id_*", "e", "id_*"]), "idem-e")
+    case(UnknownName, lambda d: cat(d)["composites"].extend([["id_*", "e", "id_*"], ["nothing", "e", "e"]]), "idem-e")
+    case(UndefinedComposite, lambda d: cat(d).update(composites=[]), "square-cover")
+    # the category before the topology, the topology object by object
+    case(UndefinedComposite, lambda d: (cat(d).update(composites=[]), d["topology"].update(coverage=7)), "square-cover")
+    case(UnknownObject, lambda d: d["topology"]["coverage"].update(nowhere=[[1]]))
+    case(UnknownName, lambda d: next(iter(d["topology"]["coverage"].values())).extend([["nothing"], [1]]))
+    case(ParseError, lambda d: next(iter(d["topology"]["coverage"].values())).append(["nothing", 1]))
+    case(ParseError, lambda d: next(iter(d["topology"]["coverage"].values())).append([cat(d)["morphisms"][-1][0], cat(d)["morphisms"][0][0]]))
+    case(ParseError, lambda d: d["topology"]["coverage"].pop(cat(d)["objects"][-1]))
+    case(ParseError, lambda d: (d["topology"]["coverage"].pop(cat(d)["objects"][-1]), d["topology"]["coverage"][cat(d)["objects"][0]].append(d["topology"]["coverage"][cat(d)["objects"][0]][0])))
+    case(TopologyAxiomViolation, lambda d: d["topology"]["coverage"].update({o: [] for o in d["topology"]["coverage"]}))
+    case(ParseError, lambda d: d["topology"]["coverage"]["s"].append(["q->s", "r->s"]), "square-cover")
+    # every sieve covers, and q lists one set more that is closed under
+    # adding principal sieves but not a sieve
+    every = {
+        "p": [[], ["id_p"]],
+        "q": [[], ["p->q"], ["p->q", "id_q"], ["id_q"]],
+        "r": [[], ["p->r"], ["p->r", "id_r"]],
+        "s": [[], ["p->s"], ["p->s", "q->s"], ["p->s", "r->s"], ["p->s", "q->s", "r->s"],
+              ["p->s", "q->s", "r->s", "id_s"]],
+    }
+    case(ParseError, lambda d: d["topology"].update(coverage=every), "square-cover")
+    # the size bound before any action table, after every size
+    case(SizeBoundExceeded, lambda d: d.update(presheaves={"P": {"sizes": {o: 10**12 for o in cat(d)["objects"]}, "actions": 7}}))
+    case(ParseError, lambda d: d.update(presheaves={"P": {"sizes": {cat(d)["objects"][0]: 10**12}, "actions": {}}}))
+    case(UnknownObject, lambda d: d.update(presheaves={"P": {"sizes": {"nowhere": 10**12}, "actions": {}}}))
+    # an identity action listed is checked, one left out is filled in
+    case(PresheafLawError, lambda d: d["presheaves"]["P"]["actions"].update(id_b=[1, 0]), "arrow-j2")
+    case(ParseError, lambda d: d["presheaves"]["P"]["actions"].update(id_b=[1, 0], f=7), "arrow-j2")
+    return cases
+
+
+def test_precedence_cases_fail_as_the_multi_pass_loader_does():
+    for error, doc in precedence_cases():
+        text = json.dumps(doc)
+        got = outcome(parse_site, text)
+        assert got == outcome(ref_parse_site, text), (error, got)
+        assert got[0] is error, (error, got)

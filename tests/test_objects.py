@@ -2,6 +2,7 @@
 
 import gc
 import random
+import sys
 import weakref
 
 import pytest
@@ -207,3 +208,28 @@ def test_hull_memos_are_released_with_their_presheaf():
     del A
     gc.collect()
     assert ref() is None
+
+
+def test_the_object_predicates_check_the_sheaf_condition_once(monkeypatch):
+    """The sheaf verdict is memoised on the presheaf per least sieves."""
+    sheaf = sys.modules["finsite.sheaf"]
+    checked = []
+
+    def counting(category, J, P):
+        checked.append(J.minimal)
+        return original(category, J, P)
+
+    original = sheaf._is_sheaf
+    monkeypatch.setattr(sheaf, "_is_sheaf", counting)
+    site = named_site("arrow-j2")
+    cat, J = site.category, site.topology
+    A = sheaf.representable_sheaf(cat, J, 1)
+    for check in (is_atom, is_indecomposable, is_supercompact_object, subobjects):
+        check(cat, J, A)
+    assert checked == [J.minimal]
+    trivial = trivial_topology(cat)
+    assert is_atom(cat, trivial, A) == is_atom(cat, trivial, A)
+    assert checked == [J.minimal, trivial.minimal]
+    P = random_presheaf(cat, random.Random(0))
+    assert sheaf.is_sheaf(cat, J, P) is sheaf.is_sheaf(cat, J, P)
+    assert checked == [J.minimal, trivial.minimal, J.minimal]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from finsite import cli
 from finsite.category import bits
 from finsite.corpus import corpus, named_site, named_sites
-from finsite.errors import ParseError
+from finsite.errors import ParseError, SizeBoundExceeded
 from finsite.siteio import (
     SCHEMA,
     canonical_json,
@@ -361,3 +362,57 @@ def test_every_named_site_serializes_to_stable_bytes():
         two = serialize_site(parse_site(one))
         assert one == two
         assert one.endswith("\n") and one == one.encode("ascii").decode()
+
+
+def one_object_document(*sizes):
+    """A site on the one-arrow category with a presheaf of each size, their
+    identity actions left out."""
+    return json.dumps(
+        {
+            "schema": SCHEMA,
+            "category": {
+                "objects": ["*"],
+                "morphisms": [["id", "*", "*"]],
+                "identities": {"*": "id"},
+            },
+            "presheaves": {
+                "P%d" % i: {"sizes": {"*": n}, "actions": {}}
+                for i, n in enumerate(sizes)
+            },
+        }
+    )
+
+
+def test_presheaf_sizes_over_the_bound_are_refused_before_any_table():
+    text = one_object_document(10**12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeBoundExceeded) as err:
+            parse_site(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert (err.value.required, err.value.bound) == (10**12, 1 << 16)
+    assert str(err.value) == (
+        "presheaf 'P0' has 1000000000000 elements in all, over the bound 65536"
+    )
+
+
+def test_the_presheaf_bound_is_on_the_elements_of_each_presheaf(monkeypatch):
+    site = parse_site(one_object_document(1 << 16, 1 << 16))
+    assert site.presheaves["P1"].actions == (tuple(range(1 << 16)),)
+    with pytest.raises(SizeBoundExceeded):
+        parse_site(one_object_document(1, (1 << 16) + 1))
+    # the sum over the objects: 2 x 40000 elements, refused before the
+    # action of f, which lists too few values, is read
+    doc = json.loads(serialize_site(named_site("arrow-j2")))
+    doc["presheaves"]["P"]["sizes"] = {"a": 40000, "b": 40000}
+    with pytest.raises(SizeBoundExceeded) as err:
+        parse_site(json.dumps(doc))
+    assert err.value.required == 80000
+    monkeypatch.setenv("FINSITE_MAX_ASSIGNMENTS", "3")
+    assert parse_site(one_object_document(3)).presheaves["P0"].sizes == (3,)
+    with pytest.raises(SizeBoundExceeded) as err:
+        parse_site(one_object_document(4))
+    assert (err.value.required, err.value.bound) == (4, 3)
