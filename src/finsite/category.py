@@ -231,11 +231,15 @@ def validate_category(objects, morphisms, identities, composites):
         involving identities may be left out and are filled in.
 
     Raises a CategoryLawError subclass naming the first violated law, with
-    witnesses attached.  The names are resolved here; the laws are checked
-    on indices by `lawful_category`, which site files reach directly.
+    witnesses attached.  The names come first, in order: repeated names,
+    each arrow's ends, each identity, then each composite's names, after
+    the ends of the composites before it; then `lawful_category` checks the
+    laws on indices.  This is the one resolver of names, site files
+    included.  The composites are resolved in one comprehension, and only
+    where a name is unknown are they walked again to name it.
     """
     objects = tuple(objects)
-    morphisms = tuple(tuple(m) for m in morphisms)
+    morphisms = tuple(morphisms)
     obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
         raise UnknownObject("duplicate object names")
@@ -272,14 +276,20 @@ def validate_category(objects, morphisms, identities, composites):
             raise MissingIdentity("object %r has no identity" % (obj,), witnesses=(obj,))
 
     dom, cod = tuple(dom), tuple(cod)
-    table = {}
-    for (g_name, f_name), h_name in composites.items():
-        for nm in (g_name, f_name, h_name):
-            if nm not in mor_index:
-                # the entries before this one are checked first, in order
-                _check_typed(objects, names, dom, cod, table)
-                raise UnknownName("composition table mentions unknown morphism %r" % (nm,))
-        table[mor_index[g_name], mor_index[f_name]] = mor_index[h_name]
+    try:
+        table = {
+            (mor_index[g], mor_index[f]): mor_index[h]
+            for (g, f), h in composites.items()
+        }
+    except KeyError:
+        table = {}
+        for (g_name, f_name), h_name in composites.items():
+            for nm in (g_name, f_name, h_name):
+                if nm not in mor_index:
+                    # the entries before this one are checked first, in order
+                    _check_typed(objects, names, dom, cod, table)
+                    raise UnknownName("composition table mentions unknown morphism %r" % (nm,))
+            table[mor_index[g_name], mor_index[f_name]] = mor_index[h_name]
     return lawful_category(
         objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
     )

@@ -214,10 +214,11 @@ def cmd_classify(args):
 
 def _strided_map(jobs, fn, tasks):
     """map(fn, tasks) over `jobs` threads: task i runs in share i mod jobs,
-    share 0 on the calling thread and each other share on a thread of its
-    own.  The results keep task order, and the first task to raise, in task
-    order, raises here, as with an executor's map: each share stops at its
-    first failure, after every task of its own before it has succeeded."""
+    share 0 on the calling thread and each other nonempty share on a
+    thread of its own, so at most len(tasks) - 1 threads start.  The
+    results keep task order, and the first task to raise, in task order,
+    raises here, as with an executor's map: each share stops at its first
+    failure, after every task of its own before it has succeeded."""
     tasks = list(tasks)
     results = [None] * len(tasks)
     failed = []
@@ -230,7 +231,8 @@ def _strided_map(jobs, fn, tasks):
                 failed.append((i, exc))
                 return
 
-    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, jobs)]
+    shares = range(1, min(jobs, len(tasks)))
+    threads = [threading.Thread(target=run, args=(k,)) for k in shares]
     for thread in threads:
         thread.start()
     run(0)

@@ -8,30 +8,26 @@ Loading checks, in this order, and raises at the first failure:
 
 1. The document: JSON, a dict, the schema, a str name (ParseError).
 2. The category block: the shape of every entry and the type of every name
-   (ParseError); repeated object and arrow names, the ends of each arrow,
-   the identities, each in turn (UnknownObject, UnknownName,
-   MissingIdentity); the names in each composite, after the ends of the
-   composites before it (UnknownName, TypeMismatch); then, in
-   `category.lawful_category`, the ends of the rest, the identity laws,
-   totality and associativity.
+   (ParseError); then, in `category.validate_category`, repeated object and
+   arrow names, the ends of each arrow, the identities, each in turn
+   (UnknownObject, UnknownName, MissingIdentity); the names in each
+   composite, after the ends of the composites before it (UnknownName,
+   TypeMismatch); the ends of the rest, the identity laws, totality and
+   associativity.
 3. The topology block: its form; object by object, each sieve's shape,
    names and arrows into the object (ParseError, UnknownObject,
-   UnknownName); every object listed, no sieve listed twice; the axioms
-   (`topology.checked_topology`: TopologyAxiomViolation, or ParseError for
-   a listed set of arrows that is not a sieve).
+   UnknownName); every object listed, no sieve listed twice; then the
+   axioms, in `topology.topology` (TopologyAxiomViolation, or ParseError
+   for a listed set of arrows that is not a sieve).
 4. Each subcategory, by name: shape, names, identities and closure.
 5. Each presheaf, by name: its sizes, and their sum against the size bound
    (`FINSITE_MAX_ASSIGNMENTS` or 2^16; SizeBoundExceeded) before any value
    table is read or built; then its actions, every arrow but the
    identities listed, and the presheaf laws (PresheafLawError).
 
-The category block is resolved in one walk over its entries and each sieve
-in one walk over its names.  Where that walk meets anything malformed,
-repeated or unknown, the block or sieve is read again entry by entry,
-which raises the first error in document order, so the order above holds
-either way.  The index maps, arrow lists and composition table the law
-checks build become the category's own, and each coverage list is sorted
-and made a set once.
+So a site loads through the library's own checkers, `validate_category`
+and `topology`; the loader checks shapes, each list in one walk over its
+entries.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ from .category import (
     FiniteCategory,
     Subcategory,
     bits,
-    lawful_category,
     subcategory,
     validate_category,
 )
@@ -56,9 +51,9 @@ from .topology import (
     GrothendieckTopology,
     _resolve_bound,
     atomic_topology,
-    checked_topology,
     generated_topology,
     maximal_topology,
+    topology,
     trivial_topology,
 )
 
@@ -185,124 +180,50 @@ def _check_names(names, where):
 
 
 _STR = {str}
-_LIST = {list}
 _INT = {int}
-_THREE = {3}
 _BIT = (1).__lshift__  # arrow index -> its bit in a mask
 
 
-def _triples(entries):
-    """The columns of a list of [a, b, c] lists of names, or None where an
-    entry is another value or a name is not a str."""
-    if not ({*map(type, entries)} <= _LIST and {*map(len, entries)} <= _THREE):
-        return None
-    columns = tuple(zip(*entries)) or ((), (), ())
-    if not {*map(type, columns[0] + columns[1] + columns[2])} <= _STR:
-        return None
-    return columns
-
-
-def _resolve_category(data):
-    """The category block's names resolved to indices in one walk: the
-    arguments of `lawful_category`, or None where any entry is malformed,
-    repeated or names something unknown."""
-    if type(data) is not dict:
-        return None
-    objects = data.get("objects")
-    morphisms = data.get("morphisms")
-    identities = data.get("identities")
-    composites = data.get("composites", [])
-    if not (
-        type(objects) is list
-        and type(morphisms) is list
-        and type(identities) is dict
-        and type(composites) is list
-        and {*map(type, objects)} <= _STR
-        and {*map(type, identities.values())} <= _STR
-    ):
-        return None
-    arrows = _triples(morphisms)
-    listed = _triples(composites)
-    if arrows is None or listed is None:
-        return None
-    objects = tuple(objects)
-    names, doms, cods = arrows
-    obj_index = dict(zip(objects, range(len(objects))))
-    mor_index = dict(zip(names, range(len(names))))
-    if len(obj_index) != len(objects) or len(mor_index) != len(names):
-        return None
-    try:
-        dom = tuple(map(obj_index.__getitem__, doms))
-        cod = tuple(map(obj_index.__getitem__, cods))
-        identity = [None] * len(objects)
-        for obj, mor in identities.items():
-            c, f = obj_index[obj], mor_index[mor]
-            if dom[f] != c or cod[f] != c:
-                return None
-            identity[c] = f
-        arrow = mor_index.__getitem__
-        gs, fs, hs = listed
-        table = dict(zip(zip(map(arrow, gs), map(arrow, fs)), map(arrow, hs)))
-    except KeyError:
-        return None
-    if None in identity or len(table) != len(composites):
-        return None
-    return objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
+def _triples(entries, what, form, unique=False):
+    """The dict (a, b) -> c of a list of [a, b, c] lists of names, checked
+    in one walk that raises at the first entry that is not one or, if
+    unique, repeats the (a, b) of an earlier one."""
+    pairs = {}
+    for entry in entries:
+        if not isinstance(entry, list) or len(entry) != 3:
+            _check_type(entry, (list,), what + " entry")
+            raise ParseError("%s entry must be %s, got %r" % (what, form, entry))
+        a, b, c = entry
+        if not type(a) is type(b) is type(c) is str:
+            _check_names(entry, "name in a %s entry" % what)
+        if unique and (a, b) in pairs:
+            raise ParseError("%s (%r after %r) listed twice" % (what, a, b))
+        pairs[a, b] = c
+    return pairs
 
 
 def parse_category(data):
-    """Build a validated category from the "category" block.
-
-    A well-formed block is resolved in one walk and handed to the law
-    checks; any other is read again entry by entry, which raises the first
-    error in document order."""
-    resolved = _resolve_category(data)
-    if resolved is None:
-        return _diagnose_category(data)
-    return lawful_category(*resolved)
-
-
-def _diagnose_category(data):
-    """`parse_category` checking each entry in turn: the block's shape and
-    every name's type first, then, in `validate_category`, the names and
-    the laws."""
+    """Build a validated category from the "category" block: its shape is
+    checked here, its names and laws by `validate_category`."""
     _check_type(data, (dict,), "category block")
     objects = _check_type(
         _require(data, "objects", "category block"), (list,), "objects"
     )
     _check_names(objects, "object name")
-    raw_morphisms = _check_type(
+    morphisms = _check_type(
         _require(data, "morphisms", "category block"), (list,), "morphisms"
     )
-    morphisms = []
-    for entry in raw_morphisms:
-        _check_type(entry, (list,), "morphism entry")
-        if len(entry) != 3:
-            raise ParseError(
-                "morphism entry must be [name, dom, cod], got %r" % (entry,)
-            )
-        _check_names(entry, "name in a morphism entry")
-        morphisms.append(tuple(entry))
+    _triples(morphisms, "morphism", "[name, dom, cod]")
     identities = _check_type(
         _require(data, "identities", "category block"), (dict,), "identities"
     )
     _check_names(identities.values(), "identity")
-    raw_composites = _check_type(
-        data.get("composites", []), (list,), "composites"
+    composites = _triples(
+        _check_type(data.get("composites", []), (list,), "composites"),
+        "composite",
+        "[g, f, h] meaning g after f = h",
+        unique=True,
     )
-    composites = {}
-    for entry in raw_composites:
-        _check_type(entry, (list,), "composite entry")
-        if len(entry) != 3:
-            raise ParseError(
-                "composite entry must be [g, f, h] meaning g after f = h, got %r"
-                % (entry,)
-            )
-        _check_names(entry, "name in a composite entry")
-        g, f, h = entry
-        if (g, f) in composites:
-            raise ParseError("composite (%r after %r) listed twice" % (g, f))
-        composites[(g, f)] = h
     return validate_category(objects, morphisms, identities, composites)
 
 
@@ -320,8 +241,8 @@ def parse_topology(category, data):
     """Accepts {"named": ...}, {"coverage": ...} or {"generate": ...}.
 
     Each sieve's arrows are resolved in one walk; a malformed sieve is read
-    again arrow by arrow to name its first error.  A coverage is checked
-    on the sets it lists, built once: repeats, then the axioms."""
+    again arrow by arrow to name its first error.  A coverage must list
+    every object and no sieve twice; `topology` checks the axioms."""
     _check_type(data, (dict,), "topology block")
     keys = sorted(set(data) & {"named", "coverage", "generate"})
     if len(keys) != 1:
@@ -368,23 +289,17 @@ def parse_topology(category, data):
         }
         return generated_topology(category, seeds)
 
-    covering = []
-    sets = []
     for c, masks in enumerate(listed):
         if masks is None:
             raise ParseError(
                 "coverage block is missing object %r" % (category.objects[c],)
             )
-        distinct = set(masks)
-        if len(distinct) != len(masks):
+        if len(set(masks)) != len(masks):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )
-        masks.sort()
-        covering.append(tuple(masks))
-        sets.append(distinct)
     try:
-        return checked_topology(category, tuple(covering), sets)
+        return topology(category, listed)
     except TopologyAxiomViolation as exc:
         if exc.axiom != "sieve":  # every arrow lands in its object by now
             raise

@@ -30,9 +30,13 @@ number of arrows: two prefixes f1...fi and f1...fj (i < j) are equal, so
 P = P.u for P = f1...fi and the endomorphism u = f(i+1)...fj, which lies in
 M_dom(u) because f(i+1) does.  The idempotent power e of u is in M_dom(u)
 too, so e is in D and h = P.e.x lies in M_c(D).  Hence M = M(D).  Every
-retract-closed D gives stable and transitive M(D) (g.e = (g.e).e with e in
-M_dom(e)), and e in M_dom(e)(D) means e = g.d.x with d in D, a retract of d,
-so D is read back from J_D.  Inclusion of the M(D) reverses inclusion of D.
+set D of idempotents, retract-closed or not, gives stable and transitive
+M(D): h.(g.e.x) = (h.g).e.x, and g.e.x = (g.e).(e.x) with g.e in M_c(D) and
+e.x in M_dom(e)(D).  So sieves M are the least covering sieves of a
+topology exactly when M = M(D) for D = {e : e in M_dom(e)}, which is one
+pass over the idempotents (`_least_if_topology`).  For retract-closed D,
+e in M_dom(e)(D) means e = g.d.x with d in D, a retract of d, so D is read
+back from J_D.  Inclusion of the M(D) reverses inclusion of D.
 
 So the topologies are the down-sets of the retract classes (mutual
 retracts, such as the two constant self-maps of a two-point set, form one
@@ -123,40 +127,39 @@ def is_topology(category, covering):
     only an assignment that fails there is scanned axiom by axiom, which
     names the first violation as the axioms state it.
     """
-    return _verdict(category, *_listed(covering))[0]
+    return _verdict(category, covering)[0]
 
 
-def _listed(covering):
-    """Per object, the ascending tuple of the distinct masks given, and
-    their set."""
+def _verdict(category, covering):
+    """`is_topology`, with the least sieves M when the verdict holds, and
+    per object the ascending tuple of the distinct masks given."""
     sets = [set(masks) for masks in covering]
-    return tuple(tuple(sorted(listed)) for listed in sets), sets
-
-
-def _verdict(category, cov, sets):
-    """`is_topology` for per-object ascending tuples of distinct masks and
-    their sets, with the least sieves M when the verdict holds."""
+    cov = tuple(tuple(sorted(listed)) for listed in sets)
     M = _least_if_topology(category, sets)
     if M is not None:
-        return TopologyVerdict(True), M
+        return TopologyVerdict(True), M, cov
     n_obj = len(category.objects)
     if len(cov) != n_obj:
-        return TopologyVerdict(False, "shape", (len(cov), n_obj)), None
+        return TopologyVerdict(False, "shape", (len(cov), n_obj)), None, cov
     for c in range(n_obj):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
-                return TopologyVerdict(False, "sieve", (c, S)), None
-    return _scan_axioms(category, cov, sets), None
+                return TopologyVerdict(False, "sieve", (c, S)), None, cov
+    return _scan_axioms(category, cov, sets), None, cov
 
 
 def _least_if_topology(category, sets):
     """The least sieves M of an assignment of sieve sets that is a
-    topology, else None.  With M_c the intersection of the sets listed at
-    c, it is one exactly when every listed set holds M_c, every listed mask
-    is a sieve on c and the set is closed under S |-> S | principal(f) for
-    f into c, so that it is the set of sieves containing M_c, and M is
-    stable and transitive (the theorem above): M_d lies in h^*M_c for
-    h: d -> c, and M_c is the set of f.k with f in M_c and k in M_dom(f)."""
+    topology, else None.
+
+    With M_c the intersection of the sets listed at c, the sets are those
+    of a topology exactly when every listed set holds M_c, every listed
+    mask is a sieve on c and the set is closed under S |-> S | principal(f)
+    for f into c, so that it is the set of sieves containing M_c, and M is
+    stable and transitive.  The last holds exactly when M = M(D) for the
+    idempotents D = {e : e in M_dom(e)} (proof in the module docstring):
+    one pass ORs the sieve generated by g.e into M_(cod g)(D) for each
+    such e and each g out of dom e."""
     maximal = category._maximal
     if len(sets) != len(maximal):
         return None
@@ -177,35 +180,15 @@ def _least_if_topology(category, sets):
                         return None
                 elif S | principal[f] not in listed:
                     return None
-    if M == maximal:  # the trivial topology: g = g.1 with 1 in M_dom(g)
+    if M == maximal:  # the trivial topology: every identity is in D
         return M
-    table = category.table
-    for h, (d, c) in enumerate(zip(category.dom, category.cod)):
-        M_c = M[c]
-        # a maximal M_c pulls back to a maximal sieve, which holds M_d
-        if M_c == maximal[c]:
-            continue
-        M_d = M[d]
-        for g in into[d]:
-            if M_d >> g & 1 and not M_c >> table[h, g] & 1:
-                return None
-    dom = category.dom
-    for c, M_c in enumerate(M):
-        reached = 0
-        for f in into[c]:
-            if not M_c >> f & 1:
-                continue
-            d = dom[f]
-            M_d = M[d]
-            if M_d == maximal[d]:  # f.k for every k into d
-                reached |= principal[f]
-            else:
-                for k in into[d]:
-                    if M_d >> k & 1:
-                        reached |= 1 << table[f, k]
-        if reached != M_c:
-            return None
-    return M
+    table, cod, outof = category.table, category.cod, category._outof
+    reached = [0] * len(M)
+    for e, d in enumerate(category.dom):
+        if M[d] >> e & 1 and cod[e] == d and table[e, e] == e:
+            for g in outof[d]:
+                reached[cod[g]] |= principal[table[g, e]]
+    return M if tuple(reached) == M else None
 
 
 def _scan_axioms(category, cov, sets):
@@ -315,13 +298,7 @@ def topology(category, covering):
     the arrows of S one by one: each step stays in the list and ends at S).
     It is the ascending tuple `covering_masks(c)` would enumerate.
     """
-    return checked_topology(category, *_listed(covering))
-
-
-def checked_topology(category, cov, sets):
-    """`topology` for per-object ascending tuples of distinct masks and
-    their sets, as a site file's coverage block is read."""
-    verdict, M = _verdict(category, cov, sets)
+    verdict, M, cov = _verdict(category, covering)
     if not verdict:
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"

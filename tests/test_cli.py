@@ -184,6 +184,31 @@ def test_strided_map_keeps_order_and_raises_the_first_failure():
     assert info.value.args == (2,)
 
 
+def test_strided_map_makes_no_more_threads_than_tasks(monkeypatch):
+    """--jobs far above the task count makes at most one thread per task
+    beyond the first.  The stand-in Thread runs its target when started, on
+    the calling thread, so no OS thread is ever asked for."""
+    made = []
+
+    class CountingThread:
+        def __init__(self, target, args):
+            made.append(args)
+            self.run = lambda: target(*args)
+
+        def start(self):
+            self.run()
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(threading, "Thread", CountingThread)
+    assert _strided_map(1000, lambda x: x * x, [2, 3, 4]) == [4, 9, 16]
+    assert len(made) <= 2
+    made.clear()
+    assert _strided_map(1000, lambda x: x * x, []) == []
+    assert made == []
+
+
 def test_report_golden_bytes(capsys, site_file):
     with open(os.path.join(HERE, "golden", "vee-cover.report.json"),
               encoding="ascii") as fh:

@@ -73,7 +73,11 @@ them on broken tables and on one-object magmas with identity, and a brute
 force closure checks that the generating set reaches every arrow.  The
 coverage `topology()` stores as `covering` is compared, under every topology
 of these categories, with the sieves containing M_c enumerated on a fresh
-copy.
+copy.  The one-pass M = M(D) test of the axioms is compared with the check
+of stability and transitivity on M itself, on random least-sieve
+assignments of the monoid categories and of random sites, and
+`validate_category`, the loader's only name resolver, with the reference
+on fuzzed named data given to it directly.
 
 The report decides its per-object checks on the presheaf site E_D.  The
 sheaf-side block it ran before (double-plus representables, closed
@@ -101,6 +105,7 @@ from operator import and_, or_
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from finsite.category import (
     CartesianReport,
@@ -220,6 +225,7 @@ from finsite.siteio import (
     SCHEMA,
     SiteFile,
     canonical_json,
+    category_data,
     parse_site,
     save_site,
     serialize_site,
@@ -3031,3 +3037,158 @@ def test_precedence_cases_fail_as_the_multi_pass_loader_does():
         got = outcome(parse_site, text)
         assert got == outcome(ref_parse_site, text), (error, got)
         assert got[0] is error, (error, got)
+
+
+# ---------------------------------------------------------------------------
+# `validate_category` resolves every name, for site files and library
+# callers alike, so it is compared with the reference on named data given
+# directly: corpus categories with names changed, dropped or added, and
+# composite mappings in which a mistyped entry and an unknown name follow
+# each other.
+
+
+def validated_outcome(validate, args):
+    """What a validator makes of named data: the category's structure, or
+    the type, the message and the attributes of what it raised."""
+    try:
+        return loaded(SiteFile("named", validate(*args)))["category"]
+    except FinsiteError as exc:
+        return type(exc), str(exc), vars(exc)
+
+
+@st.composite
+def fuzzed_named_data(draw):
+    """The named data of a corpus category after one to four changes, each
+    putting a name drawn from the category, or an unknown one, into an
+    object, an arrow entry, an identity or a composite, or dropping or
+    adding a composite."""
+    site = draw(st.sampled_from(NAMED_SITES))
+    data = category_data(site.category)
+    objects = data["objects"]
+    morphisms = [list(entry) for entry in data["morphisms"]]
+    identities = data["identities"]
+    composites = [list(entry) for entry in data["composites"]]
+    names = st.sampled_from(objects + [entry[0] for entry in morphisms] + ["nothing"])
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["object", "arrow", "identity", "composite", "drop", "add"]))
+        if kind == "object":
+            objects[draw(st.integers(0, len(objects) - 1))] = draw(names)
+        elif kind == "arrow":
+            draw(st.sampled_from(morphisms))[draw(st.integers(0, 2))] = draw(names)
+        elif kind == "identity":
+            obj = draw(st.sampled_from(sorted(identities)))
+            identities[draw(names) if draw(st.booleans()) else obj] = identities.pop(obj)
+        elif kind == "composite" and composites:
+            draw(st.sampled_from(composites))[draw(st.integers(0, 2))] = draw(names)
+        elif kind == "drop" and composites:
+            composites.pop(draw(st.integers(0, len(composites) - 1)))
+        else:
+            entry = [draw(names) for _ in range(3)]
+            composites.insert(draw(st.integers(0, len(composites))), entry)
+    return objects, morphisms, identities, {(g, f): h for g, f, h in composites}
+
+
+NAMED_SITES = corpus(seed=0, random_count=8)
+
+
+@settings(
+    derandomize=True,
+    max_examples=600,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(args=fuzzed_named_data())
+def test_validate_category_on_fuzzed_named_data_fails_as_the_reference_does(args):
+    assert validated_outcome(validate_category, args) == validated_outcome(
+        ref_validate_category, args
+    )
+
+
+def mistyped_then_unknown_cases():
+    """(expected error type, named data): a corpus category's composites
+    with a mistyped entry and an entry naming an unknown arrow, in either
+    order, after a random prefix of the listed entries."""
+    rng = random.Random("mistyped")
+    cases = []
+    for site in corpus(seed=0, random_count=8):
+        data = category_data(site.category)
+        listed = [((g, f), h) for g, f, h in data["composites"]]
+        ends = {name: (a, b) for name, a, b in data["morphisms"]}
+        names = sorted(ends)
+        mistyped = [
+            ((g, f), h)
+            for g in names
+            for f in names
+            for h in names
+            if ends[f][1] != ends[g][0] or ends[h] != (ends[f][0], ends[g][1])
+        ]
+        for _ in range(6 if mistyped else 0):
+            bad = (g, f), h = rng.choice(mistyped)
+            identity = data["identities"][ends[f][1]]
+            unknown = rng.choice(
+                [(("nothing", f), h), ((g, "nothing"), h)]
+                + [((identity, f), "nothing")] * (identity != g)
+            )
+            rest = [entry for entry in listed if entry[0] not in (bad[0], unknown[0])]
+            k = rng.randrange(len(rest) + 1)
+            for first, second, error in ((bad, unknown, TypeMismatch), (unknown, bad, UnknownName)):
+                composites = dict(rest[:k] + [first, second] + rest[k:])
+                args = (data["objects"], data["morphisms"], data["identities"], composites)
+                cases.append((error, args))
+    return cases
+
+
+def test_validate_category_names_a_mistyped_entry_before_a_later_unknown_name():
+    cases = mistyped_then_unknown_cases()
+    assert len(cases) >= 100
+    for error, args in cases:
+        got = validated_outcome(validate_category, args)
+        assert got == validated_outcome(ref_validate_category, args)
+        assert got[0] is error, (error, got)
+
+
+# ---------------------------------------------------------------------------
+# `_least_if_topology` decides stability and transitivity as M = M(D), one
+# pass over the idempotents in M.  It is compared with the reference that
+# checks both axioms on M directly, on random assignments of the form the
+# listed-set checks let through (a sieve M_c per object, listed with every
+# sieve containing it), on the submonoids of T_3 and T_4, whose non-identity
+# idempotents do not split, and on the random sites of seeds 0-15.
+
+
+def least_sieve_cases():
+    cats = [param.values[0] for param in MONOID_CATEGORIES]
+    for seed in range(16):
+        cats += [site.category for site in random_sites(seed, 4)]
+    return cats
+
+
+def random_least_assignment(cat, rng, minimal=None):
+    """Per object, the set of sieves containing M_c: a random sieve, or
+    where minimal is given, minimal[c] at every object but a random one."""
+    objects = range(len(cat.objects))
+    moved = rng.choice(objects)
+    sets = []
+    for c in objects:
+        sieves = sieve_masks_on(cat, c)
+        M = rng.choice(sieves) if minimal is None or c == moved else minimal[c]
+        sets.append({S for S in sieves if not M & ~S})
+    return sets
+
+
+def test_least_sieve_verdict_matches_the_reference_on_random_least_sieves():
+    verdicts = Counter()
+    for k, cat in enumerate(least_sieve_cases()):
+        rng = random.Random(k)
+        elements = lattice(cat).elements
+        for draw in range(40):
+            minimal = rng.choice(elements).minimal if draw % 2 else None
+            sets = random_least_assignment(cat, rng, minimal)
+            want = ref_decides_on_least(cat, sets)
+            got = _least_if_topology(cat, sets)
+            assert (got is not None) == want, (cat, sets)
+            if want:
+                assert got == tuple(reduce(and_, masks) for masks in sets)
+            verdicts[want] += 1
+    assert verdicts[True] >= 200 and verdicts[False] >= 200, verdicts
