@@ -7,12 +7,14 @@ topology axioms, missing structure), 2 search-space bound exceeded,
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
+import re
 import sys
 import threading
+from collections import namedtuple
 from dataclasses import asdict
+from types import MappingProxyType, SimpleNamespace
 
 from .classify import classify_report
 from .density import is_dense, topologies_with_dense
@@ -285,105 +287,240 @@ def cmd_corpus(args):
     _emit(args, manifest)
 
 
-def _integer_at_least(low):
-    """An argparse type: an integer no smaller than low.  Anything else is a
-    usage error, whose message names the option."""
+# One option of the command table: `flag VALUE` stores convert(VALUE) under
+# dest, where convert raises ValueError with the usage error's text, and a
+# value outside `choices` (when given) is refused; a flag (convert None)
+# stores True and takes no value.
+_Option = namedtuple(
+    "_Option", "flag dest help convert default required choices",
+    defaults=(str, None, False, ()),
+)
+# A subcommand, or finsite itself: what it runs, its help, its options and
+# the dest of its positional (None for none).
+_Command = namedtuple("_Command", "func help options positional", defaults=((), "file"))
 
-    def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+
+def _shown(option):
+    """An option as its usage line shows it."""
+    if option.convert is None:
+        return option.flag
+    if option.choices:
+        return "%s {%s}" % (option.flag, ",".join(option.choices))
+    return "%s %s" % (option.flag, option.dest.upper())
+
+
+def _int(text):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("invalid int value: %r" % (text,)) from None
+
+
+def _at_least(low):
+    def convert(text):
+        value = _int(text)
         if value < low:
-            raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+            raise ValueError("must be at least %d, got %d" % (low, value))
         return value
 
-    return parse
+    return convert
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit 3, as unreadable input does; argparse's own 2 is
-    the code for an exceeded size bound."""
+_HELP = _Option("--help", None, "show this help message and exit", None)
+# finsite itself, whose positional names the subcommand that reads the rest
+_FINSITE = _Command(
+    None,
+    "Grothendieck topologies, sheaves and site classification on finite categories.",
+    (_Option("--format", "format", "output format (default text)",
+             default="text", choices=("text", "json")),),
+    "command",
+)
+_COMMANDS = MappingProxyType({
+    "validate": _Command(cmd_validate, "check a site file against all laws"),
+    "topologies": _Command(cmd_topologies, "enumerate every topology on the category", (
+        _Option("--max-assignments", "max_assignments",
+                "override the bound on candidate sieves the topology search tries",
+                _at_least(0)),
+    )),
+    "dense": _Command(cmd_dense, "test a named subcategory for density", (
+        _Option("--sub", "sub", "subcategory name from the file", required=True),
+        _Option("--enumerate", "enumerate",
+                "also enumerate all topologies making it dense", None, False),
+    )),
+    "sheafify": _Command(cmd_sheafify, "sheafify a named presheaf from the file", (
+        _Option("--presheaf", "presheaf", "presheaf name from the file", required=True),
+    )),
+    "classify": _Command(cmd_classify, "site-level classification summary"),
+    "report": _Command(cmd_report, "full classification report as JSON", (
+        _Option("--out", "out", "write the report to this path"),
+        _Option("--jobs", "jobs",
+                "worker threads for per-object checks (output is identical)",
+                _at_least(1), 1),
+    )),
+    "corpus": _Command(cmd_corpus, "emit the built-in site corpus", (
+        _Option("--seed", "seed", "seed of the random sites", _int, 0),
+        _Option("--count", "count", "random sites to append", _at_least(0), 4),
+        _Option("--out", "out", "directory for one file per site"),
+    ), None),
+})
+# argparse reads these as values, not as options
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+class _UsageError(Exception):
+    """args: the subcommand whose usage was broken (None for finsite
+    itself) and the message."""
 
 
-@functools.cache
-def build_parser():
-    """The argument parser, built once per process: parsing leaves it
-    unchanged, so every call of `main` shares it."""
-    parser = _Parser(
-        prog="finsite",
-        description="Grothendieck topologies, sheaves and site classification "
-        "on finite categories.",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _prog(name):
+    return "finsite" if name is None else "finsite " + name
 
-    p = sub.add_parser("validate", help="check a site file against all laws")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("topologies", help="enumerate every topology on the category")
-    p.add_argument("file")
-    p.add_argument(
-        "--max-assignments",
-        type=_integer_at_least(0),
-        default=None,
-        help="override the bound on candidate sieves the topology search tries",
-    )
-    p.set_defaults(func=cmd_topologies)
+def _usage(name):
+    command = _FINSITE if name is None else _COMMANDS[name]
+    parts = ["usage:", _prog(name), "[-h]"]
+    parts += [_shown(o) if o.required else "[%s]" % _shown(o) for o in command.options]
+    if name is None:
+        parts.append("{%s} ..." % ",".join(_COMMANDS))
+    elif command.positional:
+        parts.append(command.positional)
+    return " ".join(parts) + "\n"
 
-    p = sub.add_parser("dense", help="test a named subcategory for density")
-    p.add_argument("file")
-    p.add_argument("--sub", required=True, help="subcategory name from the file")
-    p.add_argument(
-        "--enumerate",
-        action="store_true",
-        help="also enumerate all topologies making it dense",
-    )
-    p.set_defaults(func=cmd_dense)
 
-    p = sub.add_parser("sheafify", help="sheafify a named presheaf from the file")
-    p.add_argument("file")
-    p.add_argument("--presheaf", required=True, help="presheaf name from the file")
-    p.set_defaults(func=cmd_sheafify)
+def _help(name):
+    command = _FINSITE if name is None else _COMMANDS[name]
+    if name is None:
+        positionals = [(key, _COMMANDS[key].help) for key in _COMMANDS]
+    else:
+        positionals = [("file", "the site file")] if command.positional else []
+    rows = [("-h, --help", _HELP.help)] + [(_shown(o), o.help) for o in command.options]
+    width = max(len(left) for left, _ in positionals + rows) + 2
+    text = [_usage(name), "\n", command.help, "\n"]
+    for heading, section in (("positional arguments", positionals), ("options", rows)):
+        if section:
+            text.append("\n%s:\n" % heading)
+            text.extend("  %-*s%s\n" % (width, left, right) for left, right in section)
+    return "".join(text)
 
-    p = sub.add_parser("classify", help="site-level classification summary")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("report", help="full classification report as JSON")
-    p.add_argument("file")
-    p.add_argument("--out", default=None, help="write the report to this path")
-    p.add_argument(
-        "--jobs",
-        type=_integer_at_least(1),
-        default=1,
-        help="worker threads for per-object checks (output is identical)",
-    )
-    p.set_defaults(func=cmd_report)
+def _option_of(arg, options, name):
+    """How argparse reads one argument among a level's options: None for a
+    value (or positional), else (option, explicit value or None), with
+    option None for an unknown one.  A long option may be shortened to any
+    prefix that names one option."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    flag, eq, explicit = arg.partition("=")
+    if not eq:
+        explicit = None
+    if flag == "-h":
+        return _HELP, explicit
+    hits = [o for o in options if o.flag == flag]
+    if not hits and arg[1] == "-":
+        hits = [o for o in options if o.flag.startswith(flag)]
+        if len(hits) > 1:
+            raise _UsageError(name, "ambiguous option: %s could match %s"
+                              % (arg, ", ".join(o.flag for o in hits)))
+    if hits:
+        return hits[0], explicit
+    if _NEGATIVE_NUMBER.match(arg) or " " in arg:
+        return None
+    return None, None
 
-    p = sub.add_parser("corpus", help="emit the built-in site corpus")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument(
-        "--count", type=_integer_at_least(0), default=4, help="random sites to append"
-    )
-    p.add_argument("--out", default=None, help="directory for one file per site")
-    p.set_defaults(func=cmd_corpus)
 
-    return parser
+def _take(option, explicit, argv, i, options, ns, name):
+    """Applies `option`, read at argv[i - 1] with `explicit` after its "=",
+    and returns the index of the next argument."""
+    if option.convert is None:
+        if explicit is not None:
+            raise _UsageError(name, "argument %s: ignored explicit argument %r"
+                              % ("-h/--help" if option is _HELP else option.flag, explicit))
+        if option is _HELP:
+            sys.stdout.write(_help(name))
+            raise SystemExit(0)
+        setattr(ns, option.dest, True)
+        return i
+    if explicit is None:
+        if i == len(argv) or argv[i] == "--" or _option_of(argv[i], options, name) is not None:
+            raise _UsageError(name, "argument %s: expected one argument" % option.flag)
+        explicit = argv[i]
+        i += 1
+    try:
+        value = option.convert(explicit)
+    except ValueError as exc:
+        raise _UsageError(name, "argument %s: %s" % (option.flag, exc)) from None
+    if option.choices and value not in option.choices:
+        raise _UsageError(name, "argument %s: %s" % (option.flag, _invalid(value, option.choices)))
+    setattr(ns, option.dest, value)
+    return i
+
+
+def _invalid(value, choices):
+    return "invalid choice: %r (choose from %s)" % (value, ", ".join(map(repr, choices)))
+
+
+def _scan(name, argv, ns):
+    """Reads argv into ns as argparse reads it at one level, finsite itself
+    (name None) or a subcommand, and returns the arguments the level does
+    not know.  Options come in any order around the positional and "--"
+    ends them; argparse also swallows a "--" next to the positional, or
+    before it."""
+    command = _FINSITE if name is None else _COMMANDS[name]
+    options = (_HELP, *command.options)
+    positional = command.positional
+    for option in command.options:
+        setattr(ns, option.dest, option.default)
+    extras, given = [], set()
+    filled = None  # the index just after the positional
+    rest = False  # past "--"
+    i = 0
+    while i < len(argv):
+        arg = argv[i]
+        i += 1
+        if arg == "--" and not rest:
+            rest = True
+            if not positional or filled not in (None, i - 1):
+                extras.append(arg)
+            continue
+        hit = None if rest else _option_of(arg, options, name)
+        if hit is None and positional and filled is None:
+            if name is None:  # the subcommand; the rest of argv is its own
+                if arg not in _COMMANDS:
+                    raise _UsageError(None, "argument command: " + _invalid(arg, _COMMANDS))
+                ns.command, ns.func = arg, _COMMANDS[arg].func
+                return extras + _scan(arg, argv[i:], ns)
+            setattr(ns, positional, arg)
+            filled = i
+        elif hit is None or hit[0] is None:
+            extras.append(arg)
+        else:
+            given.add(hit[0].dest)
+            i = _take(*hit, argv, i, options, ns, name)
+    missing = [positional] if positional and filled is None else []
+    missing += [o.flag for o in command.options if o.required and o.dest not in given]
+    if missing:
+        raise _UsageError(name, "the following arguments are required: " + ", ".join(missing))
+    return extras
+
+
+def _parse_argv(argv):
+    """The namespace `main` runs: format, command, func and the options of
+    the command, read from argv as argparse would read it; a usage error
+    exits 3 and --help exits 0."""
+    ns = SimpleNamespace(command=None)
+    try:
+        extras = _scan(None, argv, ns)
+        if extras:
+            raise _UsageError(None, "unrecognized arguments: " + " ".join(extras))
+    except _UsageError as exc:
+        name, message = exc.args
+        sys.stderr.write("%s%s: error: %s\n" % (_usage(name), _prog(name), message))
+        raise SystemExit(3) from None
+    return ns
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         args.func(args)
     except ParseError as exc:

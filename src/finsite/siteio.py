@@ -34,9 +34,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import reduce
 from json.encoder import encode_basestring_ascii
-from operator import or_
 
 from .category import (
     FiniteCategory,
@@ -179,9 +177,7 @@ def _check_names(names, where):
             raise ParseError("%s must be str, got %r" % (where, name))
 
 
-_STR = {str}
 _INT = {int}
-_BIT = (1).__lshift__  # arrow index -> its bit in a mask
 
 
 def _triples(entries, what, form, unique=False):
@@ -271,14 +267,19 @@ def parse_topology(category, data):
         outside = ~maximal[c]
         listed[c] = masks = []
         for arrows in sieves:
-            try:
-                if type(arrows) is list and {*map(type, arrows)} <= _STR:
-                    mask = reduce(or_, map(_BIT, map(arrow, arrows)), 0)
+            if type(arrows) is list:
+                mask = 0
+                try:
+                    # the index holds only names, so a name that is not
+                    # one raises KeyError, or TypeError if unhashable
+                    for name in arrows:
+                        mask |= 1 << arrow(name)
+                except (KeyError, TypeError):
+                    pass
+                else:
                     if not mask & outside:
                         masks.append(mask)
                         continue
-            except KeyError:
-                pass
             _diagnose_sieve(category, c, obj_name, arrows)
 
     if kind == "generate":

@@ -8,7 +8,7 @@ import threading
 
 import pytest
 
-from finsite import classify
+from finsite import classify, cli
 from finsite.cli import _strided_map, main
 from finsite.corpus import corpus, named_site
 from finsite.siteio import serialize_site
@@ -360,6 +360,22 @@ def test_usage_errors_and_help_exit_codes_of_the_process():
     assert exit_code("--help") == 0
     assert exit_code("topologies", "--help") == 0
 
+    def help_lines(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "finsite.cli", *argv, "--help"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        return proc.stdout.splitlines()
+
+    lines = help_lines()
+    for name, command in cli._COMMANDS.items():
+        assert any(name in line and command.help in line for line in lines)
+    for name, command in cli._COMMANDS.items():
+        lines = help_lines(name)
+        for option in command.options:
+            assert any(option.flag in line and option.help in line for line in lines)
+
 
 def test_exit_code_3_for_a_non_integer_bound_variable(capsys, monkeypatch):
     monkeypatch.setenv("FINSITE_MAX_ASSIGNMENTS", "abc")
@@ -384,6 +400,166 @@ def test_exit_code_3_for_out_of_range_numbers(capsys, argv, option):
     assert exc.value.code == 3
     err = capsys.readouterr().err
     assert "usage: finsite" in err and "argument %s: must be at least" % option in err
+
+
+def reference_parser():
+    """The argparse parser the CLI was built on before its command table,
+    kept as the oracle of the argv grammar: the same argv must be accepted
+    or refused, with the same exit code, namespace and error."""
+    import argparse
+
+    def integer_at_least(low):
+        def parse(text):
+            try:
+                value = int(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+            if value < low:
+                raise argparse.ArgumentTypeError("must be at least %d, got %d" % (low, value))
+            return value
+
+        return parse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            self.exit(3, "%s: error: %s\n" % (self.prog, message))
+
+    parser = Parser(prog="finsite")
+    parser.add_argument("--format", choices=("text", "json"), default="text")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ("validate", "topologies", "dense", "sheafify", "classify", "report"):
+        sub.add_parser(name).add_argument("file")
+    sub.choices["topologies"].add_argument(
+        "--max-assignments", type=integer_at_least(0), default=None)
+    sub.choices["dense"].add_argument("--sub", required=True)
+    sub.choices["dense"].add_argument("--enumerate", action="store_true")
+    sub.choices["sheafify"].add_argument("--presheaf", required=True)
+    sub.choices["report"].add_argument("--out", default=None)
+    sub.choices["report"].add_argument("--jobs", type=integer_at_least(1), default=1)
+    p = sub.add_parser("corpus")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--count", type=integer_at_least(0), default=4)
+    p.add_argument("--out", default=None)
+    return parser
+
+
+COMMANDS = ("validate", "topologies", "dense", "sheafify", "classify", "report", "corpus")
+ARGV_GRID = [
+    # the benchmark's forms
+    ("--format", "json", "validate", "F"),
+    ("--format", "json", "topologies", "F"),
+    ("--format", "json", "dense", "--sub", "S", "--enumerate", "F"),
+    ("--format", "json", "sheafify", "--presheaf", "P", "F"),
+    ("--format", "json", "classify", "F"),
+    ("--format", "json", "report", "F"),
+    ("--format", "json", "report", "--jobs", "2", "F"),
+    # "=" values, unique prefixes, the last repeat wins
+    ("--format=json", "validate", "F"),
+    ("--form", "json", "dense", "--su", "S", "F"),
+    ("--f=json", "sheafify", "--pre=P", "F"),
+    ("dense", "F", "--sub", "S", "--enum"),
+    ("dense", "--sub=", "F"),
+    ("--format", "json", "--format", "text", "validate", "F"),
+    ("report", "--jobs", "3", "F", "--jobs", "2", "--out", "o", "--out=p"),
+    ("topologies", "--max-assignments", "0", "F"),
+    ("topologies", "--max", "7", "F"),
+    ("corpus",),
+    ("corpus", "--seed", "5", "--count", "0", "--out", "d"),
+    ("corpus", "--seed", "-1"),
+    ("corpus", "--seed=-7", "--c", "2"),
+    ("dense", "--sub", "-1", "F"),
+    ("dense", "--sub", "a b", "F"),
+    # "--" ends the options
+    ("validate", "--", "F"),
+    ("validate", "--", "-F"),
+    ("validate", "--", "--help"),
+    ("dense", "--sub", "S", "--", "--enumerate"),
+    ("validate", "F", "--"),
+    ("validate", "-", "F"),
+    # usage errors
+    (),
+    ("--format", "json"),
+    ("--format",),
+    ("--format", "xml", "validate", "F"),
+    ("--format", "--help"),
+    ("validate", "F", "--format", "json"),
+    ("frobnicate", "F"),
+    ("--bogus", "validate", "F"),
+    ("validate",),
+    ("validate", "F", "y"),
+    ("validate", "F", "y", "-q", "z"),
+    ("topologies", "--bogus", "F"),
+    ("topologies", "--bogus", "5", "F"),
+    ("topologies", "--max-assignments", "x", "F"),
+    ("topologies", "--max-assignments", "-1", "F"),
+    ("topologies", "--max-assignments", "1.5", "F"),
+    ("topologies", "--max-assignments", "F"),
+    ("topologies", "F", "--max-assignments"),
+    ("dense", "F"),
+    ("dense",),
+    ("dense", "--sub", "S"),
+    ("dense", "--sub", "--enumerate", "F"),
+    ("dense", "--sub", "S", "--enumerate=1", "F"),
+    ("dense", "--sub", "S", "--enumerate=", "F"),
+    ("dense", "--sub", "S", "--max-assignments", "5", "F"),
+    ("dense", "--", "--sub", "S", "F"),
+    ("sheafify", "F", "--presheaf"),
+    ("report", "--jobs", "0", "F"),
+    ("report", "--jobs", "-2", "F"),
+    ("report", "--jobs", "two", "F"),
+    ("report", "--jobs", "0", "-h", "F"),
+    ("corpus", "F"),
+    ("corpus", "--count", "-1"),
+    ("corpus", "--seed", "x"),
+    ("--help=1",),
+    ("validate", "--help=x", "F"),
+    ("validate", "-h=x", "F"),
+    # help, wherever it appears in a subcommand's argv
+    ("-h",),
+    ("--help",),
+    ("--he",),
+    ("-h", "validate"),
+    ("-h", "--format", "xml"),
+    ("--bogus", "-h"),
+    ("dense", "-h"),
+    ("dense", "F", "--sub", "S", "--help"),
+    ("report", "F", "--he", "--jobs", "0"),
+    ("validate", "F", "y", "-h"),
+    ("--format", "json", "corpus", "--seed", "-1", "--h"),
+    *((name, "-h") for name in COMMANDS),
+]
+
+
+def parse_outcome(parse, argv, capsys):
+    """(exit code or None, namespace dict or None, stdout, stderr)."""
+    try:
+        ns, code = vars(parse(list(argv))), None
+    except SystemExit as exc:
+        ns, code = None, exc.code
+    out, err = capsys.readouterr()
+    return code, ns, out, err
+
+
+@pytest.mark.parametrize("argv", ARGV_GRID, ids=lambda argv: " ".join(argv) or "no-args")
+def test_argv_is_read_as_the_argparse_reference_reads_it(capsys, argv):
+    want_code, want_ns, want_out, want_err = parse_outcome(
+        reference_parser().parse_args, argv, capsys)
+    code, ns, out, err = parse_outcome(cli._parse_argv, argv, capsys)
+    assert code == want_code
+    if code is None:
+        assert ns.pop("func") is getattr(cli, "cmd_" + ns["command"])
+        assert ns == want_ns and out == err == ""
+    elif code == 0:
+        # the help of the same parser: finsite itself or one subcommand
+        assert err == "" and out.startswith("usage: finsite")
+        assert out.split(" [-h]")[0] == want_out.split(" [-h]")[0]
+    else:
+        assert out == "" and err.startswith("usage: finsite")
+        # argparse quotes the choices it lists on some Python versions only
+        last, want_last = (e.splitlines()[-1].split(" (choose from ")[0]
+                           for e in (err, want_err))
+        assert last == want_last
 
 
 def test_exit_code_3_for_a_negative_bound_variable(capsys, monkeypatch):
