@@ -90,14 +90,15 @@ class DenseFamily:
         return self.lattice.elements[self.minimum_index]
 
 
-def topologies_with_dense(category, sub, lattice=None, max_assignments=None):
+def topologies_with_dense(category, sub, lattice=None):
     """All topologies making the subcategory dense, plus their minimum.
 
     The family is closed upward and under meets, so the minimum is the meet
-    of all members; it is re-verified to be a member.
+    of all members; it is re-verified to be a member.  Without a lattice,
+    every topology is enumerated under `enumerate_topologies`'s bound.
     """
     if lattice is None:
-        lattice = enumerate_topologies(category, max_assignments)
+        lattice = enumerate_topologies(category)
     need, arrows = _qualifying_sieves(category, sub)
     for f, Q in arrows:
         need[category.dom[f]] &= Q

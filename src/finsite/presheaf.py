@@ -6,9 +6,10 @@ size(a).  Functoriality is checked when a presheaf is built from outside
 data: `Presheaf(...)`, and so site files and `random_presheaf`; naturality
 likewise for `NatTransformation(...)`.  The constructions here and in
 `sheaf.py` and `classify.py` build presheaves and maps whose laws hold by
-construction (Yoneda, limits and colimits, natural maps found by the solver,
-the plus construction, restriction), and build them through the unchecked
-`_trusted` constructors; the tests recheck the laws on all of them.
+construction (Yoneda, pullbacks and the limits built from them, natural maps
+found by the solver, the plus construction, restriction), and build them
+through the unchecked `_trusted` constructors; the tests recheck the laws on
+all of them.
 
 A natural map P -> Q is a compatible family on the elements of P: each
 element x of P(c) takes a value in Q(c), and each f: a -> b requires the
@@ -199,12 +200,6 @@ def _same_category(P, Q):
         raise PresheafLawError("presheaves live on different categories")
 
 
-def identity_nat(P):
-    return NatTransformation._trusted(
-        P, P, tuple(tuple(range(n)) for n in P.sizes)
-    )
-
-
 def compose_nat(t2, t1):
     """t2 after t1."""
     if t1.target != t2.source:
@@ -341,7 +336,8 @@ def are_isomorphic(P, Q):
 
 
 # ---------------------------------------------------------------------------
-# Finite limits and colimits, computed objectwise.
+# Finite limits, computed objectwise.  The pullback is the one construction
+# of pairs; the product is the pullback over the terminal presheaf.
 
 
 def terminal_presheaf(category):
@@ -352,87 +348,32 @@ def terminal_presheaf(category):
     )
 
 
-def initial_presheaf(category):
-    return Presheaf._trusted(
-        category,
-        tuple(0 for _ in category.objects),
-        tuple(() for _ in category.morphisms),
-    )
-
-
-def terminal_map(P):
-    T = terminal_presheaf(P.category)
-    return NatTransformation._trusted(
-        P, T, tuple((0,) * n for n in P.sizes)
-    )
-
-
 def product_presheaf(P, Q):
-    """Objectwise product with projections; pair (x, y) has index x*|Q|+y."""
-    cat = P.category
-    sizes = tuple(p * q for p, q in zip(P.sizes, Q.sizes))
-    actions = []
-    for f in range(len(cat.morphisms)):
-        a, b = cat.dom[f], cat.cod[f]
-        tab = []
-        for x in range(P.sizes[b]):
-            for y in range(Q.sizes[b]):
-                tab.append(P.actions[f][x] * Q.sizes[a] + Q.actions[f][y])
-        actions.append(tuple(tab))
-    R = Presheaf._trusted(cat, sizes, tuple(actions))
-    p1 = NatTransformation._trusted(
-        R,
-        P,
-        tuple(
-            tuple(i // Q.sizes[c] for i in range(sizes[c]))
-            for c in range(len(cat.objects))
-        ),
-    )
-    p2 = NatTransformation._trusted(
-        R,
-        Q,
-        tuple(
-            tuple(i % Q.sizes[c] for i in range(sizes[c]))
-            for c in range(len(cat.objects))
-        ),
-    )
-    return R, p1, p2
-
-
-def _sub_presheaf(P, keep):
-    """Presheaf on the element subsets `keep[c]` (sorted lists), with inclusion."""
-    cat = P.category
-    pos = [
-        {x: i for i, x in enumerate(keep[c])} for c in range(len(cat.objects))
+    """Product with projections, as the pullback of P -> 1 <- Q; pair (x, y)
+    has index x*|Q|+y."""
+    T = terminal_presheaf(P.category)
+    to_one = [
+        NatTransformation._trusted(S, T, tuple((0,) * n for n in S.sizes))
+        for S in (P, Q)
     ]
-    sizes = tuple(len(keep[c]) for c in range(len(cat.objects)))
-    actions = []
-    for f in range(len(cat.morphisms)):
-        a, b = cat.dom[f], cat.cod[f]
-        actions.append(
-            tuple(pos[a][P.actions[f][x]] for x in keep[b])
-        )
-    S = Presheaf._trusted(cat, sizes, tuple(actions))
-    incl = NatTransformation._trusted(
-        S,
-        P,
-        tuple(tuple(keep[c]) for c in range(len(cat.objects))),
-    )
-    return S, incl
+    return pullback_presheaf(*to_one)
 
 
 def equalizer_presheaf(s, t):
     """Equalizer of parallel maps s, t: P -> Q, with its inclusion."""
     P = s.source
+    cat = P.category
     keep = [
-        sorted(
-            x
-            for x in range(P.sizes[c])
-            if s.components[c][x] == t.components[c][x]
-        )
-        for c in range(len(P.category.objects))
+        tuple(x for x, (y, z) in enumerate(zip(sc, tc)) if y == z)
+        for sc, tc in zip(s.components, t.components)
     ]
-    return _sub_presheaf(P, keep)
+    pos = [{x: i for i, x in enumerate(xs)} for xs in keep]
+    actions = tuple(
+        tuple(pos[cat.dom[f]][P.actions[f][x]] for x in keep[cat.cod[f]])
+        for f in range(len(cat.morphisms))
+    )
+    E = Presheaf._trusted(cat, tuple(map(len, keep)), actions)
+    return E, NatTransformation._trusted(E, P, tuple(keep))
 
 
 def pullback_presheaf(s, t):
@@ -474,49 +415,21 @@ def kernel_pair(t):
     return pullback_presheaf(t, t)
 
 
-def coproduct_presheaf(P, Q):
-    """Objectwise disjoint union with injections; P's elements come first."""
-    cat = P.category
-    sizes = tuple(p + q for p, q in zip(P.sizes, Q.sizes))
-    actions = []
-    for f in range(len(cat.morphisms)):
-        a, b = cat.dom[f], cat.cod[f]
-        tab = list(P.actions[f]) + [
-            P.sizes[a] + y for y in Q.actions[f]
-        ]
-        actions.append(tuple(tab))
-    R = Presheaf._trusted(cat, sizes, tuple(actions))
-    in1 = NatTransformation._trusted(
-        P,
-        R,
-        tuple(tuple(range(P.sizes[c])) for c in range(len(cat.objects))),
-    )
-    in2 = NatTransformation._trusted(
-        Q,
-        R,
-        tuple(
-            tuple(P.sizes[c] + y for y in range(Q.sizes[c]))
-            for c in range(len(cat.objects))
-        ),
-    )
-    return R, in1, in2
-
-
 # ---------------------------------------------------------------------------
 # Seeded random presheaves.
 
 
-def random_presheaf(category, rng, max_value=3, max_restarts=1000):
+def random_presheaf(category, rng, max_value=3):
     """A random presheaf with value sizes in 0..max_value.
 
     Sizes are drawn first (redrawn until every arrow can act); action tables
     are then assigned in random order with forced composites propagated, and
-    the whole attempt restarts on conflict.  Deterministic for a given rng
-    state.
+    the whole attempt restarts on conflict, at most 1000 times.
+    Deterministic for a given rng state.
     """
     cat = category
     n_mor = len(cat.morphisms)
-    for _ in range(max_restarts):
+    for _ in range(1000):
         sizes = [rng.randint(0, max_value) for _ in cat.objects]
         if any(
             sizes[cat.cod[f]] > 0 and sizes[cat.dom[f]] == 0

@@ -24,9 +24,8 @@ from finsite.objects import (
     subobjects,
 )
 from finsite.presheaf import (
+    Presheaf,
     compose_nat,
-    coproduct_presheaf,
-    identity_nat,
     presheaf_homs,
     random_presheaf,
     terminal_presheaf,
@@ -98,7 +97,7 @@ def test_indecomposable_and_supercompact_split_on_coproducts():
     cat = arrow()
     J = trivial_topology(cat)
     T = terminal_presheaf(cat)
-    TT, _, _ = coproduct_presheaf(T, T)
+    TT = Presheaf(cat, (2, 2), ((0, 1),) * 3)  # T + T
     assert is_indecomposable(cat, J, T)
     assert is_supercompact_object(cat, J, T)
     assert not is_indecomposable(cat, J, TT)
@@ -154,12 +153,12 @@ def test_indecomposable_projectives():
 
 def retract_of_representable(cat, P):
     """Search every section P -> y(c) against every retraction y(c) -> P."""
-    ident = identity_nat(P)
+    ident = tuple(tuple(range(n)) for n in P.sizes)
     for c in range(len(cat.objects)):
         rep = yoneda(cat, c)
         for s in presheaf_homs(P, rep):
             for r in presheaf_homs(rep, P):
-                if compose_nat(r, s) == ident:
+                if compose_nat(r, s).components == ident:
                     return True
     return False
 

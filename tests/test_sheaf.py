@@ -12,9 +12,9 @@ from finsite.classify import classify_report
 from finsite.corpus import arrow, idem, named_site, point, vee, z2
 from finsite.errors import NotASheaf
 from finsite.presheaf import (
+    NatTransformation,
     Presheaf,
     compose_nat,
-    coproduct_presheaf,
     presheaf_homs,
     random_presheaf,
     terminal_presheaf,
@@ -73,7 +73,7 @@ def test_empty_sieve_has_one_empty_family():
     # its amalgamations are every element of a presheaf at that object
     J = GrothendieckTopology(cat, (0, cat.maximal_sieve(1)))
     T = terminal_presheaf(cat)
-    TT, _, _ = coproduct_presheaf(T, T)
+    TT = Presheaf(cat, (2, 2), ((0, 1),) * 3)  # T + T
     assert is_sheaf(cat, J, T)
     assert is_sheaf(cat, J, TT).witness == (0, 0, (), 2)
 
@@ -224,7 +224,8 @@ def test_sheaf_coproduct_respects_empty_cover():
     cat, J = site.category, site.topology
     T = terminal_presheaf(cat)
     assert is_sheaf(cat, J, T)
-    S, in1, in2 = coproduct_presheaf(T, T)
+    S = Presheaf(cat, (2, 2), ((0, 1),) * 3)  # T + T
+    in1, in2 = (NatTransformation(T, S, ((x,), (x,))) for x in (0, 1))
     R, unit = sheafify(cat, J, S)
     in1, in2 = compose_nat(unit, in1), compose_nat(unit, in2)
     assert is_sheaf(cat, J, R)
