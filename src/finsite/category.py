@@ -7,10 +7,8 @@ construction so the rest of the package can treat a category as a lookup
 table.
 """
 
-from __future__ import annotations
-
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 
 from .errors import (
@@ -59,6 +57,42 @@ def fact(category, key, compute, *args):
         if key not in facts:
             facts[key] = compute(category, *args)
         return facts[key]
+
+
+class Frozen:
+    """Base of the classes that keep memos beside their fields.
+
+    The fields, named in `_fields`, are written once into the instance
+    dict, where `cached_property` keeps its values too; after that no
+    attribute can be assigned or deleted.  Equality and the hash are those
+    of the field values, between instances of one class, and the repr
+    names the class and each field.
+    """
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (
+            type(self).__qualname__,
+            ", ".join(map("%s=%r".__mod__, zip(self._fields, self._values()))),
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("frozen %s: cannot set %r" % (type(self).__name__, name))
+
+    def __delattr__(self, name):
+        raise AttributeError("frozen %s: cannot del %r" % (type(self).__name__, name))
 
 
 class FiniteCategory:
@@ -441,17 +475,19 @@ def _generators(category):
     return taken
 
 
-@dataclass(frozen=True)
-class Subcategory:
+class Subcategory(Frozen):
     """A subcategory of a parent category, stored as index masks.
 
     Not necessarily full.  Must contain the identities of its objects and be
     closed under composition; `subcategory` checks this.
     """
 
-    parent: FiniteCategory
-    objects_mask: int
-    morphisms_mask: int
+    _fields = ("parent", "objects_mask", "morphisms_mask")
+
+    def __init__(self, parent, objects_mask, morphisms_mask):
+        self.__dict__.update(
+            parent=parent, objects_mask=objects_mask, morphisms_mask=morphisms_mask
+        )
 
     def object_indices(self):
         return tuple(bits(self.objects_mask))
@@ -476,14 +512,20 @@ class Subcategory:
         return _realize(self)
 
 
-@dataclass(frozen=True)
-class RealizedSubcategory:
+class RealizedSubcategory(Frozen):
     """A Subcategory rebuilt as its own category, with maps to the parent."""
 
-    parent: FiniteCategory
-    category: FiniteCategory
-    object_to_parent: tuple
-    morphism_to_parent: tuple
+    _fields = ("parent", "category", "object_to_parent", "morphism_to_parent")
+
+    def __init__(self, parent, category, object_to_parent, morphism_to_parent):
+        self.__dict__.update(
+            parent=parent,
+            category=category,
+            object_to_parent=object_to_parent,
+            morphism_to_parent=morphism_to_parent,
+            _obj_back={p: i for i, p in enumerate(object_to_parent)},
+            _mor_back={p: i for i, p in enumerate(morphism_to_parent)},
+        )
 
     def parent_object(self, c):
         return self.object_to_parent[c]
@@ -496,14 +538,6 @@ class RealizedSubcategory:
 
     def local_morphism(self, f):
         return self._mor_back[f]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_obj_back", {p: i for i, p in enumerate(self.object_to_parent)}
-        )
-        object.__setattr__(
-            self, "_mor_back", {p: i for i, p in enumerate(self.morphism_to_parent)}
-        )
 
 
 def _realize(sub):
@@ -594,15 +628,16 @@ def whole_subcategory(parent):
     return full_subcategory_from_mask(parent, (1 << len(parent.objects)) - 1)
 
 
-@dataclass(frozen=True)
-class CartesianReport:
+class CartesianReport(
+    namedtuple(
+        "CartesianReport",
+        "ok terminal products equalizers failure",
+        defaults=(None, None, None, None),
+    )
+):
     """Outcome of the finite-limit search, with witnesses or first failure."""
 
-    ok: bool
-    terminal: object = None
-    products: object = None
-    equalizers: object = None
-    failure: object = None
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -671,10 +706,8 @@ def _is_cartesian(category):
     return CartesianReport(True, terminal, products, equalizers)
 
 
-@dataclass(frozen=True)
-class OreReport:
-    ok: bool
-    counterexample: object = None
+class OreReport(namedtuple("OreReport", "ok counterexample", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -702,10 +735,8 @@ def _has_right_ore(category):
     return OreReport(True)
 
 
-@dataclass(frozen=True)
-class CauchyReport:
-    ok: bool
-    witness: object = None
+class CauchyReport(namedtuple("CauchyReport", "ok witness", defaults=(None,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

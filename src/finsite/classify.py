@@ -30,9 +30,7 @@ to a natural isomorphism y_I(c) = a(y c)|I: each irreducible's sheaf
 restricts to a representable, an indecomposable projective.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .category import bits, fact, has_right_ore, is_cartesian, is_cauchy_complete
 from .density import is_dense
@@ -57,11 +55,10 @@ SEPARATING = "separating-set characterization"
 RIGID_EQUIVALENCE = "rigid-site presheaf equivalence"
 
 
-@dataclass(frozen=True)
-class SiteVerdict:
-    ok: bool
-    witness: object = None
-    degenerate: bool = False
+class SiteVerdict(
+    namedtuple("SiteVerdict", "ok witness degenerate", defaults=(None, False))
+):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -153,18 +150,20 @@ def is_coherent_site(category, J):
     return SiteVerdict(True, degenerate=True)
 
 
-@dataclass(frozen=True)
-class RegularSiteVerdict:
+class RegularSiteVerdict(
+    namedtuple(
+        "RegularSiteVerdict",
+        "cartesian strict covering_variant witness",
+        defaults=(None,),
+    )
+):
     """Two readings of "every covering sieve is generated by one arrow".
 
     strict: some member arrow generates the sieve itself.
     covering_variant: some member arrow generates a covering sieve.
     """
 
-    cartesian: bool
-    strict: bool
-    covering_variant: bool
-    witness: object = None
+    __slots__ = ()
 
     @property
     def ok(self):
@@ -251,15 +250,12 @@ def right_kan_extension(parent, realized, G):
     return Presheaf(parent, sizes, tuple(actions))
 
 
-@dataclass(frozen=True)
-class ComparisonFunctors:
+class ComparisonFunctors(
+    namedtuple("ComparisonFunctors", "category topology sub realized sub_topology")
+):
     """restrict/extend between sheaves on the parent and on a dense sub."""
 
-    category: object
-    topology: object
-    sub: object
-    realized: object
-    sub_topology: object
+    __slots__ = ()
 
     def restrict(self, F):
         """Precompose with the inclusion: values at subcategory objects."""

@@ -5,15 +5,12 @@ topology axioms, missing structure), 2 search-space bound exceeded,
 3 unreadable input (bad JSON, unknown names, file errors) or a usage error.
 """
 
-from __future__ import annotations
-
 import functools
 import os
 import re
 import sys
 import threading
 from collections import namedtuple
-from dataclasses import asdict
 from types import MappingProxyType, SimpleNamespace
 
 from .classify import classify_report
@@ -168,7 +165,7 @@ def cmd_dense(args):
         "site": site.name,
         "sub": args.sub,
         "dense": verdict.dense,
-        "failures": [asdict(f) for f in verdict.failures],
+        "failures": [f._asdict() for f in verdict.failures],
     }
     if args.enumerate:
         family = topologies_with_dense(site.category, sub)

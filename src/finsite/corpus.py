@@ -4,8 +4,6 @@ Everything here is deterministic: named fixtures are fixed data, and the
 random families are driven entirely by a caller-supplied seed.
 """
 
-from __future__ import annotations
-
 import random
 
 from .category import FiniteCategory, subcategory, validate_category

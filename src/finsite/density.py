@@ -13,26 +13,20 @@ qualifying members.  Those sieves depend on the subcategory alone, so the
 family of topologies making it dense checks one mask per object.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import EmptyFamily
 from .sieves import generate_mask
 from .topology import enumerate_topologies
 
 
-@dataclass(frozen=True)
-class DensityFailure:
-    condition: str  # "i" or "ii"
-    kind: str  # "object" or "morphism"
-    witness: str  # object or morphism name
+# condition "i" or "ii", kind "object" or "morphism", witness the object or
+# morphism name
+DensityFailure = namedtuple("DensityFailure", "condition kind witness")
 
 
-@dataclass(frozen=True)
-class DensityVerdict:
-    dense: bool
-    failures: tuple
+class DensityVerdict(namedtuple("DensityVerdict", "dense failures")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.dense
@@ -74,13 +68,10 @@ def is_dense(category, J, sub):
     return DensityVerdict(not failures, tuple(failures))
 
 
-@dataclass(frozen=True)
-class DenseFamily:
+class DenseFamily(namedtuple("DenseFamily", "lattice member_indices minimum_index")):
     """The topologies in a lattice for which a fixed subcategory is dense."""
 
-    lattice: object
-    member_indices: tuple
-    minimum_index: int
+    __slots__ = ()
 
     def members(self):
         return tuple(self.lattice.elements[i] for i in self.member_indices)

@@ -94,12 +94,10 @@ x, and every subpresheaf is the union of the orbits of its elements.
   is a bijection, so |P|E_D(e_j)| = |E(e_j, e_k)| for every j.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 
-from .category import FiniteCategory, bits, fact
+from .category import FiniteCategory, Frozen, bits, fact
 from .errors import WrongTopology
 from .presheaf import Presheaf, kernel_pair, presheaf_homs, terminal_presheaf
 from .sheaf import require_sheaf
@@ -166,22 +164,23 @@ def closed_hull(category, J, A, masks):
     return _split_mask(A, _close_locally(_local_steps(category, J, A), closed))
 
 
-@dataclass(frozen=True)
-class SubobjectLattice:
+class SubobjectLattice(Frozen):
     """All subobjects of a sheaf, as closed-subpresheaf element masks.
 
     Bounded lattice: meet is the objectwise intersection, join the closed
     hull of the union, bottom the hull of the empty selection, top A itself.
+    The elements are the sorted tuples of per-object masks.
     """
 
-    category: object
-    topology: object
-    ambient: object
-    elements: tuple  # sorted tuples of per-object masks
+    _fields = ("category", "topology", "ambient", "elements")
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "_index", {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, category, topology, ambient, elements):
+        self.__dict__.update(
+            category=category,
+            topology=topology,
+            ambient=ambient,
+            elements=elements,
+            _index={e: i for i, e in enumerate(elements)},
         )
 
     def __len__(self):
@@ -268,10 +267,8 @@ def is_supercompact_object(category, J, A):
     return _properties(restrict(category, J, A))["supercompact"]
 
 
-@dataclass(frozen=True)
-class CompactVerdict:
-    ok: bool
-    degenerate: bool = False
+class CompactVerdict(namedtuple("CompactVerdict", "ok degenerate", defaults=(False,))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -339,12 +336,14 @@ def is_indecomposable_projective(category, J, P):
     )
 
 
-@dataclass(frozen=True)
-class ProbeVerdict:
-    ok: bool
-    degenerate: bool
-    probe_restricted: bool = True
-    witness: object = None
+class ProbeVerdict(
+    namedtuple(
+        "ProbeVerdict",
+        "ok degenerate probe_restricted witness",
+        defaults=(True, None),
+    )
+):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

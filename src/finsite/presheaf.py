@@ -18,22 +18,21 @@ one solver for such searches; matching families and the right Kan extension
 use it as well.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from functools import cached_property
 
+from .category import Frozen
 from .errors import PresheafLawError
 
 
-@dataclass(frozen=True)
-class Presheaf:
-    category: object
-    sizes: tuple
-    actions: tuple  # per morphism, tuple of ints
+class Presheaf(Frozen):
+    """A presheaf on `category`: `sizes` per object, `actions` per morphism
+    a tuple of ints."""
 
-    def __post_init__(self):
-        self._check_laws(self.category.identity)
+    _fields = ("category", "sizes", "actions")
+
+    def __init__(self, category, sizes, actions):
+        self.__dict__.update(category=category, sizes=sizes, actions=actions)
+        self._check_laws(category.identity)
 
     def _check_laws(self, identities):
         """Shapes, arities and value ranges, the identity arrows given act
@@ -86,9 +85,7 @@ class Presheaf:
     def _trusted(cls, category, sizes, actions):
         """A presheaf whose laws hold by construction, built unchecked."""
         P = object.__new__(cls)
-        object.__setattr__(P, "category", category)
-        object.__setattr__(P, "sizes", sizes)
-        object.__setattr__(P, "actions", actions)
+        P.__dict__.update(category=category, sizes=sizes, actions=actions)
         return P
 
     @cached_property
@@ -135,14 +132,15 @@ class Presheaf:
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
-class NatTransformation:
-    source: Presheaf
-    target: Presheaf
-    components: tuple  # per object, tuple mapping source elements to target
+class NatTransformation(Frozen):
+    """A natural map `source` -> `target`; `components` holds per object a
+    tuple mapping source elements to target elements."""
 
-    def __post_init__(self):
-        P, Q = self.source, self.target
+    _fields = ("source", "target", "components")
+
+    def __init__(self, source, target, components):
+        self.__dict__.update(source=source, target=target, components=components)
+        P, Q = source, target
         cat = P.category
         _same_category(P, Q)
         if len(self.components) != len(cat.objects):
@@ -169,9 +167,7 @@ class NatTransformation:
     def _trusted(cls, source, target, components):
         """A natural map that is natural by construction, built unchecked."""
         t = object.__new__(cls)
-        object.__setattr__(t, "source", source)
-        object.__setattr__(t, "target", target)
-        object.__setattr__(t, "components", components)
+        t.__dict__.update(source=source, target=target, components=components)
         return t
 
     def apply(self, c, x):

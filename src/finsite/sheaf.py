@@ -30,10 +30,7 @@ M_c of the h.g, g in M_d.  So every sheafification under one topology
 shares one.
 """
 
-from __future__ import annotations
-
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 
 from .category import bits, fact
 from .errors import NotASheaf
@@ -78,10 +75,8 @@ def matching_families(category, P, c, mask):
     return tuple(compatible_families(sizes, edges))
 
 
-@dataclass(frozen=True)
-class SheafVerdict:
-    ok: bool
-    witness: tuple = ()
+class SheafVerdict(namedtuple("SheafVerdict", "ok witness", defaults=((),))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -178,10 +173,12 @@ def _representable_sheaf(category, J, c):
     return sheafify(category, J, yoneda(category, c))[0]
 
 
-@dataclass(frozen=True)
-class SubcanonicalVerdict:
-    ok: bool
-    witness: object = None  # object name whose representable fails
+class SubcanonicalVerdict(
+    namedtuple("SubcanonicalVerdict", "ok witness", defaults=(None,))
+):
+    """witness: the name of the object whose representable fails."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

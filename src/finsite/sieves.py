@@ -6,18 +6,17 @@ different objects live in the same bit space; the base object is carried
 alongside.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .category import bits
 from .errors import CodomainMismatch, TypeMismatch
 
 
-@dataclass(frozen=True)
-class Sieve:
-    base: int
-    arrows: int  # bitmask over parent morphism indices
+class Sieve(namedtuple("Sieve", "base arrows")):
+    """A sieve on the object `base`; `arrows` is its bitmask over the parent
+    category's morphism indices."""
+
+    __slots__ = ()
 
     def arrow_indices(self):
         return tuple(bits(self.arrows))

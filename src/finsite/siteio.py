@@ -30,15 +30,11 @@ and `topology`; the loader checks shapes, each list in one walk over its
 entries.
 """
 
-from __future__ import annotations
-
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 from .category import (
-    FiniteCategory,
-    Subcategory,
+    Frozen,
     bits,
     subcategory,
     validate_category,
@@ -46,7 +42,6 @@ from .category import (
 from .errors import ParseError, SizeBoundExceeded, TopologyAxiomViolation
 from .presheaf import Presheaf
 from .topology import (
-    GrothendieckTopology,
     _resolve_bound,
     atomic_topology,
     generated_topology,
@@ -69,15 +64,23 @@ NAMED_TOPOLOGIES = {
 }
 
 
-@dataclass
 class SiteFile:
-    """Parsed contents of one site document."""
+    """Parsed contents of one site document: its name, its FiniteCategory,
+    its GrothendieckTopology or None, and dicts of named subcategories and
+    presheaves.  Mutable, and compared and printed field by field as the
+    `Frozen` classes are."""
 
-    name: str
-    category: FiniteCategory
-    topology: GrothendieckTopology | None = None
-    subcategories: dict = field(default_factory=dict)
-    presheaves: dict = field(default_factory=dict)
+    _fields = ("name", "category", "topology", "subcategories", "presheaves")
+    _values, __eq__, __repr__ = Frozen._values, Frozen.__eq__, Frozen.__repr__
+
+    def __init__(
+        self, name, category, topology=None, subcategories=None, presheaves=None
+    ):
+        self.name = name
+        self.category = category
+        self.topology = topology
+        self.subcategories = {} if subcategories is None else subcategories
+        self.presheaves = {} if presheaves is None else presheaves
 
 
 def _str_leaves(value):
@@ -238,7 +241,8 @@ def parse_topology(category, data):
 
     Each sieve's arrows are resolved in one walk; a malformed sieve is read
     again arrow by arrow to name its first error.  A coverage must list
-    every object and no sieve twice; `topology` checks the axioms."""
+    every object and no sieve twice; `topology` checks the axioms on the
+    sets of masks built for the repeat check."""
     _check_type(data, (dict,), "topology block")
     keys = sorted(set(data) & {"named", "coverage", "generate"})
     if len(keys) != 1:
@@ -259,13 +263,13 @@ def parse_topology(category, data):
     families = _check_type(data[kind], (dict,), "topology %s block" % kind)
     arrow = category._mor_index.__getitem__
     maximal = category._maximal
-    listed = [None] * len(maximal)  # per object index, the masks listed
+    listed = [None] * len(maximal)  # per object index, the set of masks listed
     for obj_name, sieves in families.items():
         c = category.obj_index(obj_name)
         if not isinstance(sieves, list):
             _check_type(sieves, (list,), "sieve list of %r" % obj_name)
         outside = ~maximal[c]
-        listed[c] = masks = []
+        listed[c] = masks = set()
         for arrows in sieves:
             if type(arrows) is list:
                 mask = 0
@@ -278,7 +282,7 @@ def parse_topology(category, data):
                     pass
                 else:
                     if not mask & outside:
-                        masks.append(mask)
+                        masks.add(mask)
                         continue
             _diagnose_sieve(category, c, obj_name, arrows)
 
@@ -295,7 +299,7 @@ def parse_topology(category, data):
             raise ParseError(
                 "coverage block is missing object %r" % (category.objects[c],)
             )
-        if len(set(masks)) != len(masks):
+        if len(masks) != len(families[category.objects[c]]):
             raise ParseError(
                 "coverage of %r lists a sieve twice" % (category.objects[c],)
             )

@@ -46,14 +46,12 @@ on the least idempotents of the classes in D, where the report decides its
 per-object checks (proof in the `objects.py` docstring).
 """
 
-from __future__ import annotations
-
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .category import bits, fact, has_right_ore
+from .category import Frozen, bits, fact, has_right_ore
 from .errors import (
     CodomainMismatch,
     InvalidSubcategory,
@@ -68,10 +66,14 @@ DEFAULT_MAX_ASSIGNMENTS = 1 << 16
 ENV_MAX_ASSIGNMENTS = "FINSITE_MAX_ASSIGNMENTS"
 
 
-@dataclass(frozen=True)
-class GrothendieckTopology:
-    category: object
-    minimal: tuple  # per object index, the mask of the least covering sieve
+class GrothendieckTopology(Frozen):
+    """A topology on `category`, given by `minimal`: per object index, the
+    mask of the least covering sieve."""
+
+    _fields = ("category", "minimal")
+
+    def __init__(self, category, minimal):
+        self.__dict__.update(category=category, minimal=minimal)
 
     @cached_property
     def covering(self):
@@ -107,11 +109,8 @@ class GrothendieckTopology:
         return out
 
 
-@dataclass(frozen=True)
-class TopologyVerdict:
-    ok: bool
-    axiom: str = ""
-    witness: tuple = ()
+class TopologyVerdict(namedtuple("TopologyVerdict", "ok axiom witness", defaults=("", ()))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
@@ -132,8 +131,9 @@ def is_topology(category, covering):
 
 def _verdict(category, covering):
     """`is_topology`, with the least sieves M when the verdict holds, and
-    per object the ascending tuple of the distinct masks given."""
-    sets = [set(masks) for masks in covering]
+    per object the ascending tuple of the distinct masks given.  A set of
+    masks is read as given, not copied."""
+    sets = [masks if type(masks) is set else set(masks) for masks in covering]
     cov = tuple(tuple(sorted(listed)) for listed in sets)
     M = _least_if_topology(category, sets)
     if M is not None:
@@ -225,20 +225,17 @@ def _least(category, covering):
     )
 
 
-@dataclass(frozen=True)
-class _RetractClasses:
+class _RetractClasses(namedtuple("_RetractClasses", "n_obj least down sieves")):
     """The idempotents of a category up to mutual retracts, retracts first.
 
+    n_obj: the number of objects of the category.
     least: per class, (dom e, e) for its least idempotent e.
     down: per class, the mask over classes of the classes at or below it.
     sieves: per class, (c, the sieve on c generated by the arrows g.e with
         g: dom e -> c) for each object c that dom e has an arrow to.
     """
 
-    n_obj: int
-    least: tuple
-    down: tuple
-    sieves: tuple
+    __slots__ = ()
 
     def minimal(self, D):
         """Least covering sieves M_c(D) of J_D; D is a mask over classes."""
