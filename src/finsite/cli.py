@@ -43,7 +43,11 @@ def _emit(args, data, text_renderer=None):
 
 
 def _render_text(data, indent=0):
-    """Generic deterministic text rendering of the JSON-shaped data."""
+    """Generic deterministic text rendering of the JSON-shaped data.
+
+    Dict keys print in insertion order, not sorted as in the JSON form, so
+    the order in which a command builds its dicts (the classify report's
+    among them) is part of its text output."""
     pad = "  " * indent
     out = []
     if isinstance(data, dict):
@@ -520,13 +524,7 @@ def main(argv=None):
     args = _parse_argv(sys.argv[1:] if argv is None else argv)
     try:
         args.func(args)
-    except ParseError as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
-    except (UnknownName, UnknownObject) as exc:
-        sys.stderr.write("error: %s\n" % exc)
-        return 3
-    except OSError as exc:
+    except (ParseError, UnknownName, UnknownObject, OSError) as exc:
         sys.stderr.write("error: %s\n" % exc)
         return 3
     except SizeBoundExceeded as exc:

@@ -97,7 +97,7 @@ x, and every subpresheaf is the union of the orbits of its elements.
 from collections import namedtuple
 from functools import cached_property
 
-from .category import FiniteCategory, Frozen, bits, fact
+from .category import FiniteCategory, Frozen, bits, fact, overlap_connected
 from .errors import WrongTopology
 from .presheaf import Presheaf, kernel_pair, presheaf_homs, terminal_presheaf
 from .sheaf import require_sheaf
@@ -480,15 +480,7 @@ def _connected(P):
     in a presheaf topos.  The component of the first element is its orbit
     grown by every orbit that meets it."""
     start, orbits = P._orbits
-    if not orbits:
-        return False
-    reached, grown = 0, orbits[0]
-    while grown != reached:
-        reached = grown
-        for orbit in orbits:
-            if orbit & reached:
-                grown |= orbit
-    return reached == (1 << start[-1]) - 1
+    return overlap_connected(orbits, (1 << start[-1]) - 1)
 
 
 def _properties(R):

@@ -8,7 +8,7 @@ alongside.
 
 from collections import namedtuple
 
-from .category import bits
+from .category import bits, overlap_connected
 from .errors import CodomainMismatch, TypeMismatch
 
 
@@ -103,25 +103,11 @@ def sieves_on(category, c):
 def is_sieve_connected(category, sieve):
     """Zig-zag connectivity of the sieve's arrows in the slice over its base.
 
-    The empty sieve counts as disconnected.
+    f is joined to each f.g among the arrows, so a component is the union
+    of the principal sieves of its arrows, cut to the arrows (the mask need
+    not be right-closed) and grown by overlap.  The empty sieve counts as
+    disconnected.
     """
-    arrows = sieve.arrow_indices()
-    if not arrows:
-        return False
-    pos = {f: i for i, f in enumerate(arrows)}
-    root = list(range(len(arrows)))
-
-    def find(x):
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for f in arrows:
-        for g in category.into(category.dom[f]):
-            h = category.compose(f, g)
-            if h in pos:
-                a, b = find(pos[f]), find(pos[h])
-                if a != b:
-                    root[max(a, b)] = min(a, b)
-    return len({find(i) for i in range(len(arrows))}) == 1
+    S = sieve.arrows
+    principal = category.principal_sieve
+    return overlap_connected([principal(f) & S for f in bits(S)], S)

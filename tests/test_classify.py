@@ -1,5 +1,6 @@
 """Site classes, comparison along dense subcategories, the report bundle."""
 
+import hashlib
 import importlib
 import random
 import sys
@@ -28,13 +29,15 @@ from finsite.classify import (
     separating_set_check,
 )
 from finsite.category import full_subcategory_from_mask, is_cartesian
+from finsite.cli import _render_text
 from finsite.corpus import arrow, corpus, named_site, vee
 from finsite.density import is_dense
 from finsite.errors import NotDense
 from finsite.objects import is_atom, is_indecomposable, subobjects
 from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
 from finsite.sheaf import is_sheaf, is_subcanonical, representable_sheaf
-from finsite.topology import trivial_topology
+from finsite.siteio import canonical_json
+from finsite.topology import enumerate_topologies, trivial_topology
 
 
 def test_locally_connected_fails_on_disconnected_covers():
@@ -364,6 +367,46 @@ def test_report_without_objects_is_a_subset():
                             include_objects=False)
     assert "objects" not in small and "derived" not in small
     assert "classes" in small and "presheaf_type" in small
+
+
+REPORT_DIGESTS = {
+    0: "b9844a7bc4fdbd125aec2653785a421e40266e39d04102e5e982c619a8e91a5f",
+    1: "adbdb767d47fd0bbb2b6371c956f6f6eed6ac860e26b2788089e9bc44a7352f6",
+    2: "ba70fd0db95db086d3a3d9122cfecd8c917d94af54984a78f6c22d958ce3cd1d",
+    3: "2087d712f2bc0c5c00e57e1094de799b990a1b2907e746d636b73ce02bd4cee5",
+    4: "0ea86528bbf03d9c1a38bc70f0b496bf50ca6ce923063dd4c4298d338fdc87b1",
+    5: "fceebc21a98fdb292bcac1721c5a90a7e9f418be4e114afc375fd975c8ec0b70",
+    6: "e8b12f1cd2858446d329a383bf0441f30a6774a12dd13f358db45c6002e392d6",
+    7: "692fd134376b6c7bf21325bb2dae4dbfe4d5f8e1cb917a5e4a4a8d0bc157e14f",
+}
+
+
+def report_digest(seed):
+    """sha256 over every report of the seed's corpus: each distinct category
+    under every topology, as JSON with and without objects and as the text
+    form `classify` prints."""
+    digest = hashlib.sha256()
+    cats = []
+    for site in corpus(seed, random_count=8):
+        if site.category in cats:
+            continue
+        cats.append(site.category)
+        for k, J in enumerate(enumerate_topologies(site.category).elements):
+            name = "%s/%d" % (site.name, k)
+            full = classify_report(site.category, J, name=name)
+            small = classify_report(site.category, J, name=name,
+                                    include_objects=False)
+            digest.update(canonical_json(full).encode())
+            digest.update(canonical_json(small).encode())
+            digest.update(_render_text(small).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
+def test_report_bytes_are_pinned(seed):
+    """The JSON and text bytes of the report, key order in the text form
+    included, are those recorded for each corpus seed."""
+    assert report_digest(seed) == REPORT_DIGESTS[seed]
 
 
 def test_report_object_fields_match_the_object_checks():

@@ -59,7 +59,10 @@ witness, under every topology of the categories above, of products of small
 categories, of monoids with a terminal object added, and of seeded random
 sites, each also with its objects and arrows listed in reverse order.  The
 same categories check the theorem the finite-limit search rests on: a
-cartesian category is thin, so the equalizer stage never fails.
+cartesian category is thin, so the equalizer stage never fails.  Sieve
+connectivity, which the locally-connected scan reads, is compared with a
+zig-zag breadth-first search over every sieve of these categories and over
+random sets of arrows into one object.
 
 The report writes the rigid-site transfer as a theorem of the comparison
 lemma; the check it replaced, through the comparison functors along the
@@ -504,7 +507,7 @@ def test_closed_hull_matches_the_covering_scan():
     for cat, J, rng in cases():
         for _ in range(2):
             A = random_presheaf(cat, rng)
-            for _ in range(4):
+            for _ in range(8):
                 seed = tuple(rng.randrange(1 << n) for n in A.sizes)
                 assert closed_hull(cat, J, A, seed) == scan_closed_hull(
                     cat, J, A, seed
@@ -2038,6 +2041,47 @@ def test_site_classes_match_the_scans_under_every_topology():
     assert counts["cartesian", None] >= 15 and counts["cartesian", "product"] >= 40
     for key in ("locally connected", "strict", "subcanonical"):
         assert counts[key, True] >= 300 and counts[key, False] >= 300
+
+
+def zigzag_connected(cat, arrows):
+    """Breadth-first search over the arrows, f joined to each f.g among
+    them and back; the empty set is disconnected."""
+    arrows = set(arrows)
+    if not arrows:
+        return False
+    first = min(arrows)
+    reached, todo = {first}, [first]
+    while todo:
+        f = todo.pop()
+        for h in arrows - reached:
+            if any(cat.compose(f, g) == h for g in cat.into(cat.dom[f])) or any(
+                cat.compose(h, g) == f for g in cat.into(cat.dom[h])
+            ):
+                reached.add(h)
+                todo.append(h)
+    return reached == arrows
+
+
+def test_sieve_connectivity_matches_the_zigzag_search():
+    """Every sieve of the oracle categories, and seeded random sets of
+    arrows into one object, which need not be right-closed."""
+    rng = random.Random("zigzag")
+    counts = Counter()
+    for cat in oracle_categories():
+        for c in range(len(cat.objects)):
+            into = cat.into(c)
+            for S in sieve_masks_on(cat, c):
+                connected = is_sieve_connected(cat, Sieve(c, S))
+                assert connected == zigzag_connected(cat, bits(S)), (cat.objects, S)
+                counts["sieve", connected] += 1
+            for _ in range(8):
+                arrows = [f for f in into if rng.random() < 0.4]
+                mask = sum(1 << f for f in arrows)
+                connected = is_sieve_connected(cat, Sieve(c, mask))
+                assert connected == zigzag_connected(cat, arrows), (cat.objects, mask)
+                counts["set", connected, is_right_closed(cat, mask)] += 1
+    assert counts["sieve", True] >= 2000 and counts["sieve", False] >= 2000, counts
+    assert counts["set", True, False] >= 2000 and counts["set", False, False] >= 150
 
 
 def is_thin(cat):
