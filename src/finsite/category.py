@@ -12,7 +12,6 @@ from collections import namedtuple
 from operator import mul
 
 from .errors import (
-    CodomainMismatch,
     IdentityLawViolation,
     InvalidSubcategory,
     MissingIdentity,
@@ -46,6 +45,23 @@ def overlap_connected(masks, full):
             if mask & reached:
                 grown |= mask
     return reached == full
+
+
+def unions(masks):
+    """Every union of the given masks, the empty one included, ascending.
+    The union walk adjoins each mask to each union found, so the work is
+    proportional to the number of unions."""
+    masks = set(masks)
+    seen = {0}
+    todo = [0]
+    while todo:
+        S = todo.pop()
+        for P in masks:
+            T = S | P
+            if T not in seen:
+                seen.add(T)
+                todo.append(T)
+    return tuple(sorted(seen))
 
 
 def fact(category, key, compute, *args):

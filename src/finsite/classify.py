@@ -45,7 +45,7 @@ from .objects import (
     representable_sizes,
     terminal_is_indecomposable,
 )
-from .presheaf import Presheaf, compatible_families
+from .presheaf import Presheaf, presheaf_homs, yoneda
 from .sheaf import is_subcanonical, sheafify
 from .sieves import Sieve, generate_mask, is_sieve_connected
 from .topology import atomic_topology, induced_topology
@@ -200,54 +200,52 @@ def is_regular_site(category, J):
 # Comparison along a dense subcategory.
 
 
+def _precompose(realized, F):
+    """F precomposed with the inclusion of the realized subcategory: its
+    values at the subcategory's objects and arrows."""
+    sizes = tuple(
+        F.sizes[realized.parent_object(d)]
+        for d in range(len(realized.category.objects))
+    )
+    actions = tuple(
+        F.actions[realized.parent_morphism(f)]
+        for f in range(len(realized.category.morphisms))
+    )
+    return Presheaf._trusted(realized.category, sizes, actions)
+
+
 def right_kan_extension(parent, realized, G):
-    """Pointwise right Kan extension of G along the subcategory inclusion.
+    """Pointwise right Kan extension of G along the subcategory inclusion i.
 
-    The value at a parent object c is the set of compatible families over
-    pairs (d, f) with d a subcategory object and f: d -> c in the parent,
-    where compatibility transports values along subcategory arrows.  The
-    families come from `compatible_families`, in ascending order over the
-    pairs sorted by d and then f.
+    (Ran G)(c) = Nat(C(i-, c), G), where C(i-, c) is the representable at c
+    precomposed with i, and m: c2 -> c acts by precomposing with m.- on the
+    f: i d -> c2.  The natural maps are those of `presheaf_homs`, ascending
+    over the elements (d, f) sorted by d and then f.
     """
-    Dcat = realized.category
-    pair_lists = []
-    pair_index = []
-    values = []
-    for c in range(len(parent.objects)):
-        pairs = [
-            (d, f)
-            for d in range(len(Dcat.objects))
-            for f in parent.hom(realized.parent_object(d), c)
-        ]
-        index = {p: i for i, p in enumerate(pairs)}
-        edges = [[] for _ in pairs]
-        for i, (d, f) in enumerate(pairs):
-            # h: d2 -> d carries the value at (d, f) to the one at (d2, f h)
-            for h in Dcat.into(d):
-                if not Dcat.is_identity(h):
-                    fh = parent.compose(f, realized.parent_morphism(h))
-                    edges[i].append((G.actions[h], index[(Dcat.dom[h], fh)]))
-        pair_lists.append(pairs)
-        pair_index.append(index)
-        sizes = [G.sizes[d] for d, _ in pairs]
-        values.append(tuple(compatible_families(sizes, edges)))
-
-    value_index = [
-        {v: i for i, v in enumerate(vals)} for vals in values
+    sub_objects = [
+        realized.parent_object(d) for d in range(len(realized.category.objects))
     ]
-    sizes = tuple(len(v) for v in values)
+    values, place = [], []
+    for c in range(len(parent.objects)):
+        maps = presheaf_homs(_precompose(realized, yoneda(parent, c)), G)
+        values.append(tuple(t.components for t in maps))
+        place.append(
+            {f: i for a in sub_objects for i, f in enumerate(parent.hom(a, c))}
+        )
+    index = [{v: i for i, v in enumerate(vals)} for vals in values]
     actions = []
     for m in range(len(parent.morphisms)):
         c2, c = parent.dom[m], parent.cod[m]
+        moved = [
+            [place[c][parent.compose(m, f)] for f in parent.hom(a, c2)]
+            for a in sub_objects
+        ]
         tab = []
         for alpha in values[c]:
-            beta = tuple(
-                alpha[pair_index[c][(d, parent.compose(m, g))]]
-                for (d, g) in pair_lists[c2]
-            )
-            tab.append(value_index[c2][beta])
+            beta = tuple(tuple(comp[i] for i in at) for comp, at in zip(alpha, moved))
+            tab.append(index[c2][beta])
         actions.append(tuple(tab))
-    return Presheaf(parent, sizes, tuple(actions))
+    return Presheaf(parent, tuple(map(len, values)), tuple(actions))
 
 
 class ComparisonFunctors(
@@ -259,16 +257,7 @@ class ComparisonFunctors(
 
     def restrict(self, F):
         """Precompose with the inclusion: values at subcategory objects."""
-        realized = self.realized
-        sizes = tuple(
-            F.sizes[realized.parent_object(d)]
-            for d in range(len(realized.category.objects))
-        )
-        actions = tuple(
-            F.actions[realized.parent_morphism(f)]
-            for f in range(len(realized.category.morphisms))
-        )
-        return Presheaf._trusted(realized.category, sizes, actions)
+        return _precompose(self.realized, F)
 
     def extend(self, G):
         """Right Kan extension along the inclusion, then sheafify."""

@@ -6,7 +6,7 @@ random families are driven entirely by a caller-supplied seed.
 
 import random
 
-from .category import FiniteCategory, subcategory, validate_category
+from .category import full_subcategory_from_mask, subcategory, validate_category
 from .presheaf import Presheaf, random_presheaf
 from .siteio import SiteFile
 from .topology import (
@@ -423,14 +423,7 @@ def random_subcategory(rng, category):
     keep = [c for c in range(n) if rng.random() < 0.6]
     if not keep:
         keep = [rng.randrange(n)]
-    objs = {category.objects[c] for c in keep}
-    mors = [
-        category.morphisms[f]
-        for f in range(len(category.morphisms))
-        if category.objects[category.dom[f]] in objs
-        and category.objects[category.cod[f]] in objs
-    ]
-    return subcategory(category, sorted(objs), mors)
+    return full_subcategory_from_mask(category, sum(1 << c for c in keep))
 
 
 def random_sites(seed, count=4):

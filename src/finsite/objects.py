@@ -8,15 +8,37 @@ covering sieve.  For subpresheaves of a sheaf, closed is the same as being a
 sheaf, which the tests cross-check.  Elements are stored as per-object int
 masks over A's value sets.
 
-The hull works on one mask over all of A's elements.  The least
-subpresheaf holding a selection is the union of the orbits of its elements,
-the orbit of x in A(c) being the restrictions A(f)x along every f into c;
+Closed subpresheaves are read off the presheaf site E_D (below), on one
+mask over all of A's elements.  The orbit of x in A(c) is the set of its
+restrictions A(f)x along every f into c, the least subpresheaf holding x;
 A keeps these masks once computed.  Every covering sieve on c contains the
-least one, M_c, so the local closure and the sieve-level criteria for
-representables look at M_c alone, and an object whose M_c is maximal never
-gains an element locally.  Closing a subpresheaf is idempotent (the axioms
-of the topology make the closure a closed subpresheaf), so it takes one pass
-over the elements.
+least one, M_c, so x lies locally in T exactly when A(f)x lies in T for
+every f in M_c, and the sieve-level criteria for representables look at
+M_c alone.
+
+Let F be the elements of A|E_D, taken as one mask over A's elements: the y
+in A(dom e_k) with A(e_k)y = y, for each object e_k of E_D.  For x in A(c),
+let r(x) = orbit(x) & F.  Then for every subpresheaf T of any presheaf A
+the closure {x : A(f)x in T for all f in M_c} is {x : r(x) <= T}, and the
+closed subpresheaves S correspond one to one to the S & F.  These are the
+unions of the r(x), that is, the subpresheaves of A|E_D.
+
+Proof.  r(x) is exactly the set of A(u)x for u: dom e_k -> c with
+u.e_k = u: such an A(u)x = A(u.e_k)x = A(e_k)A(u)x is fixed, and a fixed
+y = A(f)x is A(e_k)A(f)x = A(u)x for u = f.e_k.  These u generate M_c,
+because M_c(D) is generated by the g.e_k, one least idempotent per class
+in D (`topology.py`), and each g.e_k is such a u.  So every f in M_c is
+u.h, A(f)x = A(h)A(u)x lies in T when A(u)x does, and the closure of T is
+{x : r(x) <= T}.  Restriction shrinks orbits, so r(A(h)x) <= r(x), and
+each y in F lies in r(y) (take u = e_k).  Hence a closed S, being its own
+closure, is {x : r(x) <= S & F}, and S & F is the union of the r(y) for y
+in it.  Conversely, for a union N of r's, S_N = {x : r(x) <= N} is a
+subpresheaf with S_N & F = N (y in N lies in some r(x) <= N, and then
+r(y) <= r(x)), so it is its own closure {x : r(x) <= S_N & F}.  Finally
+r(y) for y in A|E_D(e_j) is its orbit in A|E_D: A(u)y = A(e_j.u)y, and
+e_j.u.e_k = e_j.u when u.e_k = u.  So a closed hull is the closure of the
+union of the orbits of its selection, and the subobjects are the closures
+of the unions of the distinct r(x), one per union.
 
 The presheaf site.  J = J_D for the retract-closed set D of idempotents e
 with e in M_dom(e) (see `topology.py`).  Let E_D have one object per retract
@@ -97,71 +119,57 @@ x, and every subpresheaf is the union of the orbits of its elements.
 from collections import namedtuple
 from functools import cached_property
 
-from .category import FiniteCategory, Frozen, bits, fact, overlap_connected
+from .category import FiniteCategory, Frozen, bits, fact, overlap_connected, unions
 from .errors import WrongTopology
 from .presheaf import Presheaf, kernel_pair, presheaf_homs, terminal_presheaf
 from .sheaf import require_sheaf
 from .topology import _retract_classes, trivial_topology
 
 
-def _local_steps(category, J, A):
-    """Per element (c, x) at an object whose M_c lacks the identity, its
-    global bit and the mask of the pairs (dom f, A(f)x) for f in M_c; memoised
-    on A.  Where M_c holds the identity it is the maximal sieve, and x lies
-    locally in a selection only if it lies in it, so those objects never add
-    an element."""
-    steps = A._hull_steps.get(J.minimal)
-    if steps is None:
-        start, _ = A._orbits
-        steps = []
-        for c, M in enumerate(J.minimal):
-            if M >> category.identity[c] & 1:
-                continue
-            at = [(start[category.dom[f]], A.actions[f]) for f in bits(M)]
-            for x in range(A.sizes[c]):
-                need = 0
-                for offset, tab in at:
-                    need |= 1 << offset + tab[x]
-                steps.append((start[c] + x, need))
-        steps = A._hull_steps[J.minimal] = tuple(steps)
-    return steps
+def _restrictions(category, J, A):
+    """A's elements grouped by r(x), the part of the orbit of x in A|E_D
+    (module docstring): (r, mask of the elements with that r) per distinct
+    r, in the one bit space of `Presheaf._orbits`; memoised on A."""
+    groups = A._hull_steps.get(J.minimal)
+    if groups is None:
+        start, orbits = A._orbits
+        fixed = 0
+        for e in presheaf_site(category, J).objects:
+            offset = start[category.dom[e]]
+            for y, z in enumerate(A.actions[e]):
+                if y == z:
+                    fixed |= 1 << offset + y
+        elements = {}
+        for i, orbit in enumerate(orbits):
+            r = orbit & fixed
+            elements[r] = elements.get(r, 0) | 1 << i
+        groups = A._hull_steps[J.minimal] = tuple(elements.items())
+    return groups
 
 
-def _close_locally(steps, sub):
-    """The closure of the subpresheaf `sub` (a union of orbits): sub with
-    every element whose restrictions along M_c all lie in sub.
-
-    One pass suffices.  The result is a subpresheaf, because M_d lies in
-    h^*M_c for every h: d -> c, and it is closed, because M_c is generated
-    by the composites f after k with f in M_c and k in M_dom(f).
-    """
-    closed = sub
-    for i, need in steps:
-        if not need & ~sub:
-            closed |= 1 << i
-    return closed
-
-
-def _split_mask(A, mask):
+def _closure(A, groups, N):
+    """The elements x of A with r(x) inside the mask N, as per-object masks:
+    the closure of N when N is a subpresheaf (module docstring)."""
     start, _ = A._orbits
+    closed = 0
+    for r, mask in groups:
+        if not r & ~N:
+            closed |= mask
     return tuple(
-        mask >> offset & (1 << n) - 1 for offset, n in zip(start, A.sizes)
+        closed >> offset & (1 << n) - 1 for offset, n in zip(start, A.sizes)
     )
 
 
 def closed_hull(category, J, A, masks):
-    """Smallest closed subpresheaf of A containing the given elements.
-
-    The least subpresheaf holding a selection is the union of the orbits of
-    its elements; its closure adds each element x of A(c) whose restrictions
-    along M_c all lie in it.
-    """
+    """Smallest closed subpresheaf of A containing the given elements: the
+    closure of the union of their orbits, the least subpresheaf holding
+    them."""
     start, orbits = A._orbits
-    closed = 0
+    sub = 0
     for offset, mask in zip(start, masks):
         for x in bits(mask):
-            closed |= orbits[offset + x]
-    return _split_mask(A, _close_locally(_local_steps(category, J, A), closed))
+            sub |= orbits[offset + x]
+    return _closure(A, _restrictions(category, J, A), sub)
 
 
 class SubobjectLattice(Frozen):
@@ -217,9 +225,8 @@ class SubobjectLattice(Frozen):
 def subobjects(category, J, A):
     """Enumerate every subobject of the sheaf A.
 
-    Walks the closed sets of the hull operator: starting from the smallest
-    one, adjoin each absent element with its orbit and close again until
-    nothing new appears.  Works on masks over all of A's elements at once.
+    The closed subpresheaves are the closures of the unions of the distinct
+    r(x), one per union (module docstring).
     """
     require_sheaf(category, J, A, "ambient object")
     return _subobjects(category, J, A)
@@ -227,23 +234,9 @@ def subobjects(category, J, A):
 
 def _subobjects(category, J, A):
     """`subobjects` for an A known to be a sheaf."""
-    _, orbits = A._orbits
-    steps = _local_steps(category, J, A)
-    bottom = _close_locally(steps, 0)
-    seen = {bottom}
-    frontier = [bottom]
-    while frontier:
-        current = frontier.pop()
-        for i, orbit in enumerate(orbits):
-            if current >> i & 1:
-                continue
-            new = _close_locally(steps, current | orbit)
-            if new not in seen:
-                seen.add(new)
-                frontier.append(new)
-    return SubobjectLattice(
-        category, J, A, tuple(sorted(_split_mask(A, m) for m in seen))
-    )
+    groups = _restrictions(category, J, A)
+    closed = (_closure(A, groups, N) for N in unions(r for r, _ in groups))
+    return SubobjectLattice(category, J, A, tuple(sorted(closed)))
 
 
 def is_atom(category, J, A):

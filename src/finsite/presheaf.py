@@ -14,8 +14,8 @@ all of them.
 A natural map P -> Q is a compatible family on the elements of P: each
 element x of P(c) takes a value in Q(c), and each f: a -> b requires the
 value at P(f)x to be Q(f) of the value at x.  `compatible_families` is the
-one solver for such searches; matching families and the right Kan extension
-use it as well.
+one solver for such searches; matching families use it as well, and the
+right Kan extension reads its values off `presheaf_homs`.
 """
 
 from functools import cached_property
@@ -109,8 +109,10 @@ class Presheaf(Frozen):
 
     @cached_property
     def _hull_steps(self):
-        """Memo of the local closure tables of `objects.closed_hull`, keyed
-        by the least covering sieves of the topology."""
+        """Memo of `objects._restrictions`, the elements grouped by their
+        orbits' part in P|E_D that `objects.closed_hull` and
+        `objects.subobjects` close along, keyed by the least covering sieves
+        of the topology."""
         return {}
 
     @cached_property

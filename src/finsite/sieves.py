@@ -8,7 +8,7 @@ alongside.
 
 from collections import namedtuple
 
-from .category import bits, overlap_connected
+from .category import bits, overlap_connected, unions
 from .errors import CodomainMismatch, TypeMismatch
 
 
@@ -75,25 +75,13 @@ def sieve_masks_on(category, c):
     """All sieve masks on c, ascending.  Cached on the category.
 
     Every sieve is the union of the principal sieves of its arrows, so the
-    sieves are the closure of the empty sieve under union with principal
-    sieves; the work is proportional to the number of sieves found.
+    sieves are the unions of the principal sieves on c.
     """
     cached = category._sieves.get(c)
-    if cached is not None:
-        return cached
-    principals = {category.principal_sieve(f) for f in category.into(c)}
-    seen = {0}
-    todo = [0]
-    while todo:
-        S = todo.pop()
-        for P in principals:
-            T = S | P
-            if T not in seen:
-                seen.add(T)
-                todo.append(T)
-    out = tuple(sorted(seen))
-    category._sieves[c] = out
-    return out
+    if cached is None:
+        principals = (category.principal_sieve(f) for f in category.into(c))
+        cached = category._sieves[c] = unions(principals)
+    return cached
 
 
 def sieves_on(category, c):

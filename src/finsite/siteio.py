@@ -19,7 +19,8 @@ Loading checks, in this order, and raises at the first failure:
    UnknownName); every object listed, no sieve listed twice; then the
    axioms, in `topology.topology` (TopologyAxiomViolation, or ParseError
    for a listed set of arrows that is not a sieve).
-4. Each subcategory, by name: shape, names, identities and closure.
+4. Each subcategory, by name: shape, names, identities and closure; a
+   block without "morphisms" is the full subcategory on its objects.
 5. Each presheaf, by name: its sizes, and their sum against the size bound
    (`FINSITE_MAX_ASSIGNMENTS` or 2^16; SizeBoundExceeded) before any value
    table is read or built; then its actions, every arrow but the
@@ -36,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 from .category import (
     Frozen,
     bits,
+    full_subcategory,
     subcategory,
     validate_category,
 )
@@ -319,17 +321,10 @@ def parse_subcategory(category, data, where):
     _check_type(data, (dict,), where)
     objects = _check_type(_require(data, "objects", where), (list,), where)
     _check_names(objects, "object name")
-    if "morphisms" in data:
-        morphisms = _check_type(data["morphisms"], (list,), where)
-        _check_names(morphisms, "morphism name")
-    else:
-        # default to the full subcategory on the listed objects
-        objs = {category.obj_index(o) for o in objects}
-        morphisms = [
-            category.morphisms[f]
-            for f in range(len(category.morphisms))
-            if category.dom[f] in objs and category.cod[f] in objs
-        ]
+    if "morphisms" not in data:
+        return full_subcategory(category, objects)
+    morphisms = _check_type(data["morphisms"], (list,), where)
+    _check_names(morphisms, "morphism name")
     return subcategory(category, objects, morphisms)
 
 

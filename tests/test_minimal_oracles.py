@@ -1324,6 +1324,41 @@ def test_atoms_and_indecomposables_of_random_sheaves_match_the_walks():
     assert seen["indecomposable", False] >= 100, seen
 
 
+def test_hulls_and_lattices_on_monoid_sites_match_the_scans():
+    """Under every topology of the monoid categories, whose E_D may put
+    several idempotents on the one object: closed hulls in random
+    presheaves, sheaves or not, against the covering scan, and the
+    subobjects of the representable and terminal sheaves against the
+    walk."""
+    seen = Counter()
+    for param in MONOID_CATEGORIES:
+        cat = param.values[0]
+        for i, J in enumerate(lattice(cat).elements):
+            rng = random.Random("%s/%d" % (param.id, i))
+            several = len(presheaf_site(cat, J).objects) > 1
+            seen["several idempotents"] += several
+            for _ in range(4):
+                A = random_presheaf(cat, rng)
+                sheaf = bool(is_sheaf(cat, J, A))
+                for _ in range(8):
+                    seed = tuple(rng.randrange(1 << n) for n in A.sizes)
+                    assert closed_hull(cat, J, A, seed) == scan_closed_hull(
+                        cat, J, A, seed
+                    )
+                    seen["hulls"] += 1
+                    seen["hulls on several", sheaf] += several
+            if small_first_plus(cat, J):
+                for A in (representable_sheaf(cat, J, 0), terminal_presheaf(cat)):
+                    lat = subobjects(cat, J, A)
+                    assert lat.elements == walk_subobjects(cat, J, A)
+                    seen["lattices"] += 1
+                    seen["lattices on several"] += several
+    assert seen["several idempotents"] == 66, seen
+    assert seen["hulls on several", True] >= 2000, seen
+    assert seen["hulls on several", False] >= 8, seen
+    assert seen["lattices on several"] >= 120, seen
+
+
 def split_retract(cat, e):
     """y(c).e for an idempotent e on c: the x: d -> c with e.x = x, acting
     by precomposition."""
@@ -2567,7 +2602,7 @@ def test_the_report_builds_no_sheaf(monkeypatch):
             ("sheaf", "sheafify"),
             ("sheaf", "_plus"),
             ("objects", "closed_hull"),
-            ("objects", "_close_locally"),
+            ("objects", "_closure"),
             ("objects", "_subobjects"),
         )
     }
@@ -2603,6 +2638,33 @@ def test_t4_sub7_report_finishes():
     assert report["objects"][name]["supercompact"] == _properties(
         restrict(cat, J, A)
     )["supercompact"]
+
+
+def test_t4_sub7_subobjects_finish():
+    """The 4,096-element representable sheaf of T4-sub7 under M = (894,) has
+    one subobject per subpresheaf of its restriction to E_D, counted over
+    every subset of that restriction's 8 elements, and lists them in
+    seconds."""
+    (cat,) = [p.values[0] for p in MONOID_CATEGORIES if p.id == "T4-sub7"]
+    J = GrothendieckTopology(cat, (894,))
+    A = representable_sheaf(cat, J, 0)
+    start = time.perf_counter()
+    lat = subobjects(cat, J, A)
+    assert time.perf_counter() - start < 5
+    R = restrict(cat, J, A)
+    E = R.category
+    elements = [(k, x) for k, n in enumerate(R.sizes) for x in range(n)]
+    assert len(elements) == 8
+    closed = 0
+    for chosen in itertools.product((False, True), repeat=len(elements)):
+        S = {e for e, keep in zip(elements, chosen) if keep}
+        closed += all(
+            (E.dom[u], R.actions[u][x]) in S
+            for u in range(len(E.morphisms))
+            for x in range(R.sizes[E.cod[u]])
+            if (E.cod[u], x) in S
+        )
+    assert len(lat) == closed == 16
 
 
 # ---------------------------------------------------------------------------
