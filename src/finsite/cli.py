@@ -33,11 +33,9 @@ from .siteio import (
 from .topology import enumerate_topologies
 
 
-def _emit(args, data, text_renderer=None):
+def _emit(args, data):
     if args.format == "json":
         sys.stdout.write(canonical_json(data))
-    elif text_renderer is not None:
-        sys.stdout.write(text_renderer(data))
     else:
         sys.stdout.write(_render_text(data))
 
@@ -45,22 +43,24 @@ def _emit(args, data, text_renderer=None):
 def _render_text(data, indent=0):
     """Generic deterministic text rendering of the JSON-shaped data.
 
-    Dict keys print in insertion order, not sorted as in the JSON form, so
-    the order in which a command builds its dicts (the classify report's
-    among them) is part of its text output."""
+    The value of a "witness" key prints inline, as one line; every other
+    nonempty list, tuple or dict prints as a block, one item a line.  Dict
+    keys print in insertion order, not sorted as in the JSON form, so the
+    order in which a command builds its dicts (the classify report's among
+    them) is part of its text output."""
     pad = "  " * indent
     out = []
     if isinstance(data, dict):
         for key in data:
             value = data[key]
-            if isinstance(value, (dict, list)) and value:
+            if key != "witness" and isinstance(value, (dict, list, tuple)) and value:
                 out.append("%s%s:\n" % (pad, key))
                 out.append(_render_text(value, indent + 1))
             else:
                 out.append("%s%s: %s\n" % (pad, key, _scalar(value)))
-    elif isinstance(data, list):
+    elif isinstance(data, (list, tuple)):
         for value in data:
-            if isinstance(value, (dict, list)) and value:
+            if isinstance(value, (dict, list, tuple)) and value:
                 out.append("%s-\n" % pad)
                 out.append(_render_text(value, indent + 1))
             else:
@@ -68,21 +68,6 @@ def _render_text(data, indent=0):
     else:
         out.append("%s%s\n" % (pad, _scalar(data)))
     return "".join(out)
-
-
-def _render_lists(data):
-    """Text form of data holding `describe()` results.  `_render_text`
-    prints a tuple inline, as it prints the classify witnesses; the covering
-    sieves, which `describe()` shares as tuples, print as lists do."""
-
-    def lists(value):
-        if isinstance(value, dict):
-            return {key: lists(v) for key, v in value.items()}
-        if isinstance(value, (list, tuple)):
-            return [lists(v) for v in value]
-        return value
-
-    return _render_text(lists(data))
 
 
 def _scalar(value):
@@ -105,23 +90,14 @@ def _require_topology(site):
     return site.topology
 
 
-def _named_subcategory(site, name):
+def _named(site, what, table, name):
+    """table[name], the subcategory or presheaf (`what`) of that name."""
     try:
-        return site.subcategories[name]
+        return table[name]
     except KeyError:
         raise UnknownName(
-            "site %r has no subcategory %r (have %s)"
-            % (site.name, name, ", ".join(sorted(site.subcategories)) or "none")
-        ) from None
-
-
-def _named_presheaf(site, name):
-    try:
-        return site.presheaves[name]
-    except KeyError:
-        raise UnknownName(
-            "site %r has no presheaf %r (have %s)"
-            % (site.name, name, ", ".join(sorted(site.presheaves)) or "none")
+            "site %r has no %s %r (have %s)"
+            % (site.name, what, name, ", ".join(sorted(table)) or "none")
         ) from None
 
 
@@ -157,13 +133,13 @@ def cmd_topologies(args):
     }
     if site.topology is not None:
         data["file_topology_index"] = lattice.index_of(site.topology)
-    _emit(args, data, _render_lists)
+    _emit(args, data)
 
 
 def cmd_dense(args):
     site = load_site(args.file)
     J = _require_topology(site)
-    sub = _named_subcategory(site, args.sub)
+    sub = _named(site, "subcategory", site.subcategories, args.sub)
     verdict = is_dense(site.category, J, sub)
     data = {
         "site": site.name,
@@ -180,13 +156,13 @@ def cmd_dense(args):
             "minimum_index": family.minimum_index,
             "minimum": family.minimum.describe(),
         }
-    _emit(args, data, _render_lists)
+    _emit(args, data)
 
 
 def cmd_sheafify(args):
     site = load_site(args.file)
     J = _require_topology(site)
-    P = _named_presheaf(site, args.presheaf)
+    P = _named(site, "presheaf", site.presheaves, args.presheaf)
     F, unit = sheafify(site.category, J, P)
     # P is a sheaf exactly when its unit into the associated sheaf is
     # bijective (see sheaf.py)

@@ -1,21 +1,21 @@
 """Built-in categories and sites used by tests and the command line.
 
-Everything here is deterministic: named fixtures are fixed data, and the
-random families are driven entirely by a caller-supplied seed.
+Everything here is deterministic: the named sites are fixed data, rows of
+`NAMED_SITES` whose topology and subcategory blocks are written in the site
+schema and read by `siteio`'s loader, and the random families are driven
+entirely by a caller-supplied seed.
 """
 
 import random
 
-from .category import full_subcategory_from_mask, subcategory, validate_category
+from .category import full_subcategory_from_mask, validate_category
 from .presheaf import Presheaf, random_presheaf
-from .siteio import SiteFile
+from .siteio import SiteFile, parse_subcategory, parse_topology
 from .topology import (
     DEFAULT_MAX_ASSIGNMENTS,
-    atomic_topology,
     count_candidate_assignments,
     generated_topology,
     maximal_topology,
-    topology,
     trivial_topology,
 )
 
@@ -133,30 +133,15 @@ def path_category(nodes, edges, max_morphisms=None):
 
 
 def point():
-    return validate_category(("*",), (("id_*", "*", "*"),), {"*": "id_*"}, {})
+    return path_category(("*",), ())
 
 
 def arrow():
-    return validate_category(
-        ("a", "b"),
-        (("id_a", "a", "a"), ("id_b", "b", "b"), ("f", "a", "b")),
-        {"a": "id_a", "b": "id_b"},
-        {},
-    )
+    return path_category(("a", "b"), (("f", "a", "b"),))
 
 
 def parallel_pair():
-    return validate_category(
-        ("a", "b"),
-        (
-            ("id_a", "a", "a"),
-            ("id_b", "b", "b"),
-            ("f", "a", "b"),
-            ("g", "a", "b"),
-        ),
-        {"a": "id_a", "b": "id_b"},
-        {},
-    )
+    return path_category(("a", "b"), (("f", "a", "b"), ("g", "a", "b")))
 
 
 def vee():
@@ -183,181 +168,76 @@ def idem():
 
 
 def discrete2():
-    return validate_category(
-        ("c0", "c1"),
-        (("id_c0", "c0", "c0"), ("id_c1", "c1", "c1")),
-        {"c0": "id_c0", "c1": "id_c1"},
-        {},
-    )
+    return path_category(("c0", "c1"), ())
 
 
 # ---------------------------------------------------------------------------
 # Named sites.
 
+_TRIVIAL = {"named": "trivial"}
+_ENDS = {"left": {"objects": ["a"]}, "right": {"objects": ["b"]}}
+_LEGS = {"legs": {"objects": ["x", "y"]}}
+_STRICT = {"strict": {"objects": ["*"], "morphisms": ["id_*"]}}
 
-def _mask(category, names):
-    mask = 0
-    for name in names:
-        mask |= 1 << category.mor_index(name)
-    return mask
-
-
-def _site_point_trivial():
-    cat = point()
-    return SiteFile(
-        "point-trivial",
-        cat,
-        trivial_topology(cat),
-        {},
-        {"P": Presheaf(cat, (2,), (tuple(range(2)),))},
-    )
-
-
-def _arrow_subs(cat):
-    return {
-        "left": subcategory(cat, ("a",), ("id_a",)),
-        "right": subcategory(cat, ("b",), ("id_b",)),
-    }
-
-
-def _site_arrow_trivial():
-    cat = arrow()
-    return SiteFile("arrow-trivial", cat, trivial_topology(cat), _arrow_subs(cat), {})
-
-
-def _site_arrow_j2():
-    """Cover b by the sieve generated by f; a only by its maximal sieve."""
-    cat = arrow()
-    covering = (
-        (cat.maximal_sieve(0),),
-        tuple(sorted((_mask(cat, ("f",)), cat.maximal_sieve(1)))),
-    )
-    J = topology(cat, covering)
-    P = Presheaf(cat, (1, 2), ((0,), (0, 1), (0, 0)))
-    return SiteFile("arrow-j2", cat, J, _arrow_subs(cat), {"P": P})
-
-
-def _site_arrow_emptycover():
-    """The empty sieve covers a; this forces sheaves to be singletons at a."""
-    cat = arrow()
-    covering = (
-        tuple(sorted((0, cat.maximal_sieve(0)))),
-        (cat.maximal_sieve(1),),
-    )
-    J = topology(cat, covering)
-    return SiteFile("arrow-emptycover", cat, J, _arrow_subs(cat), {})
-
-
-def _site_pair_trivial():
-    cat = parallel_pair()
-    P = Presheaf(cat, (2, 2), ((0, 1), (0, 1), (0, 1), (1, 0)))
-    return SiteFile("pair-trivial", cat, trivial_topology(cat), {}, {"P": P})
-
-
-def _site_vee_cover():
-    """Cover the apex by its two legs."""
-    cat = vee()
-    z = cat.obj_index("z")
-    covering = []
-    for c in range(len(cat.objects)):
-        if c == z:
-            covering.append(
-                tuple(sorted((_mask(cat, ("x->z", "y->z")), cat.maximal_sieve(c))))
-            )
-        else:
-            covering.append((cat.maximal_sieve(c),))
-    J = topology(cat, tuple(covering))
-    subs = {"legs": subcategory(cat, ("x", "y"), ("id_x", "id_y"))}
-    return SiteFile("vee-cover", cat, J, subs, {})
-
-
-def _site_vee_trivial():
-    cat = vee()
-    subs = {"legs": subcategory(cat, ("x", "y"), ("id_x", "id_y"))}
-    return SiteFile("vee-trivial", cat, trivial_topology(cat), subs, {})
-
-
-def _site_square_cover():
-    """Cover the top of the square by its two sides."""
-    cat = square()
-    s = cat.obj_index("s")
-    legs = generated_topology(
-        cat,
-        {s: [[cat.mor_index("q->s"), cat.mor_index("r->s")]]},
-    )
-    subs = {
-        "sides": subcategory(cat, ("q", "r"), ("id_q", "id_r")),
-        "corner": subcategory(cat, ("p", "s"), ("id_p", "id_s", "p->s")),
-    }
-    return SiteFile("square-cover", cat, legs, subs, {})
-
-
-def _site_z2_atomic():
-    cat = z2()
-    return SiteFile("z2-atomic", cat, atomic_topology(cat), {}, {})
-
-
-def _site_z2_trivial():
-    cat = z2()
-    reg = Presheaf(cat, (2,), ((0, 1), (1, 0)))
-    return SiteFile("z2-trivial", cat, trivial_topology(cat), {}, {"R": reg})
-
-
-def _site_idem_e():
-    """Cover the point by the sieve {e}."""
-    cat = idem()
-    J = topology(cat, (tuple(sorted((_mask(cat, ("e",)), cat.maximal_sieve(0)))),))
-    subs = {"strict": subcategory(cat, ("*",), ("id_*",))}
-    return SiteFile("idem-e", cat, J, subs, {})
-
-
-def _site_idem_trivial():
-    cat = idem()
-    subs = {"strict": subcategory(cat, ("*",), ("id_*",))}
-    return SiteFile("idem-trivial", cat, trivial_topology(cat), subs, {})
-
-
-def _site_discrete2_maximal():
-    cat = discrete2()
-    subs = {"first": subcategory(cat, ("c0",), ("id_c0",))}
-    return SiteFile("discrete2-maximal", cat, maximal_topology(cat), subs, {})
-
-
-def _site_discrete2_trivial():
-    cat = discrete2()
-    return SiteFile("discrete2-trivial", cat, trivial_topology(cat), {}, {})
-
-
-SITE_BUILDERS = (
-    _site_point_trivial,
-    _site_arrow_trivial,
-    _site_arrow_j2,
-    _site_arrow_emptycover,
-    _site_pair_trivial,
-    _site_vee_trivial,
-    _site_vee_cover,
-    _site_square_cover,
-    _site_z2_trivial,
-    _site_z2_atomic,
-    _site_idem_trivial,
-    _site_idem_e,
-    _site_discrete2_trivial,
-    _site_discrete2_maximal,
+# One row per named site: its name, its category, and its topology and
+# subcategory blocks in the site schema (read by `siteio`), with its
+# presheaves as name -> (sizes, actions).
+NAMED_SITES = (
+    ("point-trivial", point, _TRIVIAL, {}, {"P": ((2,), ((0, 1),))}),
+    ("arrow-trivial", arrow, _TRIVIAL, _ENDS, {}),
+    # b is covered by the sieve generated by f, a only by its maximal sieve
+    ("arrow-j2", arrow, {"coverage": {"a": [["id_a"]], "b": [["f"], ["id_b", "f"]]}},
+     _ENDS, {"P": ((1, 2), ((0,), (0, 1), (0, 0)))}),
+    # the empty sieve covers a, which forces sheaves to be singletons there
+    ("arrow-emptycover", arrow,
+     {"coverage": {"a": [[], ["id_a"]], "b": [["id_b", "f"]]}}, _ENDS, {}),
+    ("pair-trivial", parallel_pair, _TRIVIAL, {},
+     {"P": ((2, 2), ((0, 1), (0, 1), (0, 1), (1, 0)))}),
+    ("vee-trivial", vee, _TRIVIAL, _LEGS, {}),
+    # the apex is covered by its two legs
+    ("vee-cover", vee, {"coverage": {
+        "x": [["id_x"]], "y": [["id_y"]],
+        "z": [["x->z", "y->z"], ["id_z", "x->z", "y->z"]],
+    }}, _LEGS, {}),
+    # the top of the square is covered by its two sides
+    ("square-cover", square, {"generate": {"s": [["q->s", "r->s"]]}},
+     {"sides": {"objects": ["q", "r"]}, "corner": {"objects": ["p", "s"]}}, {}),
+    ("z2-trivial", z2, _TRIVIAL, {}, {"R": ((2,), ((0, 1), (1, 0)))}),
+    ("z2-atomic", z2, {"named": "atomic"}, {}, {}),
+    ("idem-trivial", idem, _TRIVIAL, _STRICT, {}),
+    # the point is covered by the sieve {e}
+    ("idem-e", idem, {"coverage": {"*": [["e"], ["id_*", "e"]]}}, _STRICT, {}),
+    ("discrete2-trivial", discrete2, _TRIVIAL, {}, {}),
+    ("discrete2-maximal", discrete2, {"named": "maximal"},
+     {"first": {"objects": ["c0"]}}, {}),
 )
 
 
+def _named_site(name, category, topology, subcategories, presheaves):
+    cat = category()
+    return SiteFile(
+        name,
+        cat,
+        parse_topology(cat, topology),
+        {
+            key: parse_subcategory(cat, block, "subcategory %r" % key)
+            for key, block in subcategories.items()
+        },
+        {key: Presheaf(cat, *table) for key, table in presheaves.items()},
+    )
+
+
 def named_sites():
-    return [build() for build in SITE_BUILDERS]
+    return [_named_site(*row) for row in NAMED_SITES]
 
 
 def named_site(name):
-    for build in SITE_BUILDERS:
-        site = build()
-        if site.name == name:
-            return site
+    for row in NAMED_SITES:
+        if row[0] == name:
+            return _named_site(*row)
     raise KeyError(
         "unknown site %r (have %s)"
-        % (name, ", ".join(sorted(b().name for b in SITE_BUILDERS)))
+        % (name, ", ".join(sorted(row[0] for row in NAMED_SITES)))
     )
 
 
@@ -365,41 +245,46 @@ def named_site(name):
 # Seeded random categories and sites.
 
 
-def random_poset_category(rng, max_morphisms=12, max_attempts=200):
-    """Random poset on 2..4 points with a bounded topology search space."""
-    for _ in range(max_attempts):
-        n = rng.randint(2, 4)
-        elements = tuple("v%d" % i for i in range(n))
-        pairs = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.45:
-                    pairs.append((elements[i], elements[j]))
-        cat = poset_category(elements, pairs)
-        if (
-            len(cat.morphisms) <= max_morphisms
-            and count_candidate_assignments(cat) <= DEFAULT_MAX_ASSIGNMENTS
-        ):
-            return cat
-    raise RuntimeError("no poset within bounds after %d attempts" % max_attempts)
+# draws of a random category before `_random_category` gives up
+_MAX_ATTEMPTS = 200
 
 
-def random_path_category(rng, max_morphisms=12, max_attempts=200):
-    """Free category on a random DAG, morphism count bounded."""
-    for _ in range(max_attempts):
+def _random_category(rng, what, prefix, chance, build):
+    """Draws 2..4 vertices named prefix + index and, for each pair i < j in
+    turn, the edge i -> j with the given chance, until build(vertices,
+    edges) gives a category (not None) with a bounded topology search."""
+    for _ in range(_MAX_ATTEMPTS):
         n = rng.randint(2, 4)
-        nodes = tuple("n%d" % i for i in range(n))
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.4:
-                    edges.append(("e%d_%d" % (i, j), nodes[i], nodes[j]))
-        cat = path_category(nodes, edges, max_morphisms=max_morphisms)
+        vertices = tuple("%s%d" % (prefix, i) for i in range(n))
+        edges = [
+            (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < chance
+        ]
+        cat = build(vertices, edges)
         if cat is None:
             continue
         if count_candidate_assignments(cat) <= DEFAULT_MAX_ASSIGNMENTS:
             return cat
-    raise RuntimeError("no path category within bounds after %d attempts" % max_attempts)
+    raise RuntimeError("no %s within bounds after %d attempts" % (what, _MAX_ATTEMPTS))
+
+
+def random_poset_category(rng, max_morphisms=12):
+    """Random poset on 2..4 points with a bounded topology search space."""
+
+    def build(points, edges):
+        cat = poset_category(points, [(points[i], points[j]) for i, j in edges])
+        return cat if len(cat.morphisms) <= max_morphisms else None
+
+    return _random_category(rng, "poset", "v", 0.45, build)
+
+
+def random_path_category(rng, max_morphisms=12):
+    """Free category on a random DAG, morphism count bounded."""
+
+    def build(nodes, edges):
+        named = [("e%d_%d" % (i, j), nodes[i], nodes[j]) for i, j in edges]
+        return path_category(nodes, named, max_morphisms=max_morphisms)
+
+    return _random_category(rng, "path category", "n", 0.4, build)
 
 
 def random_topology(rng, category):

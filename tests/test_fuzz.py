@@ -6,12 +6,16 @@ The first strategy takes a valid named site document and replaces one of
 its blocks (any node of the JSON tree) with small random JSON whose strings
 are mostly names the document already uses, so the parser gets past the name
 lookups and into the law checks.  Most such documents break a law and stop
-at load.  The second strategy makes one change that keeps the category and
-presheaf laws, so the downstream subcommands see odd but valid sites: a
-consistent rename of an object or an arrow, dropping or adding one
-right-closed sieve in the coverage, or replacing one presheaf action table
-with another that keeps the presheaf functorial.  Hypothesis runs
-derandomized with a fixed example budget, so the tests are deterministic.
+at load.  The second strategy makes one to three changes, of different
+kinds, that keep the category and presheaf laws, so the downstream
+subcommands see odd but valid sites: a consistent rename of an object or an
+arrow, dropping or adding one right-closed sieve in the coverage, moving the
+coverage from J_D to J_D' where D' is D with one retract class added (with
+the classes below it) or dropped (with the classes above it), or replacing
+one presheaf action table with another that keeps the presheaf functorial.
+Every retract-closed D' gives a topology (`topology.py`), so only the sieve
+changes can break the axioms.  Hypothesis runs derandomized with a fixed
+example budget, so the tests are deterministic.
 """
 
 import contextlib
@@ -31,7 +35,8 @@ from finsite.corpus import corpus, named_site
 from finsite.errors import FinsiteError, PresheafLawError
 from finsite.presheaf import Presheaf, random_presheaf
 from finsite.sieves import sieve_masks_on
-from finsite.siteio import SiteFile, parse_site, serialize_site
+from finsite.siteio import SiteFile, parse_site, serialize_site, topology_data
+from finsite.topology import GrothendieckTopology, _retract_classes
 
 SITES = ("arrow-j2", "vee-cover", "square-cover", "z2-atomic", "idem-e", "z2-trivial")
 DOCUMENTS = {name: json.loads(serialize_site(named_site(name))) for name in SITES}
@@ -254,45 +259,75 @@ def _fresh_names(doc):
     )
 
 
+# the kinds of lawful change, in the order they are applied: the sieve and
+# action changes name objects and arrows as the site does, so renames go last
+CHANGES = ("retract", "add", "drop", "action", "object", "arrow")
+# the changes after which the document is a valid site
+VALID = {"retract", "action", "object", "arrow"}
+
+
+def _retract_change(site, k):
+    """The coverage block of J_D' for D' the retract classes D of the site's
+    topology with class k added, with the classes below it, or dropped, with
+    the classes above it."""
+    cat = site.category
+    classes = _retract_classes(cat)
+    D = classes.downset(site.topology.minimal)
+    if D >> k & 1:
+        D &= ~sum(1 << j for j, down in enumerate(classes.down) if down >> k & 1)
+    else:
+        D |= classes.down[k]
+    return topology_data(cat, GrothendieckTopology(cat, classes.minimal(D)))
+
+
 @st.composite
 def lawful_documents(draw):
-    """(site name, kind of change, document text) after one change that
-    keeps the category and presheaf laws."""
+    """(site name, kinds of change, document text) after one to three
+    changes of different kinds that keep the category and presheaf laws."""
     name = draw(st.sampled_from(sorted(LAWFUL_DOCS)))
     doc = json.loads(json.dumps(LAWFUL_DOCS[name]))
-    cat = LAWFUL[name].category
-    coverage = doc["topology"]["coverage"]
-    changes = ["object", "arrow", "add"]
-    if any(coverage.values()):
-        changes.append("drop")
+    site = LAWFUL[name]
+    cat = site.category
     actions = [
         (p, m)
         for p, P in sorted(doc["presheaves"].items())
         for m in sorted(P["actions"])
         if _functorial_tables(name, p, m)
     ]
-    if actions:
-        changes.append("action")
-    kind = draw(st.sampled_from(changes))
-    if kind in ("object", "arrow"):
-        rename = _rename_object if kind == "object" else _rename_arrow
-        names = cat.objects if kind == "object" else cat.morphisms
-        rename(doc, draw(st.sampled_from(names)), draw(_fresh_names(doc)))
-    elif kind == "drop":
-        obj = draw(st.sampled_from(sorted(o for o, S in coverage.items() if S)))
-        coverage[obj].pop(draw(st.integers(0, len(coverage[obj]) - 1)))
-    elif kind == "add":
-        obj = draw(st.sampled_from(cat.objects))
-        listed = [sorted(S) for S in coverage[obj]]
-        fresh = [S for S in _sieve_names(name)[obj] if S not in listed]
-        if fresh:
-            coverage[obj].append(draw(st.sampled_from(fresh)))
-    else:
-        p, m = draw(st.sampled_from(actions))
-        doc["presheaves"][p]["actions"][m] = draw(
-            st.sampled_from(_functorial_tables(name, p, m))
+    kinds = draw(
+        st.lists(
+            st.sampled_from([k for k in CHANGES if k != "action" or actions]),
+            min_size=1,
+            max_size=3,
+            unique=True,
         )
-    return name, kind, json.dumps(doc)
+    )
+    for kind in CHANGES:
+        if kind not in kinds:
+            continue
+        coverage = doc["topology"]["coverage"]
+        if kind == "retract":
+            k = draw(st.integers(0, len(_retract_classes(cat).least) - 1))
+            doc["topology"] = _retract_change(site, k)
+        elif kind == "add":
+            obj = draw(st.sampled_from(cat.objects))
+            listed = [sorted(S) for S in coverage[obj]]
+            fresh = [S for S in _sieve_names(name)[obj] if S not in listed]
+            if fresh:
+                coverage[obj].append(draw(st.sampled_from(fresh)))
+        elif kind == "drop":
+            obj = draw(st.sampled_from(sorted(o for o, S in coverage.items() if S)))
+            coverage[obj].pop(draw(st.integers(0, len(coverage[obj]) - 1)))
+        elif kind == "action":
+            p, m = draw(st.sampled_from(actions))
+            doc["presheaves"][p]["actions"][m] = draw(
+                st.sampled_from(_functorial_tables(name, p, m))
+            )
+        else:
+            rename = _rename_object if kind == "object" else _rename_arrow
+            names = cat.objects if kind == "object" else cat.morphisms
+            rename(doc, draw(st.sampled_from(names)), draw(_fresh_names(doc)))
+    return name, tuple(kinds), json.dumps(doc)
 
 
 @settings(
@@ -304,10 +339,18 @@ def lawful_documents(draw):
 )
 @given(case=lawful_documents())
 def test_changes_within_the_laws_reach_every_subcommand(site_path, case):
-    name, kind, text = case
+    name, kinds, text = case
     sub = min(LAWFUL_DOCS[name]["subcategories"])
     presheaf = min(LAWFUL_DOCS[name]["presheaves"])
     code = run_subcommands(site_path, text, sub, presheaf)
-    if kind in ("object", "arrow", "action"):
-        # renames and functorial action changes leave a valid site
-        assert code == 0, kind
+    if VALID.issuperset(kinds):
+        # renames, functorial action changes and retract-class moves leave
+        # a valid site
+        assert code == 0, kinds
+
+
+def test_each_retract_class_move_loads_to_another_topology():
+    for name, site in LAWFUL.items():
+        for k in range(len(_retract_classes(site.category).least)):
+            doc = dict(LAWFUL_DOCS[name], topology=_retract_change(site, k))
+            assert parse_site(json.dumps(doc)).topology != site.topology, (name, k)

@@ -1,6 +1,7 @@
 """Site-file parsing, canonical serialization, golden bytes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -362,6 +363,53 @@ def test_every_named_site_serializes_to_stable_bytes():
         two = serialize_site(parse_site(one))
         assert one == two
         assert one.endswith("\n") and one == one.encode("ascii").decode()
+
+
+# sha256 of `serialize_site` for each named site, in `named_sites()` order,
+# and of the concatenated site files of `corpus(seed, random_count=8)`.
+NAMED_SITE_DIGESTS = {
+    "point-trivial": "705f7b411a1bdcaea813d3b78a4327747d59c033dc0b8ac7de8bb93b2c95eee0",
+    "arrow-trivial": "b51b00fccf3c5a5d832c12554eee9fb989ec562712c529fed0ce9270d7d89500",
+    "arrow-j2": "2f50b50da28f9d29024073a79d091cc76ce61142faccf24ab779d2aef0321123",
+    "arrow-emptycover": "75f9aea618c1eb8049e2d99fd52c303c26e2adf42393d9b35317e8fd43527d4b",
+    "pair-trivial": "a8fe6e6a90358e6029d63655fb3a5e3356a3b237c5da10ae25b989d7a6074dfa",
+    "vee-trivial": "af5871a6255d9f17b5d459cb169bb21467638ed127af09552dc956f75d532ab1",
+    "vee-cover": "bbc4e0b65558b7551a24ae63ddc1737e0928ce1038ce36a7543308839587a094",
+    "square-cover": "1ed391d04c1016a6c06598977cc8592cc0f37c928d5d1fffc34d266bf1c83f38",
+    "z2-trivial": "eed62a049f36ded0c724c9e736fb81ca5fe68928bb89256d6230022657353f1a",
+    "z2-atomic": "43b769e0e265def256b3862d47e0db5c8c463c39e12f505ff2c08f8944a49be2",
+    "idem-trivial": "71fc8ed0d03ab9a554c6e0e7a8ef2f3542ce04ed2df4812142e88dfd22be8373",
+    "idem-e": "641d1f286da462bfc2cc7c2879e034a6a9b0eb12d4ebcd1e674d709891eb53df",
+    "discrete2-trivial": "fc03add4bf582b88fa8f53e80f3d4123e8a91aa1776df509331fe75178d21c64",
+    "discrete2-maximal": "f7f438c1193c16377b7e1487aa26a773089b4506e75463068c3771aae234e291",
+}
+CORPUS_DIGESTS = {
+    0: "23b2e8d42f93bbbc16546f042ff3d3828260b8ab4da27377ef33da28b8f98a4e",
+    1: "a6f37931f5e6139869affa9b4d04b2f0969a474e7295c87d2d95b9652206114a",
+    2: "268ba3999e1659c1ca2723130d60bab1e7784aa56aa47fc5df5b201c55a2f8b8",
+    3: "be3556317797f948d2afe5bb779779a9db09b8484bcec3f9f60a99be55a51737",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def test_named_site_bytes_are_pinned():
+    assert [site.name for site in named_sites()] == list(NAMED_SITE_DIGESTS)
+    for name, digest in NAMED_SITE_DIGESTS.items():
+        assert _sha256(serialize_site(named_site(name))) == digest, name
+
+
+@pytest.mark.parametrize("seed", sorted(CORPUS_DIGESTS))
+def test_corpus_bytes_are_pinned(seed):
+    sites = corpus(seed=seed, random_count=8)
+    assert _sha256("".join(map(serialize_site, sites))) == CORPUS_DIGESTS[seed]
+
+
+def test_an_unknown_site_name_raises_key_error_naming_the_sites():
+    with pytest.raises(KeyError, match="unknown site 'nope' \\(have arrow-emptycover, "):
+        named_site("nope")
 
 
 def one_object_document(*sizes):
