@@ -519,12 +519,6 @@ class Subcategory(Frozen):
             parent=parent, objects_mask=objects_mask, morphisms_mask=morphisms_mask
         )
 
-    def object_indices(self):
-        return tuple(bits(self.objects_mask))
-
-    def morphism_indices(self):
-        return tuple(bits(self.morphisms_mask))
-
     def has_object(self, c):
         return bool(self.objects_mask >> c & 1)
 

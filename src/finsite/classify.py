@@ -37,7 +37,6 @@ from .density import is_dense
 from .errors import NotDense
 from .objects import (
     rep_is_coherent,
-    rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
@@ -47,7 +46,7 @@ from .objects import (
 )
 from .presheaf import Presheaf, presheaf_homs, yoneda
 from .sheaf import is_subcanonical, sheafify
-from .sieves import Sieve, generate_mask, is_sieve_connected
+from .sieves import generate_mask, is_sieve_connected
 from .topology import atomic_topology, induced_topology
 
 TRANSFER = "site-to-representable transfer"
@@ -81,12 +80,12 @@ def is_locally_connected_site(category, J):
     for c, M in enumerate(minimal):
         if M == category.maximal_sieve(c):
             continue
-        if is_sieve_connected(category, Sieve(c, M)) and all(
+        if is_sieve_connected(category, M) and all(
             minimal[category.dom[f]] for f in category.into(c)
         ):
             continue
         for S in J.covering_masks(c):
-            if not is_sieve_connected(category, Sieve(c, S)):
+            if not is_sieve_connected(category, S):
                 names = sorted(category.morphisms[f] for f in bits(S))
                 return SiteVerdict(False, (category.objects[c], names))
     return SiteVerdict(True)
@@ -279,23 +278,7 @@ def comparison_functors(category, J, sub):
 
 
 # ---------------------------------------------------------------------------
-# Separating-set checks and the presheaf-type verdict.
-
-
-def separating_set_check(category, J, predicate):
-    """Does every representable sheaf satisfy the predicate?
-
-    predicate: "indecomposable" or "atom".  The representables form a
-    separating set of the sheaf category, which is what licenses reading
-    topos-level structure off this check.  Each is decided on the presheaf
-    site (see `objects.py`).
-    """
-    if predicate not in ("atom", "indecomposable"):
-        raise ValueError("predicate must be one of ['atom', 'indecomposable']")
-    return all(
-        representable_properties(category, J, c)[predicate]
-        for c in range(len(category.objects))
-    )
+# The presheaf-type verdict.
 
 
 def presheaf_type_test(category, J):
@@ -379,10 +362,10 @@ def _object_properties(category, J, c):
     # is the restricted one and no sheaf is built (see `objects.py`)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
-    compact = rep_is_compact(category, J, c)
     return {
         **representable_properties(category, J, c),
-        "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
+        # covering sieves of a finite category are finite
+        "compact": {"holds": True, "degenerate": True},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
         "coherent": {

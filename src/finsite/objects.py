@@ -260,34 +260,8 @@ def is_supercompact_object(category, J, A):
     return _properties(restrict(category, J, A))["supercompact"]
 
 
-class CompactVerdict(namedtuple("CompactVerdict", "ok degenerate", defaults=(False,))):
-    __slots__ = ()
-
-    def __bool__(self):
-        return self.ok
-
-
-def is_compact_object(category, J, A):
-    """Every jointly-epimorphic family admits a finite subfamily.
-
-    Families over a finite lattice are themselves finite, so this is
-    identically true here; the degeneracy is flagged, not hidden.
-    """
-    require_sheaf(category, J, A, "object")
-    return CompactVerdict(True, degenerate=True)
-
-
 # ---------------------------------------------------------------------------
 # Sieve-level criteria for representables.
-
-
-def rep_is_compact(category, J, c):
-    """Every covering sieve contains a finite generating subfamily.
-
-    Covering sieves of a finite category are finite and generate themselves,
-    so this holds identically; the verdict is flagged degenerate.
-    """
-    return CompactVerdict(True, degenerate=True)
 
 
 def rep_is_supercompact(category, J, c):

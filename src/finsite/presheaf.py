@@ -121,18 +121,6 @@ class Presheaf(Frozen):
         the topology."""
         return {}
 
-    def size(self, c):
-        return self.sizes[c]
-
-    def action(self, f):
-        return self.actions[f]
-
-    def apply(self, f, x):
-        return self.actions[f][x]
-
-    def total_elements(self):
-        return sum(self.sizes)
-
 
 class NatTransformation(Frozen):
     """A natural map `source` -> `target`; `components` holds per object a
@@ -171,9 +159,6 @@ class NatTransformation(Frozen):
         t = object.__new__(cls)
         t.__dict__.update(source=source, target=target, components=components)
         return t
-
-    def apply(self, c, x):
-        return self.components[c][x]
 
     def is_componentwise_injective(self):
         return all(

@@ -3,6 +3,7 @@
 import pytest
 
 from finsite.category import (
+    bits,
     full_subcategory,
     has_right_ore,
     is_cartesian,
@@ -200,7 +201,7 @@ def test_subcategory_masks_and_membership():
     left = subcategory(cat, ("a",), ("id_a",))
     assert left.has_object(cat.obj_index("a"))
     assert not left.has_object(cat.obj_index("b"))
-    assert left.object_indices() == (0,)
+    assert left.objects_mask == 1
     whole = whole_subcategory(cat)
     assert whole.contains(left)
     assert not left.contains(whole)
@@ -209,7 +210,7 @@ def test_subcategory_masks_and_membership():
 def test_non_full_subcategory_allowed():
     cat = idem()
     strict = subcategory(cat, ("*",), ("id_*",))
-    assert strict.morphism_indices() == (cat.mor_index("id_*"),)
+    assert strict.morphisms_mask == 1 << cat.mor_index("id_*")
     realized = strict.realize()
     assert len(realized.category.morphisms) == 1
     assert relawed(realized.category) == realized.category
@@ -240,7 +241,7 @@ def test_subcategory_requires_composition_closure():
 def test_full_subcategory_collects_all_arrows():
     sq = square()
     sub = full_subcategory(sq, ("p", "s"))
-    names = {sq.morphisms[f] for f in sub.morphism_indices()}
+    names = {sq.morphisms[f] for f in bits(sub.morphisms_mask)}
     assert names == {"id_p", "id_s", "p->s"}
 
 

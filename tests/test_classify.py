@@ -26,14 +26,18 @@ from finsite.classify import (
     j_irreducible_objects,
     presheaf_type_test,
     right_kan_extension,
-    separating_set_check,
 )
 from finsite.category import full_subcategory_from_mask, is_cartesian
 from finsite.cli import _render_text
-from finsite.corpus import arrow, corpus, named_site, vee
+from finsite.corpus import arrow, corpus, named_site, named_sites, vee
 from finsite.density import is_dense
 from finsite.errors import NotDense
-from finsite.objects import is_atom, is_indecomposable, subobjects
+from finsite.objects import (
+    is_atom,
+    is_indecomposable,
+    representable_properties,
+    subobjects,
+)
 from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
 from finsite.sheaf import is_sheaf, is_subcanonical, representable_sheaf
 from finsite.siteio import canonical_json
@@ -200,7 +204,7 @@ def brute_right_kan(parent, realized, G):
             val = dict(zip(ps, combo))
             if all(
                 val[(D.dom[h], parent.compose(f, realized.parent_morphism(h)))]
-                == G.apply(h, val[(d, f)])
+                == G.actions[h][val[(d, f)]]
                 for d, f in ps
                 for h in range(len(D.morphisms))
                 if D.cod[h] == d
@@ -255,15 +259,30 @@ def test_comparison_requires_density():
                             sq.subcategories["corner"])
 
 
-def test_separating_set_check():
+def test_representables_separate_by_property():
+    # the separating-set reading checks a property on every representable
     cat = arrow()
     J = trivial_topology(cat)
-    assert separating_set_check(cat, J, "indecomposable")
-    assert not separating_set_check(cat, J, "atom")
+    props = [representable_properties(cat, J, c) for c in range(len(cat.objects))]
+    assert all(p["indecomposable"] for p in props)
+    # y(b) has the proper nonempty subobject {f} at a
+    assert not all(p["atom"] for p in props)
     z2s = named_site("z2-atomic")
-    assert separating_set_check(z2s.category, z2s.topology, "atom")
-    with pytest.raises(ValueError):
-        separating_set_check(cat, J, "fluffy")
+    zcat, zJ = z2s.category, z2s.topology
+    assert all(
+        representable_properties(zcat, zJ, c)["atom"] for c in range(len(zcat.objects))
+    )
+
+
+def test_report_writes_compactness_as_degenerate():
+    # covering sieves of a finite category are finite, so every object is
+    # compact and the report writes it as a degenerate constant
+    for site in named_sites():
+        rep = classify_report(site.category, site.topology, name=site.name)
+        assert "compactness is identically true at finite scale" in rep["degeneracies"]
+        assert len(rep["objects"]) == len(site.category.objects)
+        for entry in rep["objects"].values():
+            assert entry["compact"] == {"holds": True, "degenerate": True}
 
 
 def test_presheaf_type_three_outcomes():

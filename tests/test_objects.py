@@ -12,12 +12,10 @@ from finsite.errors import NotASheaf, WrongTopology
 from finsite.objects import (
     closed_hull,
     is_atom,
-    is_compact_object,
     is_indecomposable,
     is_indecomposable_projective,
     is_supercompact_object,
     rep_is_coherent,
-    rep_is_compact,
     rep_is_irreducible,
     rep_is_regular,
     rep_is_supercompact,
@@ -102,15 +100,6 @@ def test_indecomposable_and_supercompact_split_on_coproducts():
     assert is_supercompact_object(cat, J, T)
     assert not is_indecomposable(cat, J, TT)
     assert not is_supercompact_object(cat, J, TT)
-
-
-def test_compactness_is_degenerate_at_this_scale():
-    cat = arrow()
-    J = trivial_topology(cat)
-    verdict = is_compact_object(cat, J, terminal_presheaf(cat))
-    assert verdict and verdict.degenerate
-    rep = rep_is_compact(cat, J, cat.obj_index("b"))
-    assert rep and rep.degenerate
 
 
 def test_sieve_level_criteria_on_the_vee_cover():

@@ -114,10 +114,9 @@ def test_apply_and_sizes():
     cat = arrow()
     P = Presheaf(cat, (2, 2), ((0, 1), (0, 1), (1, 1)))
     f = cat.mor_index("f")
-    assert P.size(0) == 2
-    assert P.apply(f, 0) == 1
-    assert P.action(f) == (1, 1)
-    assert P.total_elements() == 4
+    assert P.sizes == (2, 2)
+    assert P.actions[f][0] == 1
+    assert P.actions[f] == (1, 1)
 
 
 def test_yoneda_values_are_homs():
@@ -135,8 +134,8 @@ def test_yoneda_action_is_precomposition():
     s = cat.mor_index("s")
     e = cat.mor_index("e")
     # precomposing id by s gives s, and s by s gives the identity
-    assert y.apply(s, e) == s
-    assert y.apply(s, s) == e
+    assert y.actions[s][e] == s
+    assert y.actions[s][s] == e
 
 
 def test_yoneda_lemma_by_counting():

@@ -1,6 +1,6 @@
 """The record types: how they are built, compared, hashed and printed.
 
-The value records (verdicts, reports, sieves, density witnesses) are named
+The value records (verdicts, reports, density witnesses) are named
 tuples; the types that keep memos beside their fields, and `SiteFile`, are
 plain classes.  Each keeps the constructor it has always had, positional
 and by keyword with its defaults, and compares field by field.
@@ -24,10 +24,9 @@ from finsite.category import (
 from finsite.classify import ComparisonFunctors, RegularSiteVerdict, SiteVerdict
 from finsite.corpus import corpus, named_site
 from finsite.density import DenseFamily, DensityFailure, DensityVerdict
-from finsite.objects import CompactVerdict, ProbeVerdict, SubobjectLattice
+from finsite.objects import ProbeVerdict, SubobjectLattice
 from finsite.presheaf import NatTransformation, Presheaf, terminal_presheaf
 from finsite.sheaf import SheafVerdict, SubcanonicalVerdict
-from finsite.sieves import Sieve
 from finsite.siteio import SiteFile, parse_site, serialize_site
 from finsite.topology import (
     GrothendieckTopology,
@@ -64,7 +63,6 @@ def _cases():
              {"ok": True}, (None, None, None, None)),
         Case(OreReport, (False, ("f", "g")), {"ok": True}, (None,)),
         Case(CauchyReport, (False, "e"), {"ok": True}, (None,)),
-        Case(Sieve, (1, 5), {"arrows": 4}),
         Case(DensityFailure, ("ii", "morphism", "f"), {"witness": "g"}),
         Case(DensityVerdict, (False, (DensityFailure("i", "object", "a"),)),
              {"dense": True, "failures": ()}),
@@ -78,7 +76,6 @@ def _cases():
         Case(NatTransformation, (P, P, identity),
              {"target": T, "components": to_terminal}),
         Case(SubobjectLattice, (cat, J, T, ((0, 0), (1, 1))), {"elements": ((1, 1),)}),
-        Case(CompactVerdict, (False, True), {"ok": True}, (False,)),
         Case(ProbeVerdict, (False, False, False, ("supercompact", "a")), {"ok": True},
              (True, None)),
         Case(SheafVerdict, (False, (0, 1, 1)), {"ok": True}, ((),)),

@@ -45,7 +45,7 @@ def brute_matching(cat, P, c, mask):
     for combo in product(*(range(P.sizes[cat.dom[f]]) for f in arrows)):
         val = dict(zip(arrows, combo))
         if all(
-            val[cat.compose(f, g)] == P.apply(g, val[f])
+            val[cat.compose(f, g)] == P.actions[g][val[f]]
             for f in arrows
             for g in cat.into(cat.dom[f])
         ):

@@ -4,17 +4,12 @@ import pytest
 
 from finsite.category import bits
 from finsite.corpus import arrow, corpus, idem, square, vee, z2
-from finsite.errors import CodomainMismatch, TypeMismatch
 from finsite.sieves import (
-    Sieve,
     generate_mask,
-    generate_sieve,
     is_right_closed,
     is_sieve_connected,
     pullback_mask,
-    pullback_sieve,
     sieve_masks_on,
-    sieves_on,
 )
 
 
@@ -90,15 +85,6 @@ def test_generate_is_smallest_closed_superset():
                 assert not smaller
 
 
-def test_generate_sieve_checks_codomain():
-    cat = arrow()
-    f = cat.mor_index("f")
-    sieve = generate_sieve(cat, 1, (f,))
-    assert sieve.base == 1 and f in sieve
-    with pytest.raises(CodomainMismatch):
-        generate_sieve(cat, 0, (f,))
-
-
 def test_pullback_matches_definition():
     for site in corpus(seed=5, random_count=3):
         cat = site.category
@@ -114,29 +100,37 @@ def test_pullback_matches_definition():
                     assert is_right_closed(cat, got)
 
 
+def test_sieve_masks_on_run_from_empty_to_maximal():
+    for site in corpus(seed=3, random_count=3):
+        cat = site.category
+        for c in range(len(cat.objects)):
+            masks = sieve_masks_on(cat, c)
+            assert masks[0] == 0 and masks[-1] == cat.maximal_sieve(c)
+            assert all(a < b for a, b in zip(masks, masks[1:]))
+            # cached on the category
+            assert sieve_masks_on(cat, c) is masks
+
+
+def test_generated_mask_lies_on_the_codomain():
+    # generate_mask takes no base object: the sieve lies on the codomain
+    # of the arrows that generate it
+    for site in corpus(seed=11, random_count=3):
+        cat = site.category
+        for c in range(len(cat.objects)):
+            top = cat.maximal_sieve(c)
+            assert generate_mask(cat, ()) == 0
+            assert generate_mask(cat, (cat.identity[c],)) == top
+            for f in cat.into(c):
+                got = generate_mask(cat, (f,))
+                assert got >> f & 1 and got & ~top == 0
+                assert all(cat.cod[g] == c for g in bits(got))
+
+
 def test_pullback_along_member_is_maximal():
     cat = vee()
-    z = cat.obj_index("z")
     u = cat.mor_index("x->z")
-    legs = generate_sieve(cat, z, (u, cat.mor_index("y->z")))
-    back = pullback_sieve(cat, legs, u)
-    assert back.arrows == cat.maximal_sieve(cat.obj_index("x"))
-
-
-def test_pullback_type_checked():
-    cat = arrow()
-    top = Sieve(0, cat.maximal_sieve(0))
-    with pytest.raises(TypeMismatch):
-        pullback_sieve(cat, top, cat.mor_index("f"))
-
-
-def test_sieves_on_wraps_masks():
-    cat = arrow()
-    out = sieves_on(cat, 1)
-    assert [s.base for s in out] == [1, 1, 1]
-    assert [s.arrows for s in out] == list(sieve_masks_on(cat, 1))
-    assert out[0].is_empty()
-    assert out[0].arrow_indices() == ()
+    legs = generate_mask(cat, (u, cat.mor_index("y->z")))
+    assert pullback_mask(cat, legs, u) == cat.maximal_sieve(cat.obj_index("x"))
 
 
 def test_sieve_connectivity():
@@ -144,15 +138,14 @@ def test_sieve_connectivity():
     z = cat.obj_index("z")
     u, v = cat.mor_index("x->z"), cat.mor_index("y->z")
     # two legs with nothing joining them
-    assert not is_sieve_connected(cat, Sieve(z, (1 << u) | (1 << v)))
+    assert not is_sieve_connected(cat, (1 << u) | (1 << v))
     # the maximal sieve is joined through the identity
-    assert is_sieve_connected(cat, Sieve(z, cat.maximal_sieve(z)))
-    assert not is_sieve_connected(cat, Sieve(z, 0))
+    assert is_sieve_connected(cat, cat.maximal_sieve(z))
+    assert not is_sieve_connected(cat, 0)
 
 
 def test_square_cover_sieve_is_connected():
     cat = square()
-    s = cat.obj_index("s")
     mask = generate_mask(cat, (cat.mor_index("q->s"), cat.mor_index("r->s")))
     # q->s and r->s share the composite p->s
-    assert is_sieve_connected(cat, Sieve(s, mask))
+    assert is_sieve_connected(cat, mask)
