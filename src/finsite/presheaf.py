@@ -405,13 +405,30 @@ def kernel_pair(t):
 def random_presheaf(category, rng, max_value=3):
     """A random presheaf with value sizes in 0..max_value.
 
-    Sizes are drawn first (redrawn until every arrow can act); action tables
-    are then assigned in random order with forced composites propagated, and
-    the whole attempt restarts on conflict, at most 1000 times.
-    Deterministic for a given rng state.
+    The draws of one attempt, in order: one `randint(0, max_value)` size per
+    object, the attempt ending there unless every arrow can act; one shuffle
+    of the non-identity arrows; then, in shuffled order, one `randrange` per
+    value of each arrow whose table no composite has forced yet.  After each
+    drawn table, every table that composites force is set, and a forced
+    table unequal to one already set ends the attempt.  At most 1000
+    attempts, then `PresheafLawError`.  Deterministic for a given rng state.
+
+    Forcing runs off a worklist of the entries (g, f) -> h under the arrows
+    just set.  The tables it sets are the least set holding the drawn ones
+    and closed under "P(g) and P(f) force P(h)", which is the same in any
+    visiting order, and an attempt fails exactly when that set gives an
+    arrow two tables.  So the draws and failures are those of rescanning
+    the whole table to a fixed point after each draw.  Entries with an
+    identity operand force nothing new once identities act as identities.
     """
     cat = category
     n_mor = len(cat.morphisms)
+    skip = set(cat.identity)
+    uses = [[] for _ in range(n_mor)]  # per arrow, the entries it is an operand of
+    for (g, f), h in cat.table.items():
+        if g not in skip and f not in skip:
+            for u in {g, f}:
+                uses[u].append((g, f, h))
     for _ in range(1000):
         sizes = [rng.randint(0, max_value) for _ in cat.objects]
         if any(
@@ -424,30 +441,13 @@ def random_presheaf(category, rng, max_value=3):
             tables[cat.identity[c]] = tuple(range(sizes[c]))
         order = [f for f in range(n_mor) if f not in tables]
         rng.shuffle(order)
-        if _fill_tables(cat, sizes, tables, order, rng):
+        if _fill_tables(cat, uses, sizes, tables, order, rng):
             actions = tuple(tables[f] for f in range(n_mor))
             return Presheaf(cat, tuple(sizes), actions)
     raise PresheafLawError("random presheaf generation did not converge")
 
 
-def _fill_tables(cat, sizes, tables, order, rng):
-    def propagate():
-        changed = True
-        while changed:
-            changed = False
-            for (g, f), h in cat.table.items():
-                if g in tables and f in tables:
-                    via = tuple(tables[f][x] for x in tables[g])
-                    if h in tables:
-                        if tables[h] != via:
-                            return False
-                    else:
-                        tables[h] = via
-                        changed = True
-        return True
-
-    if not propagate():
-        return False
+def _fill_tables(cat, uses, sizes, tables, order, rng):
     for f in order:
         if f in tables:
             continue
@@ -456,6 +456,14 @@ def _fill_tables(cat, sizes, tables, order, rng):
             rng.randrange(sizes[a]) for _ in range(sizes[b])
         ) if sizes[a] else ()
         tables[f] = tab
-        if not propagate():
-            return False
+        todo = [f]
+        while todo:
+            for g, f2, h in uses[todo.pop()]:
+                if g in tables and f2 in tables:
+                    via = tuple(map(tables[f2].__getitem__, tables[g]))
+                    if h not in tables:
+                        tables[h] = via
+                        todo.append(h)
+                    elif tables[h] != via:
+                        return False
     return True

@@ -94,17 +94,20 @@ class GrothendieckTopology(Frozen):
     def describe(self):
         """Name-level view: object name -> tuple of sorted arrow-name tuples,
         one per covering sieve.  The covering sieves on c depend only on M_c,
-        so each (c, M_c) is named once per category and its tuple is shared
-        by every topology with that least sieve."""
+        so each (c, M_c) is listed once per category and its tuple is shared
+        by every topology with that least sieve; each sieve, above many M_c,
+        is named once per category, its memo key the sieve's mask."""
         cat = self.category
+        memo = cat._described
         out = {}
         for c, M in enumerate(self.minimal):
-            names = cat._described.get((c, M))
+            names = memo.get((c, M))
             if names is None:
-                names = cat._described[(c, M)] = tuple(
-                    tuple(sorted(cat.morphisms[f] for f in bits(S)))
-                    for S in self.covering_masks(c)
-                )
+                masks = self.covering_masks(c)
+                for S in masks:
+                    if S not in memo:
+                        memo[S] = tuple(sorted(cat.morphisms[f] for f in bits(S)))
+                names = memo[(c, M)] = tuple(map(memo.__getitem__, masks))
             out[cat.objects[c]] = names
         return out
 
