@@ -66,29 +66,30 @@ class SiteVerdict(
 def is_locally_connected_site(category, J):
     """Every covering sieve is connected (the empty sieve is not).
 
-    The covering sieves on c are scanned in ascending order, M_c first, but
-    two rules skip an object whose sieves are all connected:
+    The witness is the first disconnected covering sieve, by object and then
+    ascending mask: on c, M_c if it is disconnected, else the least
+    M_c | principal(f) over the f into c with principal(f) disjoint from
+    M_c, and none if there is no such f (as where M_c is maximal).
 
-    - M_c is maximal.  It is then the only covering sieve, and it holds 1_c,
-      to which each of its arrows f is joined (f = 1_c.f).
-    - M_c is connected and no arrow into c starts at an object d with M_d
-      empty.  Each f: d -> c of a covering sieve S then reaches M_c: take k
-      in M_d; f^*M_c covers d, so contains M_d, and f.k lies in M_c and in
-      S, joined to f by k.
+    Proof.  Two disjoint sieves are not joined in their union: f.g lies in
+    the part of f.  So each such M_c | principal(f) is a disconnected cover.
+    A disconnected S containing a connected M_c has a component apart from
+    M_c's, a sieve as f is joined to each f.g.  For f in it, principal(f)
+    misses M_c, and M_c | principal(f) lies in S, so its mask is no larger.
     """
-    minimal = J.minimal
-    for c, M in enumerate(minimal):
+    for c, M in enumerate(J.minimal):
         if M == category.maximal_sieve(c):
             continue
-        if is_sieve_connected(category, M) and all(
-            minimal[category.dom[f]] for f in category.into(c)
-        ):
-            continue
-        for S in J.covering_masks(c):
-            if not is_sieve_connected(category, S):
-                names = sorted(category.morphisms[f] for f in bits(S))
-                return SiteVerdict(False, (category.objects[c], names))
+        if is_sieve_connected(category, M):
+            principals = map(category.principal_sieve, category.into(c))
+            M = min((M | P for P in principals if not M & P), default=None)
+        if M is not None:
+            return SiteVerdict(False, (category.objects[c], _names(category, M)))
     return SiteVerdict(True)
+
+
+def _names(category, mask):
+    return sorted(category.morphisms[f] for f in bits(mask))
 
 
 def is_atomic_site(category, J):
@@ -173,21 +174,31 @@ class RegularSiteVerdict(
 
 
 def is_regular_site(category, J):
-    """The witness is the first covering sieve, by object and then ascending
-    mask, that no member arrow generates.  Where M_c is maximal it is the
-    only covering sieve on c, generated by 1_c, so that object is skipped.
+    """The strict witness is the first covering sieve, by object and then
+    ascending mask, that is not principal (no member arrow generates it):
+    on c, M_c if it is not principal, else the least P | Q that is not
+    principal, P a principal sieve containing M_c and Q one on c, and none
+    if every such union is principal (as where M_c is maximal).
+
+    Proof.  Each such P | Q is a non-principal cover.  Let S be the least
+    non-principal covering sieve, M_c principal.  Covering sieves strictly
+    inside S are principal, as their masks are smaller.  Take P principal,
+    inclusion-maximal among those in S that contain M_c, and f in S outside
+    P.  P | principal(f) is a covering sieve in S strictly above P, so it is
+    not principal, so it is S.
     """
     cart = is_cartesian(category)
-    witness = next(
-        (
-            (category.objects[c], sorted(category.morphisms[f] for f in bits(S)))
-            for c, M in enumerate(J.minimal)
-            if M != category.maximal_sieve(c)
-            for S in J.covering_masks(c)
-            if not any(category.principal_sieve(f) == S for f in bits(S))
-        ),
-        None,
-    )
+    witness = None
+    for c, M in enumerate(J.minimal):
+        if M == category.maximal_sieve(c):
+            continue
+        principal = set(map(category.principal_sieve, category.into(c)))
+        if M in principal:
+            unions = {P | Q for P in principal if not M & ~P for Q in principal}
+            M = min(unions - principal, default=None)
+        if M is not None:
+            witness = (category.objects[c], _names(category, M))
+            break
     variant = all(
         rep_is_supercompact(category, J, c)
         for c in range(len(category.objects))
@@ -244,7 +255,7 @@ def right_kan_extension(parent, realized, G):
             beta = tuple(tuple(comp[i] for i in at) for comp, at in zip(alpha, moved))
             tab.append(index[c2][beta])
         actions.append(tuple(tab))
-    return Presheaf(parent, tuple(map(len, values)), tuple(actions))
+    return Presheaf._trusted(parent, tuple(map(len, values)), tuple(actions))
 
 
 class ComparisonFunctors(
@@ -453,7 +464,6 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
         "indecomposable": all(o["indecomposable"] for o in entries),
         "atom": all(o["atom"] for o in entries),
         "regular": all(o["regular"]["holds"] for o in entries),
-        "coherent": all(o["coherent"]["holds"] for o in entries),
     }
     # the terminal sheaf, decided on the presheaf site (objects.py)
     terminal_ok = terminal_is_indecomposable(category, J)
@@ -477,7 +487,7 @@ def classify_report(category, J, name="site", include_objects=True, mapper=None)
                  "not licensed: a representable sheaf is not an atom"),
         _derived("regular topos", cartesian and every["regular"],
                  "cartesian base with every representable sheaf regular", unlicensed),
-        _derived("coherent topos", cartesian and every["coherent"],
+        _derived("coherent topos", cartesian,
                  "cartesian base with every representable sheaf coherent", unlicensed),
         {
             "property": "presheaf topos",

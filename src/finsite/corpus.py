@@ -112,10 +112,8 @@ def path_category(nodes, edges, max_morphisms=None):
         return "-".join(names)
 
     morphisms = [("id_%s" % v, v, v) for v in nodes]
-    by_endpoints = {}
     for src, names, tgt in paths:
         morphisms.append((path_name(names), src, tgt))
-        by_endpoints[(src, names)] = tgt
     composites = {}
     for src_f, names_f, tgt_f in paths:
         for src_g, names_g, tgt_g in paths:

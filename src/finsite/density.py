@@ -15,7 +15,6 @@ family of topologies making it dense checks one mask per object.
 
 from collections import namedtuple
 
-from .errors import EmptyFamily
 from .sieves import generate_mask
 from .topology import enumerate_topologies
 
@@ -81,15 +80,15 @@ class DenseFamily(namedtuple("DenseFamily", "lattice member_indices minimum_inde
         return self.lattice.elements[self.minimum_index]
 
 
-def topologies_with_dense(category, sub, lattice=None):
+def topologies_with_dense(category, sub):
     """All topologies making the subcategory dense, plus their minimum.
 
-    The family is closed upward and under meets, so the minimum is the meet
-    of all members; it is re-verified to be a member.  Without a lattice,
-    every topology is enumerated under `enumerate_topologies`'s bound.
+    Every topology is enumerated under `enumerate_topologies`'s bound.  The
+    family is closed upward and under meets, so the minimum is the meet of
+    all members.  It is never empty: the maximal topology, whose empty
+    sieves cover, makes every subcategory dense.
     """
-    if lattice is None:
-        lattice = enumerate_topologies(category)
+    lattice = enumerate_topologies(category)
     need, arrows = _qualifying_sieves(category, sub)
     for f, Q in arrows:
         need[category.dom[f]] &= Q
@@ -98,12 +97,7 @@ def topologies_with_dense(category, sub, lattice=None):
         for i, J in enumerate(lattice.elements)
         if not any(m & ~q for m, q in zip(J.minimal, need))
     )
-    if not members:
-        raise EmptyFamily(
-            "no topology on this category makes the subcategory dense"
-        )
     low = members[0]
     for i in members[1:]:
         low = lattice.meet(low, i)
-    assert low in members, "meet of the dense family fell outside it"
     return DenseFamily(lattice, members, low)

@@ -93,10 +93,6 @@ class NotDense(FinsiteError):
     pass
 
 
-class EmptyFamily(FinsiteError):
-    pass
-
-
 class PresheafLawError(FinsiteError):
     """Value tables do not form a contravariant functor."""
 

@@ -205,7 +205,7 @@ def yoneda(category, c):
             index[h] = i
     actions = []
     for g in range(len(category.morphisms)):
-        a, b = category.dom[g], category.cod[g]
+        b = category.cod[g]
         tab = tuple(
             index[category.compose(h, g)] for h in category.hom(b, c)
         )

@@ -29,7 +29,7 @@ from finsite.classify import (
 )
 from finsite.category import full_subcategory_from_mask, is_cartesian
 from finsite.cli import _render_text
-from finsite.corpus import arrow, corpus, named_site, named_sites, vee
+from finsite.corpus import arrow, corpus, named_site, named_sites, poset_category, vee
 from finsite.density import is_dense
 from finsite.errors import NotDense
 from finsite.objects import (
@@ -38,10 +38,10 @@ from finsite.objects import (
     representable_properties,
     subobjects,
 )
-from finsite.presheaf import are_isomorphic, random_presheaf, yoneda
+from finsite.presheaf import Presheaf, are_isomorphic, random_presheaf, yoneda
 from finsite.sheaf import is_sheaf, is_subcanonical, representable_sheaf
 from finsite.siteio import canonical_json
-from finsite.topology import enumerate_topologies, trivial_topology
+from finsite.topology import enumerate_topologies, generated_topology, trivial_topology
 
 
 def test_locally_connected_fails_on_disconnected_covers():
@@ -164,6 +164,25 @@ def test_trivial_topology_scans_no_covering_set():
         assert "covering" not in J.__dict__
 
 
+def test_fan_witnesses_are_read_off_the_least_sieve(monkeypatch):
+    # the legs of a 24-leg fan cover its apex, which has 2^24 + 1 sieves;
+    # both site checks name the legs sieve without listing them
+    legs = ["l%02d" % i for i in range(24)]
+    cat = poset_category(legs + ["t"], [(leg, "t") for leg in legs])
+    t = cat.obj_index("t")
+    J = generated_topology(cat, {t: [[cat.mor_index(leg + "->t") for leg in legs]]})
+
+    def unlisted(*args):
+        raise AssertionError("sieve_masks_on was called")
+
+    for module in ("finsite.topology", "finsite.sieves"):
+        monkeypatch.setattr(importlib.import_module(module), "sieve_masks_on", unlisted)
+    classes = classify_report(cat, J)["classes"]
+    want = ("t", sorted(leg + "->t" for leg in legs))
+    assert classes["locally_connected"] == {"holds": False, "witness": want}
+    assert classes["regular"]["witness"] == want
+
+
 def test_right_kan_extension_reconstructs_representables():
     vs = named_site("vee-cover")
     cat, J = vs.category, vs.topology
@@ -239,6 +258,8 @@ def test_right_kan_extension_matches_brute_force():
                 assert (ran.sizes, ran.actions) == brute_right_kan(
                     cat, realized, G
                 ), site.name
+                # built unchecked; the law check runs on a rebuilt copy
+                Presheaf(cat, ran.sizes, ran.actions)
                 checked += 1
     assert checked >= 40
 

@@ -1,12 +1,9 @@
 """Density of subcategories and the family of topologies witnessing it."""
 
-import pytest
-
 from finsite.category import full_subcategory, whole_subcategory
 from finsite.corpus import arrow, corpus, named_site, vee
 from finsite.density import DensityFailure, is_dense, topologies_with_dense
-from finsite.errors import EmptyFamily
-from finsite.topology import enumerate_topologies, maximal_topology
+from finsite.topology import maximal_topology
 
 
 def test_legs_are_dense_for_the_cover_but_not_trivially():
@@ -82,14 +79,13 @@ def test_dense_family_on_the_vee_legs():
 
 def test_dense_families_on_arrow_endpoints():
     cat = arrow()
-    lattice = enumerate_topologies(cat)
 
-    left = topologies_with_dense(cat, full_subcategory(cat, ["a"]), lattice)
+    left = topologies_with_dense(cat, full_subcategory(cat, ["a"]))
     assert left.member_indices == (0, 2)
     j2 = named_site("arrow-j2").topology
     assert left.minimum.covering == j2.covering
 
-    right = topologies_with_dense(cat, full_subcategory(cat, ["b"]), lattice)
+    right = topologies_with_dense(cat, full_subcategory(cat, ["b"]))
     assert right.member_indices == (0, 1)
     empties = named_site("arrow-emptycover").topology
     assert right.minimum.covering == empties.covering
@@ -98,8 +94,8 @@ def test_dense_families_on_arrow_endpoints():
 def test_family_members_accessor_and_up_closure():
     cat = arrow()
     sub = full_subcategory(cat, ["a"])
-    lattice = enumerate_topologies(cat)
-    family = topologies_with_dense(cat, sub, lattice)
+    family = topologies_with_dense(cat, sub)
+    lattice = family.lattice
     members = family.members()
     assert len(members) == len(family.member_indices)
     got = set(family.member_indices)
@@ -119,20 +115,3 @@ def test_family_is_meet_closed():
         for j in got:
             assert family.lattice.meet(i, j) in got
 
-
-def test_empty_family_error_exists():
-    # reachable only through lattices restricted by hand; the full lattice
-    # always contains the maximal topology, which admits every subcategory
-    assert issubclass(EmptyFamily, Exception)
-    cat = arrow()
-    sub = full_subcategory(cat, ["a"])
-    lattice = enumerate_topologies(cat)
-
-    class Pruned:
-        elements = tuple(
-            J for J in lattice.elements
-            if not is_dense(cat, J, sub)
-        )
-
-    with pytest.raises(EmptyFamily):
-        topologies_with_dense(cat, sub, Pruned())
