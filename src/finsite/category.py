@@ -9,6 +9,7 @@ table.
 
 import threading
 from collections import namedtuple
+from itertools import product
 from operator import mul
 
 from .errors import (
@@ -146,6 +147,7 @@ class FiniteCategory:
         "_into",
         "_outof",
         "_principal",
+        "_given",
         "_maximal",
         "_sieves",
         "_described",
@@ -158,50 +160,85 @@ class FiniteCategory:
 
     def __init__(self, objects, morphisms, dom, cod, identity, table):
         objects, morphisms = tuple(objects), tuple(morphisms)
-        self._shape(
+        self._build(
             objects,
             morphisms,
             {name: i for i, name in enumerate(objects)},
             {name: i for i, name in enumerate(morphisms)},
             tuple(dom),
             tuple(cod),
+            tuple(identity),
+            dict(table),
         )
-        self._complete(tuple(identity), dict(table))
 
-    def _shape(self, objects, morphisms, obj_index, mor_index, dom, cod):
-        """Names with their indices, and the arrows between each pair of
-        objects; all arguments are kept, none copied."""
+    def _build(self, objects, morphisms, obj_index, mor_index, dom, cod, identity, table):
+        """Keep the arguments, none copied, and derive the rest.
+
+        One walk over the arrows lists the arrows between each pair of
+        objects and into and out of each object, and fills in the identity
+        composites the table leaves out after the `_given` entries it was
+        given, so every later entry holds an identity.  An entry given for
+        an identity composite that is not the arrow itself raises
+        IdentityLawViolation, at the first such arrow; a table that is then
+        not total raises UndefinedComposite.
+        """
+        n_obj = len(objects)
+        hom = {}
+        into = [()] * n_obj
+        outof = [()] * n_obj
+        maximal = [0] * n_obj
+        # the sieve f generates is f after each g into dom f: the entries
+        # given, then those the walk fills in, f after the identity of dom f
+        # and, for the identity of c, every arrow into c
+        principal = [0] * len(dom)
+        for (f, _), h in table.items():
+            principal[f] |= 1 << h
+        self._given = len(table)
+        fill = table.setdefault
+        for f, (a, b) in enumerate(zip(dom, cod)):
+            hom[a, b] = hom.get((a, b), ()) + (f,)
+            into[b] += (f,)
+            outof[a] += (f,)
+            maximal[b] |= 1 << f
+            principal[f] |= 1 << f
+            if fill((identity[b], f), f) != f or fill((f, identity[a]), f) != f:
+                for key in ((identity[b], f), (f, identity[a])):
+                    h = table[key]
+                    if h != f:
+                        raise IdentityLawViolation(
+                            "identity composite at %r is %r, expected %r"
+                            % (morphisms[f], morphisms[h], morphisms[f]),
+                            witnesses=(morphisms[key[0]], morphisms[key[1]], morphisms[h]),
+                        )
+        # Totality by count: every entry is a composable pair, and the pairs
+        # (g, f) with cod f = c = dom g number |into(c)| |outof(c)|, so the
+        # table is total exactly when it has that many entries in all.  Only
+        # a short table is scanned, to name its first missing pair.
+        if len(table) != sum(map(mul, map(len, into), map(len, outof))):
+            g, f = next(
+                (g, f)
+                for f in range(len(dom))
+                for g in outof[cod[f]]
+                if (g, f) not in table
+            )
+            raise UndefinedComposite(
+                "no composite for %r after %r" % (morphisms[g], morphisms[f]),
+                witnesses=(morphisms[g], morphisms[f]),
+            )
+        for c, e in enumerate(identity):
+            principal[e] = maximal[c]
         self.objects = objects
         self.morphisms = morphisms
         self.dom = dom
         self.cod = cod
-        self._obj_index = obj_index
-        self._mor_index = mor_index
-        n_obj = len(objects)
-        hom = {}
-        into = [[] for _ in range(n_obj)]
-        outof = [[] for _ in range(n_obj)]
-        maximal = [0] * n_obj
-        for f, (a, b) in enumerate(zip(dom, cod)):
-            hom.setdefault((a, b), []).append(f)
-            into[b].append(f)
-            outof[a].append(f)
-            maximal[b] |= 1 << f
-        self._hom = {k: tuple(v) for k, v in hom.items()}
-        self._into = tuple(map(tuple, into))
-        self._outof = tuple(map(tuple, outof))
-        self._maximal = tuple(maximal)
-
-    def _complete(self, identity, table):
-        """The identities and the total composition table, kept as given,
-        and what they determine."""
         self.identity = identity
         self.table = table
-        # the sieve f generates is f after each g into dom f, one entry
-        # (f, g) of the table each
-        principal = [0] * len(self.dom)
-        for (f, _), h in table.items():
-            principal[f] |= 1 << h
+        self._obj_index = obj_index
+        self._mor_index = mor_index
+        self._hom = hom
+        self._into = tuple(into)
+        self._outof = tuple(outof)
+        self._maximal = tuple(maximal)
         self._principal = tuple(principal)
         # memos filled by sieves.py, Subcategory.realize and topology.py
         self._sieves = {}
@@ -295,31 +332,35 @@ def validate_category(objects, morphisms, identities, composites):
         involving identities may be left out and are filled in.
 
     Raises a CategoryLawError subclass naming the first violated law, with
-    witnesses attached.  The names come first, in order: repeated names,
-    each arrow's ends, each identity, then each composite's names, after
-    the ends of the composites before it; then `lawful_category` checks the
-    laws on indices.  This is the one resolver of names, site files
-    included.  The composites are resolved in one comprehension, and only
-    where a name is unknown are they walked again to name it.
+    witnesses attached.  This is the one resolver of names, site files
+    included.  The checks come in this order, each raising at its first
+    witness: repeated names; the ends of each arrow (UnknownObject); each
+    identity (UnknownObject, UnknownName, MissingIdentity); each composite
+    in turn, its names (UnknownName), then its ends (TypeMismatch); then,
+    in `FiniteCategory._build`, the identity laws (IdentityLawViolation) and
+    totality (UndefinedComposite); and associativity (NonAssociative).
     """
     objects = tuple(objects)
     morphisms = tuple(morphisms)
     obj_index = {name: i for i, name in enumerate(objects)}
     if len(obj_index) != len(objects):
         raise UnknownObject("duplicate object names")
-    names = tuple(m[0] for m in morphisms)
+    # one walk reads the arrows, an unknown end as None
+    names, dom, cod = [], [], []
+    for name, a, b in morphisms:
+        names.append(name)
+        dom.append(obj_index.get(a))
+        cod.append(obj_index.get(b))
+    names, dom, cod = tuple(names), tuple(dom), tuple(cod)
     mor_index = {name: i for i, name in enumerate(names)}
     if len(mor_index) != len(names):
         raise UnknownName("duplicate morphism names")
-    dom = []
-    cod = []
-    for name, a, b in morphisms:
-        if a not in obj_index:
-            raise UnknownObject("morphism %r has unknown domain %r" % (name, a))
-        if b not in obj_index:
-            raise UnknownObject("morphism %r has unknown codomain %r" % (name, b))
-        dom.append(obj_index[a])
-        cod.append(obj_index[b])
+    if None in dom or None in cod:
+        for name, a, b in morphisms:
+            if a not in obj_index:
+                raise UnknownObject("morphism %r has unknown domain %r" % (name, a))
+            if b not in obj_index:
+                raise UnknownObject("morphism %r has unknown codomain %r" % (name, b))
 
     identity = [None] * len(objects)
     for obj, mor in identities.items():
@@ -335,99 +376,38 @@ def validate_category(objects, morphisms, identities, composites):
                 witnesses=(obj, mor),
             )
         identity[i] = f
-    for i, obj in enumerate(objects):
-        if identity[i] is None:
-            raise MissingIdentity("object %r has no identity" % (obj,), witnesses=(obj,))
+    if None in identity:
+        obj = objects[identity.index(None)]
+        raise MissingIdentity("object %r has no identity" % (obj,), witnesses=(obj,))
 
-    dom, cod = tuple(dom), tuple(cod)
-    try:
-        table = {
-            (mor_index[g], mor_index[f]): mor_index[h]
-            for (g, f), h in composites.items()
-        }
-    except KeyError:
-        table = {}
-        for (g_name, f_name), h_name in composites.items():
-            for nm in (g_name, f_name, h_name):
-                if nm not in mor_index:
-                    # the entries before this one are checked first, in order
-                    _check_typed(objects, names, dom, cod, table)
-                    raise UnknownName("composition table mentions unknown morphism %r" % (nm,))
-            table[mor_index[g_name], mor_index[f_name]] = mor_index[h_name]
-    return lawful_category(
-        objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
-    )
-
-
-def lawful_category(objects, names, obj_index, mor_index, dom, cod, identity, table):
-    """The category on resolved data, once it passes every law.
-
-    objects, names: tuples of distinct names, indexed by obj_index and
-    mor_index; dom, cod: per arrow, object indices; identity: per object,
-    an endomorphism of it; table: (g, f) -> h on arrow indices, in the order
-    the composites were listed.  The table is completed in place and kept.
-
-    The laws are checked in this order, each raising at its first witness:
-    the ends of every listed composite (TypeMismatch), the identity laws
-    (IdentityLawViolation; the elided identity composites are filled in),
-    totality (UndefinedComposite) and associativity (NonAssociative).
-    """
-    _check_typed(objects, names, dom, cod, table)
-    category = FiniteCategory.__new__(FiniteCategory)
-    category._shape(objects, names, obj_index, mor_index, dom, cod)
-
-    # Identity laws: fill in elided entries, reject contradicting ones.
-    fill = table.setdefault
-    for f, a, b in zip(range(len(dom)), dom, cod):
-        if fill((identity[b], f), f) != f or fill((f, identity[a]), f) != f:
-            for key in ((identity[b], f), (f, identity[a])):
-                h = table[key]
-                if h != f:
-                    raise IdentityLawViolation(
-                        "identity composite at %r is %r, expected %r"
-                        % (names[f], names[h], names[f]),
-                        witnesses=(names[key[0]], names[key[1]], names[h]),
-                    )
-
-    # Totality by count: every entry is a composable pair by now, and the
-    # pairs (g, f) with cod f = c = dom g number |into(c)| |outof(c)|, so the
-    # table is total exactly when it has that many entries in all.  Only a
-    # short table is scanned, to name its first missing pair.
-    if len(table) != sum(
-        map(mul, map(len, category._into), map(len, category._outof))
-    ):
-        n = len(names)
-        g, f = next(
-            (g, f)
-            for f in range(n)
-            for g in range(n)
-            if cod[f] == dom[g] and (g, f) not in table
-        )
-        raise UndefinedComposite(
-            "no composite for %r after %r" % (names[g], names[f]),
-            witnesses=(names[g], names[f]),
-        )
-
-    category._complete(identity, table)
-    _check_associative(category)
-    return category
-
-
-def _check_typed(objects, names, dom, cod, table):
-    """Raise TypeMismatch at the first entry of the table, in its order,
-    whose arrows do not compose or whose composite has the wrong ends."""
-    for (g, f), h in table.items():
+    table = {}
+    for (g_name, f_name), h_name in composites.items():
+        try:
+            g, f, h = mor_index[g_name], mor_index[f_name], mor_index[h_name]
+        except KeyError:
+            nm = next(nm for nm in (g_name, f_name, h_name) if nm not in mor_index)
+            raise UnknownName(
+                "composition table mentions unknown morphism %r" % (nm,)
+            ) from None
         if cod[f] != dom[g]:
             raise TypeMismatch(
-                "entry %r after %r composes non-composable arrows" % (names[g], names[f]),
-                witnesses=(names[g], names[f]),
+                "entry %r after %r composes non-composable arrows" % (g_name, f_name),
+                witnesses=(g_name, f_name),
             )
         if dom[h] != dom[f] or cod[h] != cod[g]:
             raise TypeMismatch(
                 "composite of %r after %r must go %r -> %r, got %r"
-                % (names[f], names[g], objects[dom[f]], objects[cod[g]], names[h]),
-                witnesses=(names[g], names[f], names[h]),
+                % (f_name, g_name, objects[dom[f]], objects[cod[g]], h_name),
+                witnesses=(g_name, f_name, h_name),
             )
+        table[g, f] = h
+
+    category = FiniteCategory.__new__(FiniteCategory)
+    category._build(
+        objects, names, obj_index, mor_index, dom, cod, tuple(identity), table
+    )
+    _check_associative(category)
+    return category
 
 
 def _check_associative(category):
@@ -468,16 +448,15 @@ def _check_associative(category):
 
 
 def _associative(category, g):
-    """h(gf) = (hg)f for every f into dom g and h out of cod g."""
+    """h(gf) = (hg)f for every f into dom g and h out of cod g, the pairs
+    of each side looked up in one pass."""
     table = category.table
-    outof = category._outof[category.cod[g]]
-    hg = [table[(h, g)] for h in outof]
-    for f in category._into[category.dom[g]]:
-        gf = table[(g, f)]
-        for h, hg_h in zip(outof, hg):
-            if table[(h, gf)] != table[(hg_h, f)]:
-                return False
-    return True
+    fs = category._into[category.dom[g]]
+    hs = category._outof[category.cod[g]]
+    gfs = [table[g, f] for f in fs]
+    hgs = [table[h, g] for h in hs]
+    get = table.__getitem__
+    return [*map(get, product(hs, gfs))] == [*map(get, product(hgs, fs))]
 
 
 def _generators(category):
@@ -501,7 +480,8 @@ def _generators(category):
             x = todo.pop()
             if x not in reached:
                 reached.add(x)
-                todo.extend(table[(t, x)] for t in taken_out[cod[x]])
+                for t in taken_out[cod[x]]:
+                    todo.append(table[t, x])
     return taken
 
 

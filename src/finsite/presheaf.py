@@ -19,6 +19,7 @@ right Kan extension reads its values off `presheaf_homs`.
 """
 
 from functools import cached_property
+from itertools import islice
 
 from .category import Frozen
 from .errors import PresheafLawError
@@ -34,36 +35,38 @@ class Presheaf(Frozen):
         self.__dict__.update(category=category, sizes=sizes, actions=actions)
         self._check_laws(category.identity)
 
-    def _check_laws(self, identities):
-        """Shapes, arities and value ranges, the identity arrows given act
-        as identities, and functoriality, each raising at its first
-        failure."""
+    def _check_laws(self, identities, tables_checked=False):
+        """Shapes, arities and value ranges (unless `tables_checked` says
+        the caller has found them right), the identity arrows given act as
+        identities, and functoriality, each raising at its first failure."""
         cat = self.category
-        if len(self.sizes) != len(cat.objects) or len(self.actions) != len(
-            cat.morphisms
-        ):
-            raise PresheafLawError("value tables have the wrong shape")
-        for f, tab in enumerate(self.actions):
-            a, b = cat.dom[f], cat.cod[f]
-            if len(tab) != self.sizes[b]:
-                raise PresheafLawError(
-                    "action of %r has arity %d, expected %d"
-                    % (cat.morphisms[f], len(tab), self.sizes[b])
-                )
-            if tab and (min(tab) < 0 or max(tab) >= self.sizes[a]):
-                raise PresheafLawError(
-                    "action of %r leaves the value set" % (cat.morphisms[f],)
-                )
+        if not tables_checked:
+            if len(self.sizes) != len(cat.objects) or len(self.actions) != len(
+                cat.morphisms
+            ):
+                raise PresheafLawError("value tables have the wrong shape")
+            for f, tab in enumerate(self.actions):
+                a, b = cat.dom[f], cat.cod[f]
+                if len(tab) != self.sizes[b]:
+                    raise PresheafLawError(
+                        "action of %r has arity %d, expected %d"
+                        % (cat.morphisms[f], len(tab), self.sizes[b])
+                    )
+                if tab and (min(tab) < 0 or max(tab) >= self.sizes[a]):
+                    raise PresheafLawError(
+                        "action of %r leaves the value set" % (cat.morphisms[f],)
+                    )
         for f in identities:
             c = cat.dom[f]
             if self.actions[f] != tuple(range(self.sizes[c])):
                 raise PresheafLawError(
                     "identity of %r must act as the identity" % (cat.objects[c],)
                 )
-        # once identities act as identities, every entry holding one holds
+        # once identities act as identities, every entry holding one holds,
+        # and every entry filled in when the category was built holds one
         skip = set(cat.identity)
         actions = self.actions
-        for (g, f), h in cat.table.items():
+        for (g, f), h in islice(cat.table.items(), cat._given):
             if g in skip or f in skip:
                 continue
             if actions[h] != tuple(map(actions[f].__getitem__, actions[g])):
@@ -73,12 +76,13 @@ class Presheaf(Frozen):
                 )
 
     @classmethod
-    def _checked(cls, category, sizes, actions, identities):
+    def _checked(cls, category, sizes, actions, identities, tables_checked):
         """A presheaf from outside data whose identity arrows other than
         those given act as identities by construction; every other law is
-        checked as `Presheaf(...)` checks it."""
+        checked as `Presheaf(...)` checks it, the arities and value ranges
+        only if not `tables_checked`."""
         P = cls._trusted(category, sizes, actions)
-        P._check_laws(identities)
+        P._check_laws(identities, tables_checked)
         return P
 
     @classmethod

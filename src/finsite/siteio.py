@@ -6,14 +6,17 @@ input; serialization always emits the same canonical bytes for equal data.
 
 Loading checks, in this order, and raises at the first failure:
 
-1. The document: JSON, a dict, the schema, a str name (ParseError).
+0. The file: it can be read, and its bytes are ASCII (ParseError); line
+   ends are turned as a read in text mode turns them.
+1. The document: JSON, within the decoder's limits on nesting and on the
+   digits of an int, with no lone surrogate in a string; a dict, the
+   schema, a str name (ParseError).
 2. The category block: the shape of every entry and the type of every name
    (ParseError); then, in `category.validate_category`, repeated object and
    arrow names, the ends of each arrow, the identities, each in turn
-   (UnknownObject, UnknownName, MissingIdentity); the names in each
-   composite, after the ends of the composites before it (UnknownName,
-   TypeMismatch); the ends of the rest, the identity laws, totality and
-   associativity.
+   (UnknownObject, UnknownName, MissingIdentity); each composite in turn,
+   its names, then its ends (UnknownName, TypeMismatch); the identity laws,
+   totality and associativity.
 3. The topology block: its form; object by object, each sieve's shape,
    names and arrows into the object (ParseError, UnknownObject,
    UnknownName); every object listed, no sieve listed twice; then the
@@ -28,7 +31,7 @@ Loading checks, in this order, and raises at the first failure:
 
 So a site loads through the library's own checkers, `validate_category`
 and `topology`; the loader checks shapes, each list in one walk over its
-entries.
+entries, and walks a failing block again only to name its first error.
 """
 
 import json
@@ -41,7 +44,7 @@ from .category import (
     subcategory,
     validate_category,
 )
-from .errors import ParseError, SizeBoundExceeded, TopologyAxiomViolation
+from .errors import FinsiteError, ParseError, SizeBoundExceeded, TopologyAxiomViolation
 from .presheaf import Presheaf
 from .topology import (
     _resolve_bound,
@@ -182,9 +185,6 @@ def _check_names(names, where):
             raise ParseError("%s must be str, got %r" % (where, name))
 
 
-_INT = {int}
-
-
 def _triples(entries, what, form, unique=False):
     """The dict (a, b) -> c of a list of [a, b, c] lists of names, checked
     in one walk that raises at the first entry that is not one or, if
@@ -203,9 +203,43 @@ def _triples(entries, what, form, unique=False):
     return pairs
 
 
+def _entries_shaped(morphisms, composites):
+    """Are the entries lists of three, each morphism's name a string?"""
+    for entry in morphisms:
+        if type(entry) is not list or len(entry) != 3 or type(entry[0]) is not str:
+            return False
+    for entry in composites:
+        if type(entry) is not list or len(entry) != 3:
+            return False
+    return True
+
+
 def parse_category(data):
     """Build a validated category from the "category" block: its shape is
-    checked here, its names and laws by `validate_category`."""
+    checked here, its names and laws by `validate_category`.
+
+    A block whose entries are lists of three, each morphism's name a
+    string, goes to `validate_category` as it is.  Every name that then
+    resolves is a string: each object takes an identity listed under a
+    string key, and every other name must be an object's or a morphism's.
+    Only a block that fails is read again, to raise its first shape error.
+    """
+    if type(data) is dict:
+        objects = data.get("objects")
+        morphisms = data.get("morphisms")
+        identities = data.get("identities")
+        composites = data.get("composites", [])
+        if (
+            type(objects) is type(morphisms) is type(composites) is list
+            and type(identities) is dict
+            and _entries_shaped(morphisms, composites)
+        ):
+            try:
+                pairs = {(g, f): h for g, f, h in composites}
+                if len(pairs) == len(composites):
+                    return validate_category(objects, morphisms, identities, pairs)
+            except (FinsiteError, TypeError):  # TypeError: an unhashable name
+                pass
     _check_type(data, (dict,), "category block")
     objects = _check_type(
         _require(data, "objects", "category block"), (list,), "objects"
@@ -245,7 +279,8 @@ def parse_topology(category, data):
     again arrow by arrow to name its first error.  A coverage must list
     every object and no sieve twice; `topology` checks the axioms on the
     sets of masks built for the repeat check."""
-    _check_type(data, (dict,), "topology block")
+    if type(data) is not dict:
+        _check_type(data, (dict,), "topology block")
     keys = sorted(set(data) & {"named", "coverage", "generate"})
     if len(keys) != 1:
         raise ParseError(
@@ -262,31 +297,31 @@ def parse_topology(category, data):
             )
         return NAMED_TOPOLOGIES[name](category)
 
-    families = _check_type(data[kind], (dict,), "topology %s block" % kind)
+    families = data[kind]
+    if type(families) is not dict:
+        _check_type(families, (dict,), "topology %s block" % kind)
     arrow = category._mor_index.__getitem__
+    obj_index = category._obj_index
     maximal = category._maximal
     listed = [None] * len(maximal)  # per object index, the set of masks listed
     for obj_name, sieves in families.items():
-        c = category.obj_index(obj_name)
-        if not isinstance(sieves, list):
+        c = obj_index[obj_name] if obj_name in obj_index else category.obj_index(obj_name)
+        if type(sieves) is not list:
             _check_type(sieves, (list,), "sieve list of %r" % obj_name)
         outside = ~maximal[c]
         listed[c] = masks = set()
         for arrows in sieves:
-            if type(arrows) is list:
-                mask = 0
-                try:
-                    # the index holds only names, so a name that is not
-                    # one raises KeyError, or TypeError if unhashable
-                    for name in arrows:
-                        mask |= 1 << arrow(name)
-                except (KeyError, TypeError):
-                    pass
-                else:
-                    if not mask & outside:
-                        masks.add(mask)
-                        continue
-            _diagnose_sieve(category, c, obj_name, arrows)
+            mask = 0
+            try:
+                # the index holds only names, so a name that is not one
+                # raises KeyError, or TypeError if unhashable
+                for name in arrows:
+                    mask |= 1 << arrow(name)
+            except (KeyError, TypeError):
+                mask = outside
+            if mask & outside or type(arrows) is not list:
+                _diagnose_sieve(category, c, obj_name, arrows)
+            masks.add(mask)
 
     if kind == "generate":
         seeds = {
@@ -332,11 +367,14 @@ def parse_presheaf(category, data, where):
     """A presheaf block.  Its sizes are checked against the size bound
     (`FINSITE_MAX_ASSIGNMENTS` or the default 2^16 elements in all) before
     any value table is read or built."""
-    _check_type(data, (dict,), where)
-    sizes_map = _check_type(_require(data, "sizes", where), (dict,), where)
+    sizes_map = data.get("sizes") if type(data) is dict else None
+    if type(sizes_map) is not dict:
+        _check_type(data, (dict,), where)
+        _check_type(_require(data, "sizes", where), (dict,), where)
     sizes = [None] * len(category.objects)
+    obj_index = category._obj_index
     for obj_name, size in sizes_map.items():
-        c = category.obj_index(obj_name)
+        c = obj_index[obj_name] if obj_name in obj_index else category.obj_index(obj_name)
         if type(size) is not int or size < 0:
             raise ParseError("%s: size of %r must be a nonnegative int" % (where, obj_name))
         sizes[c] = size
@@ -352,42 +390,65 @@ def parse_presheaf(category, data, where):
             total,
             bound,
         )
-    actions_map = _check_type(
-        _require(data, "actions", where), (dict,), where
-    )
+    actions_map = data.get("actions")
+    if type(actions_map) is not dict:
+        _check_type(_require(data, "actions", where), (dict,), where)
     actions = [None] * len(category.morphisms)
+    mor_index, dom, cod = category._mor_index, category.dom, category.cod
+    # the walk checks the types in each table, and notes whether every
+    # table has the arity and the value range of its arrow
+    lawful = True
     for mor_name, table in actions_map.items():
-        f = category.mor_index(mor_name)
-        if not isinstance(table, list):
+        f = mor_index[mor_name] if mor_name in mor_index else category.mor_index(mor_name)
+        if type(table) is not list:
             _check_type(table, (list,), "%s action %r" % (where, mor_name))
-        if not {*map(type, table)} <= _INT:
-            raise ParseError("%s: action of %r must list ints" % (where, mor_name))
+        values = sizes[dom[f]]
+        for x in table:
+            if type(x) is not int:
+                raise ParseError("%s: action of %r must list ints" % (where, mor_name))
+            if not 0 <= x < values:
+                lawful = False
+        if len(table) != sizes[cod[f]]:
+            lawful = False
         actions[f] = tuple(table)
     # an identity left out acts as the identity, and needs no check
-    listed = [f for f in category.identity if actions[f] is not None]
-    for c, f in enumerate(category.identity):
+    listed = []
+    for f, size in zip(category.identity, sizes):
         if actions[f] is None:
-            actions[f] = tuple(range(sizes[c]))
+            actions[f] = tuple(range(size))
+        else:
+            listed.append(f)
     if None in actions:
         raise ParseError(
             "%s is missing the action of %r"
             % (where, category.morphisms[actions.index(None)])
         )
-    return Presheaf._checked(category, tuple(sizes), tuple(actions), listed)
+    return Presheaf._checked(category, tuple(sizes), tuple(actions), listed, lawful)
 
 
 def parse_site(text):
     """Parse a site document from JSON text."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # a JSONDecodeError, an int literal over Python's digit limit, or
+        # nesting deeper than the recursion limit
         raise ParseError("invalid JSON: %s" % (exc,)) from None
-    _check_type(data, (dict,), "site document")
+    if "\\u" in text or not text.isascii():
+        try:
+            json.dumps(data, ensure_ascii=False).encode()
+        except UnicodeEncodeError as exc:
+            raise ParseError(
+                "invalid JSON: lone surrogate %r in a string" % (exc.object[exc.start],)
+            ) from None
+    if type(data) is not dict:
+        _check_type(data, (dict,), "site document")
     schema = data.get("schema")
     if schema != SCHEMA:
         raise ParseError("expected schema %r, got %r" % (SCHEMA, schema))
     name = data.get("name", "site")
-    _check_type(name, (str,), "name")
+    if type(name) is not str:
+        _check_type(name, (str,), "name")
     category = parse_category(_require(data, "category", "site document"))
     J = None
     if "topology" in data:
@@ -410,13 +471,18 @@ def parse_site(text):
 
 
 def load_site(path):
+    """Read and parse a site file, as step 0 of the module docstring says."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        with open(path, "rb", buffering=0) as fh:
+            raw = fh.read()
     except OSError as exc:
         raise ParseError("cannot read %s: %s" % (path, exc)) from None
+    try:
+        text = raw.decode("ascii")
     except UnicodeDecodeError as exc:
         raise ParseError("%s is not ASCII text: %s" % (path, exc)) from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_site(text)
 
 

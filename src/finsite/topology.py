@@ -129,26 +129,24 @@ def is_topology(category, covering):
     only an assignment that fails there is scanned axiom by axiom, which
     names the first violation as the axioms state it.
     """
-    return _verdict(category, covering)[0]
-
-
-def _verdict(category, covering):
-    """`is_topology`, with the least sieves M when the verdict holds, and
-    per object the ascending tuple of the distinct masks given.  A set of
-    masks is read as given, not copied."""
     sets = [masks if type(masks) is set else set(masks) for masks in covering]
-    cov = tuple(tuple(sorted(listed)) for listed in sets)
-    M = _least_if_topology(category, sets)
-    if M is not None:
-        return TopologyVerdict(True), M, cov
+    if _least_if_topology(category, sets) is not None:
+        return TopologyVerdict(True)
+    return _violation(category, sets)
+
+
+def _violation(category, sets):
+    """The first violated axiom of an assignment of sets of masks that is
+    not a topology."""
+    cov = tuple(map(tuple, map(sorted, sets)))
     n_obj = len(category.objects)
     if len(cov) != n_obj:
-        return TopologyVerdict(False, "shape", (len(cov), n_obj)), None, cov
+        return TopologyVerdict(False, "shape", (len(cov), n_obj))
     for c in range(n_obj):
         for S in cov[c]:
             if S & ~category.maximal_sieve(c) or not is_right_closed(category, S):
-                return TopologyVerdict(False, "sieve", (c, S)), None, cov
-    return _scan_axioms(category, cov, sets), None, cov
+                return TopologyVerdict(False, "sieve", (c, S))
+    return _scan_axioms(category, cov, sets)
 
 
 def _least_if_topology(category, sets):
@@ -167,11 +165,12 @@ def _least_if_topology(category, sets):
     if len(sets) != len(maximal):
         return None
     principal, into = category._principal, category._into
-    M = _least(category, sets)
-    for c, listed in enumerate(sets):
-        if M[c] not in listed:
+    M = []
+    for listed, top, into_c in zip(sets, maximal, into):
+        M_c = reduce(and_, listed, top)
+        if M_c not in listed:
             return None
-        into_c, top = into[c], maximal[c]
+        M.append(M_c)
         for S in listed:
             if S == top:  # a sieve, and S | principal(f) is S
                 continue
@@ -183,6 +182,7 @@ def _least_if_topology(category, sets):
                         return None
                 elif S | principal[f] not in listed:
                     return None
+    M = tuple(M)
     if M == maximal:  # the trivial topology: every identity is in D
         return M
     table, cod, outof = category.table, category.cod, category._outof
@@ -218,14 +218,6 @@ def _scan_axioms(category, cov, sets):
                 ):
                     return TopologyVerdict(False, "transitivity", (c, R, S))
     return TopologyVerdict(True)
-
-
-def _least(category, covering):
-    """Per object, the intersection of the given covering masks."""
-    return tuple(
-        reduce(and_, masks, category.maximal_sieve(c))
-        for c, masks in enumerate(covering)
-    )
 
 
 class _RetractClasses(namedtuple("_RetractClasses", "n_obj least down sieves")):
@@ -289,17 +281,19 @@ def _retracts(cat):
 
 def topology(category, covering):
     """The topology with the given covering sieves, checked as by
-    `is_topology` on the sorted, deduplicated lists it keeps.
+    `is_topology`; a set of masks in `covering` is read, not copied.
 
     The checked coverage is stored as the topology's `covering`: each listed
     mask is then a sieve containing M_c, the intersection of the list, and
     the list is closed under S |-> S | principal(f) for f into c, so it
     holds every sieve S containing M_c (add to M_c the principal sieves of
     the arrows of S one by one: each step stays in the list and ends at S).
-    It is the ascending tuple `covering_masks(c)` would enumerate.
+    Sorted, it is the ascending tuple `covering_masks(c)` would enumerate.
     """
-    verdict, M, cov = _verdict(category, covering)
-    if not verdict:
+    sets = [masks if type(masks) is set else set(masks) for masks in covering]
+    M = _least_if_topology(category, sets)
+    if M is None:
+        verdict = _violation(category, sets)
         raise TopologyAxiomViolation(
             "covering assignment violates %s at %r"
             % (verdict.axiom, verdict.witness),
@@ -307,7 +301,7 @@ def topology(category, covering):
             verdict.witness,
         )
     J = GrothendieckTopology(category, M)
-    J.__dict__["covering"] = cov
+    J.__dict__["covering"] = tuple([tuple(sorted(masks)) for masks in sets])
     return J
 
 
@@ -392,14 +386,15 @@ def induced_topology(category, J, sub):
             gen = generate_mask(category, parent_arrows)
             if J.covers(parent_obj, gen):
                 masks.append(S)
-        cov.append(masks)
-    verdict = is_topology(cat, cov)
-    if not verdict:
+        cov.append(set(masks))
+    M = _least_if_topology(cat, cov)
+    if M is None:
+        verdict = _violation(cat, cov)
         raise InvalidSubcategory(
             "induced covering violates %s at %r; the subcategory is not dense enough"
             % (verdict.axiom, verdict.witness)
         )
-    return GrothendieckTopology(cat, _least(cat, cov))
+    return GrothendieckTopology(cat, M)
 
 
 def _resolve_bound(max_assignments):

@@ -593,6 +593,42 @@ def test_exit_code_3_for_non_ascii_site_file(tmp_path, capsys):
     assert "not ASCII" in err
 
 
+def test_exit_code_3_for_json_past_the_decoder_limits(tmp_path, capsys):
+    # nesting deeper than the recursion limit, and an int literal longer
+    # than Python converts from a string
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="ascii")
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"schema": "finsite-site/1", "n": %s}' % ("7" * 5000), encoding="ascii")
+    for path, reason in ((deep, "recursion"), (digits, "digits")):
+        for fmt in ("text", "json"):
+            code, _, err = run(capsys, "--format", fmt, "validate", str(path))
+            assert_parse_error(code, err)
+            assert "invalid JSON" in err and reason in err
+
+
+def test_exit_code_3_for_a_lone_surrogate_and_a_pair_prints(tmp_path, capsys):
+    doc = json.loads(serialize_site(named_site("arrow-j2")))
+    text = json.dumps(doc).replace('"arrow-j2"', '"\\ud800"', 1)
+    lone = tmp_path / "lone.json"
+    lone.write_text(text, encoding="ascii")
+    for fmt in ("text", "json"):
+        code, _, err = run(capsys, "--format", fmt, "validate", str(lone))
+        assert_parse_error(code, err)
+        assert "lone surrogate '\\ud800'" in err
+    pair = tmp_path / "pair.json"
+    pair.write_text(text.replace("\\ud800", "\\ud83d\\ude00"), encoding="ascii")
+    code, out, _ = run(capsys, "validate", str(pair))
+    assert code == 0 and "\U0001f600" in out
+
+
+def test_exit_code_3_for_a_directory_and_a_missing_file(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "absent.json"):
+        code, _, err = run(capsys, "validate", str(path))
+        assert_parse_error(code, err)
+        assert "cannot read" in err
+
+
 def test_exit_code_3_for_a_list_as_morphism_name(capsys, site_file):
     def listed(doc):
         doc["category"]["morphisms"][2][0] = ["f"]

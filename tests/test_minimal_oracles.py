@@ -3016,7 +3016,7 @@ def ref_parse_presheaf(category, data, where):
 def ref_parse_site(text):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError("invalid JSON: %s" % (exc,)) from None
     ref_check_type(data, (dict,), "site document")
     schema = data.get("schema")

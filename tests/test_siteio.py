@@ -357,6 +357,57 @@ def test_save_and_load(tmp_path):
         load_site(str(tmp_path / "absent.site.json"))
 
 
+# Site files are read as bytes and decoded as ASCII once.  The messages
+# below are those of the earlier text-mode read, recorded from it: line ends
+# are turned as text mode turns them, so JSON error positions count no "\r".
+
+
+def test_a_crlf_site_file_loads_as_its_lf_copy(tmp_path):
+    for site in corpus(seed=0, random_count=2):
+        text = serialize_site(site)
+        lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+        lf.write_bytes(text.encode("ascii"))
+        crlf.write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+        assert load_site(str(crlf)) == load_site(str(lf)), site.name
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+def test_json_errors_name_the_positions_of_the_text_mode_read(tmp_path, newline):
+    text = serialize_site(named_site("vee-cover"))
+    broken = text.replace('"objects": [', '"objects": [,', 1)
+    path = tmp_path / "broken.json"
+    path.write_bytes(broken.replace("\n", newline).encode("ascii"))
+    with pytest.raises(ParseError) as exc:
+        load_site(str(path))
+    assert str(exc.value) == (
+        "invalid JSON: Expecting value: line 36 column 17 (char 454)"
+    )
+
+
+def test_a_non_ascii_byte_deep_in_a_file_is_named_by_its_offset(tmp_path):
+    text = serialize_site(named_site("vee-cover"))
+    raw = (text[:-2] + ', "pad": "' + "x" * 9000 + '\xe9"}\n').encode("latin-1")
+    path = tmp_path / "latin1.json"
+    path.write_bytes(raw)
+    with pytest.raises(ParseError) as exc:
+        load_site(str(path))
+    assert raw.index(b"\xe9") == 10032 > 8192
+    assert str(exc.value) == (
+        "%s is not ASCII text: 'ascii' codec can't decode byte 0xe9 in "
+        "position 10032: ordinal not in range(128)" % path
+    )
+
+
+def test_a_directory_or_a_missing_path_cannot_be_read(tmp_path):
+    for path, reason in (
+        (str(tmp_path), "[Errno 21] Is a directory"),
+        (str(tmp_path / "absent.json"), "[Errno 2] No such file or directory"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            load_site(path)
+        assert str(exc.value) == "cannot read %s: %s: %r" % (path, reason, path)
+
+
 def test_every_named_site_serializes_to_stable_bytes():
     for site in named_sites():
         one = serialize_site(site)
