@@ -88,12 +88,6 @@ class SiteFile:
         self.presheaves = {} if presheaves is None else presheaves
 
 
-def _str_leaves(value):
-    return all(
-        type(x) is str or (type(x) is tuple and _str_leaves(x)) for x in value
-    )
-
-
 def canonical_json(data):
     """Stable text form: sorted keys, two-space indent, trailing newline.
 
@@ -105,13 +99,14 @@ def canonical_json(data):
     printing other bytes.
 
     Reports repeat fragments, such as the covering sieves that
-    `GrothendieckTopology.describe` shares between topologies, so a tuple
-    whose leaves are all strings is printed once per indent and call.  Only
-    such tuples are memoised, since the equal (1,) and (True,) print
-    differently; a tuple equal to a memoised one has string leaves too,
-    because among JSON values only a string equals a string.
+    `GrothendieckTopology.describe` shares between topologies, so each tuple
+    object, and each dict entry whose value is one, is printed once per
+    indent and call, under (id, indent) and (key, id, indent).  An id names
+    one object only while it lives: the memo dies with the call, `data` keeps
+    every tuple in it alive, and the writer memoises no tuple it built.
     """
-    memo = {}
+    shared = {}  # (id(tuple), pad) and (key, id(tuple), pad) -> text
+    hit = shared.get
     scalar = _SCALARS.get
 
     def array(value, pad):
@@ -124,40 +119,44 @@ def canonical_json(data):
             items = []
             for x in value:
                 emit = scalar(type(x))
-                items.append(emit(x) if emit else write(x, inner))
+                items.append(
+                    emit(x) if emit
+                    else (hit((id(x), inner)) or write(x, inner)) if type(x) is tuple
+                    else write(x, inner)
+                )
         return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
 
     def write(value, pad):
-        if type(value) is tuple:
-            key = (value, pad)
-            try:
-                return memo[key]
-            except KeyError:
-                text = array(value, pad)
-                if _str_leaves(value):
-                    memo[key] = text
-                return text
-            except TypeError:  # unhashable: it holds a list or a dict
-                return array(value, pad)
+        if type(value) is tuple:  # a tuple comes here only on a miss
+            return shared.setdefault((id(value), pad), array(value, pad))
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            inner = pad + "  "
+            items = []
+            # encode_basestring_ascii raises TypeError on a key that is not a str
+            for k, v in sorted(value.items()):
+                emit = scalar(type(v))
+                if emit or type(v) is not tuple:
+                    text = emit(v) if emit else write(v, inner)
+                    text = encode_basestring_ascii(k) + ": " + text
+                else:  # the whole entry, once per call
+                    entry = (k, id(v), inner)
+                    text = hit(entry)
+                    if text is None:
+                        text = hit((id(v), inner)) or write(v, inner)
+                        text = shared[entry] = encode_basestring_ascii(k) + ": " + text
+                items.append(text)
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+        if isinstance(value, (list, tuple)):
+            return array(value, pad)
+        # str, int, bool and None reach here only as subclasses or at the top
         if isinstance(value, str):
             return encode_basestring_ascii(value)
         if value is None or value is True or value is False:
             return _CONSTANTS[value]
         if isinstance(value, int):
             return int.__repr__(value)
-        if isinstance(value, (list, tuple)):
-            return array(value, pad)
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            inner = pad + "  "
-            items = []
-            for k, v in sorted(value.items()):
-                emit = scalar(type(v))
-                text = emit(v) if emit else write(v, inner)
-                # encode_basestring_ascii raises TypeError on other keys
-                items.append(encode_basestring_ascii(k) + ": " + text)
-            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
         raise TypeError("%s is not canonical JSON data" % type(value).__name__)
 
     return write(data, "") + "\n"

@@ -1,5 +1,6 @@
 """Site-file parsing, canonical serialization, golden bytes."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -110,10 +111,28 @@ ORACLE_SETTINGS = settings(
 )
 
 
+# tuple objects met more than once in one call, which the writer memoises
+# by identity and indent
+SHARED = ("f", 1, None)
+MIXED = ([1, "a"], {"b": (True,)})
+Pair = collections.namedtuple("Pair", "left right")
+PAIR = Pair(("x",), [1, SHARED])
+
+
+class Table(dict):
+    pass
+
+
 @ORACLE_SETTINGS
 @given(data=json_trees(SCALARS, TEXT))
 @example(data=[(1,), (True,), (0,), (False,), ("a",), ("a",), [("a",), ()]])
 @example(data={"k": (("f", "id_b"), ("id_a",)), "l": [(("f", "id_b"), ("id_a",))]})
+@example(data=[SHARED, [SHARED], {"k": [[SHARED]]}, SHARED])
+@example(data=[{"k": SHARED}, {"j": SHARED, "k": SHARED}, [{"k": SHARED}], {"k": SHARED}])
+@example(data=[tuple([1]), tuple([True]), tuple([1]), tuple([True])])
+@example(data={"a": MIXED, "b": [MIXED, (MIXED, MIXED)], "c": MIXED})
+@example(data=[PAIR, {"p": PAIR}, PAIR.left, PAIR])
+@example(data=[Table(a=SHARED, b=MIXED, c=SHARED), {"t": Table(d=SHARED)}, SHARED])
 def test_canonical_json_matches_the_stdlib_bytes(data):
     assert canonical_json(data) == stdlib_json(data)
 
@@ -179,13 +198,31 @@ def test_a_float_among_inline_scalars_raises_type_error(value):
         canonical_json(value)
 
 
+def tuple_places(value):
+    """Every tuple in a JSON tree, once per place it occurs."""
+    if type(value) is tuple:
+        yield value
+    if isinstance(value, dict):
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return
+    for x in value:
+        yield from tuple_places(x)
+
+
 def test_every_subcommand_emits_the_stdlib_bytes(tmp_path, monkeypatch):
-    emitted = []
+    """Also counts the places of tuple objects met more than once in one
+    call, such as the covering sieves describe() shares between topologies,
+    so the writer's memo is on the path checked here."""
+    emitted, shared = [], 0
 
     def checked(data):
+        nonlocal shared
         text = canonical_json(data)
         assert text == stdlib_json(data)
         emitted.append(data)
+        places = list(tuple_places(data))
+        shared += len(places) - len(set(map(id, places)))
         return text
 
     monkeypatch.setattr(cli, "canonical_json", checked)
@@ -204,6 +241,7 @@ def test_every_subcommand_emits_the_stdlib_bytes(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["--format", "json"] + argv) == 0
     assert len(emitted) == len(calls)
+    assert shared > 0
 
 
 def test_hand_written_file_parses():
