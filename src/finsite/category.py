@@ -48,13 +48,13 @@ def overlap_connected(masks, full):
     return reached == full
 
 
-def unions(masks):
-    """Every union of the given masks, the empty one included, ascending.
-    The union walk adjoins each mask to each union found, so the work is
-    proportional to the number of unions."""
+def unions(masks, start=0):
+    """Every union of `start` with some of the given masks, `start` alone
+    included, ascending.  The union walk adjoins each mask to each union
+    found, so the work is proportional to the number of unions."""
     masks = set(masks)
-    seen = {0}
-    todo = [0]
+    seen = {start}
+    todo = [start]
     while todo:
         S = todo.pop()
         for P in masks:
@@ -149,7 +149,6 @@ class FiniteCategory:
         "_principal",
         "_given",
         "_maximal",
-        "_sieves",
         "_described",
         "_realized",
         "_facts",
@@ -240,8 +239,7 @@ class FiniteCategory:
         self._outof = tuple(outof)
         self._maximal = tuple(maximal)
         self._principal = tuple(principal)
-        # memos filled by sieves.py, Subcategory.realize and topology.py
-        self._sieves = {}
+        # memos filled by Subcategory.realize and topology.py
         self._described = {}
         self._realized = {}
         # site facts, filled by `fact` under `_fact_lock`

@@ -33,16 +33,13 @@ def pullback_mask(category, mask, h):
 
 
 def sieve_masks_on(category, c):
-    """All sieve masks on c, ascending.  Cached on the category.
+    """All sieve masks on c, ascending, walked afresh on each call.
 
     Every sieve is the union of the principal sieves of its arrows, so the
-    sieves are the unions of the principal sieves on c.
+    sieves are the unions of the principal sieves on c.  There are up to 2^n
+    of them for n arrows into c; `covering_masks` walks only those above M_c.
     """
-    cached = category._sieves.get(c)
-    if cached is None:
-        principals = (category.principal_sieve(f) for f in category.into(c))
-        cached = category._sieves[c] = unions(principals)
-    return cached
+    return unions(map(category.principal_sieve, category.into(c)))
 
 
 def is_sieve_connected(category, mask):

@@ -36,7 +36,8 @@ e.x in M_dom(e)(D).  So sieves M are the least covering sieves of a
 topology exactly when M = M(D) for D = {e : e in M_dom(e)}, which is one
 pass over the idempotents (`_least_if_topology`).  For retract-closed D,
 e in M_dom(e)(D) means e = g.d.x with d in D, a retract of d, so D is read
-back from J_D.  Inclusion of the M(D) reverses inclusion of D.
+back from J_D.  So M(D) lies in M(D') exactly when D lies in D': the
+topologies reverse, J_D <= J_D' exactly when D' lies in D.
 
 So the topologies are the down-sets of the retract classes (mutual
 retracts, such as the two constant self-maps of a two-point set, form one
@@ -51,7 +52,7 @@ from collections import namedtuple
 from functools import cached_property, reduce
 from operator import and_, or_
 
-from .category import Frozen, bits, fact, has_right_ore
+from .category import Frozen, bits, fact, has_right_ore, unions
 from .errors import (
     CodomainMismatch,
     InvalidSubcategory,
@@ -84,9 +85,11 @@ class GrothendieckTopology(Frozen):
         return not self.minimal[c] & ~mask
 
     def covering_masks(self, c):
-        """The ascending masks of the sieves on c that contain M_c."""
-        M = self.minimal[c]
-        return tuple(S for S in sieve_masks_on(self.category, c) if not M & ~S)
+        """The ascending masks of the sieves on c that contain M_c: the unions
+        started at M_c of the principal sieves on c that M_c misses."""
+        cat, M = self.category, self.minimal[c]
+        missed = (P for P in map(cat.principal_sieve, cat.into(c)) if P & ~M)
+        return unions(missed, M)
 
     def leq(self, other):
         return not any(b & ~a for a, b in zip(self.minimal, other.minimal))

@@ -1,5 +1,6 @@
 """Command line behaviour: exit codes, determinism, output shapes."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -9,9 +10,11 @@ import threading
 import pytest
 
 from finsite import classify, cli
+from finsite.category import full_subcategory
 from finsite.cli import _strided_map, main
-from finsite.corpus import corpus, named_site
-from finsite.siteio import serialize_site
+from finsite.corpus import corpus, named_site, poset_category
+from finsite.siteio import SiteFile, load_site, save_site, serialize_site
+from finsite.topology import enumerate_topologies, generated_topology
 
 HERE = os.path.dirname(__file__)
 SQUARE = os.path.join(HERE, "sites", "square-gen.site.json")
@@ -259,6 +262,66 @@ def test_corpus_writes_files(tmp_path, capsys):
     assert "arrow-j2.json" in written
     code, _, _ = run(capsys, "validate", str(out_dir / "arrow-j2.json"))
     assert code == 0
+
+
+def fan_site(legs):
+    """A poset of `legs` legs below an apex t, which the legs cover, with
+    the full subcategory on the legs named "legs"."""
+    names = ["l%02d" % i for i in range(legs)]
+    cat = poset_category(names + ["t"], [(leg, "t") for leg in names])
+    t = cat.obj_index("t")
+    J = generated_topology(cat, {t: [[cat.mor_index(leg + "->t") for leg in names]]})
+    return SiteFile("fan%d" % legs, cat, J, {"legs": full_subcategory(cat, names)})
+
+
+@pytest.fixture
+def unlisted_sieves(monkeypatch):
+    """Fail on any call of `sieve_masks_on`: the apex of an n-leg fan has
+    2^n + 1 sieves, of which two cover it."""
+
+    def unlisted(*args):
+        raise AssertionError("sieve_masks_on was called")
+
+    for module in ("finsite.topology", "finsite.sieves"):
+        monkeypatch.setattr(importlib.import_module(module), "sieve_masks_on", unlisted)
+
+
+def test_a_24_leg_fan_saves_validates_and_is_dense_without_listing_sieves(
+    capsys, tmp_path, unlisted_sieves
+):
+    site = fan_site(24)
+    path = tmp_path / "fan24.json"
+    save_site(site, str(path))
+    assert load_site(str(path)) == site
+    # the same topology given by its generating family, as a file may give it
+    doc = json.loads(path.read_text())
+    legs_sieve = doc["topology"]["coverage"]["t"][0]
+    doc["topology"] = {"generate": {"t": [legs_sieve]}}
+    path.write_text(json.dumps(doc))
+    assert load_site(str(path)) == site
+    code, out, _ = run(capsys, "--format", "json", "validate", str(path))
+    assert code == 0
+    # one covering sieve on each leg, the legs sieve and the maximal one on t
+    assert json.loads(out)["topology"]["covering_sieves"] == 24 + 2
+    code, out, _ = run(capsys, "--format", "json", "dense", str(path), "--sub", "legs")
+    assert code == 0 and json.loads(out)["dense"] is True
+
+
+def test_topologies_on_a_fan_are_refused_from_15_legs(capsys, tmp_path, unlisted_sieves):
+    # the n + 1 identities of an n-leg fan are retract classes with no order
+    # between them, so the search visits 2^(n + 2) - 1 nodes, within the
+    # default bound of 2^16 up to 14 legs.  The listing itself grows as 3^n
+    # (82 MB of JSON at 12 legs), so the command runs whole on 8 legs
+    assert len(enumerate_topologies(fan_site(14).category)) == 1 << 15
+    for legs, want in ((8, 0), (15, 2)):
+        path = str(tmp_path / ("fan%d.json" % legs))
+        save_site(fan_site(legs), path)
+        code, out, err = run(capsys, "--format", "json", "topologies", path)
+        assert code == want
+        if want:
+            assert "candidate assignments" in err
+        else:
+            assert json.loads(out)["count"] == 1 << (legs + 1)
 
 
 def test_generate_topology_file_round(capsys):

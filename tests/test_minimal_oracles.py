@@ -2329,6 +2329,38 @@ def test_stored_covering_is_every_sieve_above_the_least():
     assert checked >= 5000
 
 
+def filtered_covering(cat, c, M):
+    """The sieves on c that contain M, filtered from every sieve on c."""
+    return tuple(S for S in sieve_masks_on(cat, c) if not M & ~S)
+
+
+def corpus_topologies():
+    """The topologies of the corpus sites of seeds 0-3: each site's own,
+    named or generated, the trivial, maximal and (under right Ore) atomic
+    ones, and the one generated by each single arrow."""
+    for seed in range(4):
+        for site in corpus(seed=seed, random_count=8):
+            cat = site.category
+            yield from (site.topology, trivial_topology(cat), maximal_topology(cat))
+            if has_right_ore(cat):
+                yield atomic_topology(cat)
+            for f, c in enumerate(cat.cod):
+                yield generated_topology(cat, {c: [[f]]})
+
+
+def test_covering_masks_match_the_filter_over_every_sieve():
+    """`covering_masks` walks the unions from M_c; it lists, tuple for
+    tuple, the sieves that filtering every sieve on c keeps, on each
+    (c, M_c) of the oracle topologies and of the corpus topologies."""
+    pairs = 0
+    topologies = [J for cat in oracle_categories() for J in lattice(cat).elements]
+    for J in topologies + list(corpus_topologies()):
+        for c, M in enumerate(J.minimal):
+            assert J.covering_masks(c) == filtered_covering(J.category, c, M)
+            pairs += 1
+    assert pairs == 25186 + 1666
+
+
 # ---------------------------------------------------------------------------
 # The report's per-object checks on the presheaf site E_D, against the
 # sheaf-side block they replaced: double-plus representables, their closed

@@ -1,8 +1,13 @@
 """Sieve arithmetic against brute-force definitions."""
 
+import random
+from functools import reduce
+from itertools import combinations
+from operator import or_
+
 import pytest
 
-from finsite.category import bits
+from finsite.category import bits, unions
 from finsite.corpus import arrow, corpus, idem, square, vee, z2
 from finsite.sieves import (
     generate_mask,
@@ -107,8 +112,20 @@ def test_sieve_masks_on_run_from_empty_to_maximal():
             masks = sieve_masks_on(cat, c)
             assert masks[0] == 0 and masks[-1] == cat.maximal_sieve(c)
             assert all(a < b for a, b in zip(masks, masks[1:]))
-            # cached on the category
-            assert sieve_masks_on(cat, c) is masks
+
+
+def test_unions_from_a_start_are_the_start_joined_with_each_subset():
+    rng = random.Random("unions")
+    for _ in range(300):
+        masks = [rng.getrandbits(8) for _ in range(rng.randint(0, 6))]
+        start = rng.choice((0, rng.getrandbits(8)))
+        want = {
+            start | reduce(or_, pick, 0)
+            for k in range(len(masks) + 1)
+            for pick in combinations(masks, k)
+        }
+        assert unions(masks, start) == tuple(sorted(want))
+    assert unions([], 5) == (5,) and unions([1, 2]) == (0, 1, 2, 3)
 
 
 def test_generated_mask_lies_on_the_codomain():
