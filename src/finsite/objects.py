@@ -97,9 +97,11 @@ x, and every subpresheaf is the union of the orbits of its elements.
   elements is E_D: it is indecomposable exactly when E_D is nonempty and
   connected.
 - Values: a(y c)(d) = Nat(y d, a(y c)) = Nat(a(y d), a(y c)) =
-  Nat(R_d, R_c), since y(1_d)|E_D = R_d; the natural maps are counted with
-  the compatible-family solver.  Where M_d is maximal both plus units are
-  bijective at d (`sheaf.py`), so the value is hom(d, c).
+  Nat(R_d, R_c), since y(1_d)|E_D = R_d.  Where M_d is maximal both plus
+  units are bijective at d (`sheaf.py`), so the value is hom(d, c).
+  Otherwise the natural maps are read off a generator of R_d where there
+  is one (below), and counted with the compatible-family solver on E_D
+  where there is none.
 - Regular probe: the maps a(y d) -> a(y c) are the natural maps
   R_d -> R_c.  Monos and kernel pairs are limits, kept by the equivalence
   and taken objectwise on E_D, so a map injective at every e is monic, and
@@ -114,14 +116,70 @@ x, and every subpresheaf is the union of the orbits of its elements.
   Yoneda map u |-> P(u)x bijective: its image is the orbit of x, so the
   orbit is all of P|E_D, and a surjection between finite sets of one size
   is a bijection, so |P|E_D(e_j)| = |E(e_j, e_k)| for every j.
+
+The report decides these questions on C's composition table and its
+principal sieves, and builds E_D and R_c only where the solver must count
+the maps into R_c from an R_d with no generator, or where a kernel pair
+passes the size bound below.  Let Fix_k be the arrows x out of dom e_k
+with x.e_k = x, Fix_D their union, and G_c = Fix_D & maximal(c).  The
+elements of R_c(e_k) are the arrows of Fix_k into c, so G_c is the set of
+arrows that underlie the elements of R_c.  One arrow x may lie in several
+Fix_k; write (k, x) for its element in R_c(e_k).
+
+- G_c generates M_c.  Each x in G_c is x.e_k with e_k in D, so lies in
+  M_c.  M_c is generated by the g.e_k with g: dom e_k -> c, one least
+  idempotent per class in D, and each g.e_k lies in Fix_k.  So G_c is
+  inside M_c and generates it.
+- The orbit of (k, x) is the set of (j, y) with y in principal(x) & Fix_j.
+  For u: e_j -> e_k, x.u is in principal(x), and in Fix_j as u.e_j = u.
+  Conversely a y = x.f in Fix_j is x.(e_k.f.e_j), as x = x.e_k and
+  y = y.e_j, and e_k.f.e_j is an arrow e_j -> e_k.  So the orbit depends
+  on the arrow x alone and is read as the mask principal(x) & Fix_D.
+  Reading a mask S inside Fix_D as the elements (j, y) with y in S & Fix_j
+  is injective and keeps unions and intersections.  So R_c is an atom when
+  G_c is nonempty and every orbit mask is G_c, indecomposable when the
+  orbit masks grown by overlap cover G_c, and supercompact when some orbit
+  mask is G_c.  Elements on one arrow have one orbit, so two orbits of
+  elements meet exactly when their masks do.
+- R_c is supercompact exactly when `rep_is_supercompact` holds.  The
+  orbit mask of x in G_c is G_c when G_c lies in principal(x).  As G_c
+  generates M_c and principal(x) is a sieve, that holds exactly when M_c
+  lies in principal(x).  `rep_is_supercompact` asks for an f in M_c with
+  M_c inside principal(f).  Each x in G_c is in M_c.  Conversely such an f
+  is x.h for some x in G_c, and principal(x) holds principal(f), which
+  holds M_c.  Then principal(x) = M_c, as x is in M_c.
+- E_D has an arrow e_j -> e_k exactly when hom(dom e_j, dom e_k) is
+  nonempty.  Each arrow e_j -> e_k is an arrow of C between those domains,
+  and each w: dom e_j -> dom e_k gives the arrow e_k.w.e_j.  So E_D is
+  connected exactly when the domains of the e_k are connected through
+  nonempty hom-sets of C, taken in either direction; two idempotents on
+  one object are joined by e_k.e_j.
+- Yoneda for a cyclic source.  Where R_d is supercompact, take x0 in G_d
+  with principal(x0) = M_d, and k with x0 in Fix_k.  The orbit of (k, x0)
+  is all of R_d, so u |-> x0.u maps E(-, e_k) onto R_d.  A natural map t:
+  R_d -> R_c is then fixed by y = t(k, x0) in R_c(e_k), with
+  t(x0.u) = y.u.  A y in R_c(e_k) gives a map exactly when x0.u = x0.u'
+  implies y.u = y.u' for all u, u': e_j -> e_k, and the map is natural as
+  (x0.u).v = x0.(u.v).  For w: dom e_j -> dom e_k the arrows s = w.e_j
+  give x0.s = x0.(e_k.w.e_j) and y.s = y.(e_k.w.e_j), and each u is such
+  an s, so the walk runs over the distinct s.  t is monic when it is
+  injective on every R_d(e_j).  Its kernel pair W has W(e_j) the pairs of
+  elements of R_d(e_j) with one image, so |W| is the sum over j and over
+  the images v of n_(j,v)^2, where n_(j,v) elements of R_d(e_j) go to v.
+  If W is supercompact, one element w in some W(e_i) has orbit W, and
+  u |-> w.u maps E(-, e_i) onto W.  So |W| is at most the number of
+  arrows of E_D into e_i, for an e_i with W(e_i), equivalently R_d(e_i),
+  nonempty.  A W larger than that for every such e_i is not supercompact
+  and is refused without being built.
 """
 
-from collections import namedtuple
-from functools import cached_property
+from collections import Counter, namedtuple
+from functools import cached_property, reduce
+from operator import or_
 
 from .category import FiniteCategory, Frozen, bits, fact, overlap_connected, unions
 from .errors import WrongTopology
-from .presheaf import Presheaf, kernel_pair, presheaf_homs, terminal_presheaf
+from .presheaf import NatTransformation, Presheaf, kernel_pair, presheaf_homs
 from .sheaf import require_sheaf
 from .topology import _retract_classes, trivial_topology
 
@@ -134,8 +192,8 @@ def _restrictions(category, J, A):
     if groups is None:
         start, orbits = A._orbits
         fixed = 0
-        for e in presheaf_site(category, J).objects:
-            offset = start[category.dom[e]]
+        for a, e, _ in _blocks(category, J)[0]:
+            offset = start[a]
             for y, z in enumerate(A.actions[e]):
                 if y == z:
                     fixed |= 1 << offset + y
@@ -322,18 +380,18 @@ def rep_is_regular(category, J, c):
     Probes run over maps from representable sheaves only, which is the
     computable restriction of the defining quantifier; the verdict records
     that restriction.  Only supercompact l(d) are probed, as the maps
-    R_d -> R_c on the presheaf site (module docstring), so a monic probe
-    passes without building its kernel pair, a copy of R_d.
+    R_d -> R_c read off a generator of R_d (module docstring).  A monic
+    probe passes.  The kernel pair W of any other is counted first, and
+    built on E_D only when |W| is within the bound that a supercompact W
+    meets.
     """
     if not rep_is_supercompact(category, J, c):
         return ProbeVerdict(False, False, witness=("supercompact", category.objects[c]))
-    target = restricted_representable(category, J, c)
-    for d, source in fact(category, ("probes", J.minimal), _probes, J):
-        for t in presheaf_homs(source, target):
-            if t.is_componentwise_injective():
-                continue
-            W, _, _ = kernel_pair(t)
-            if not _properties(W)["supercompact"]:
+    for d, generator in fact(category, ("probes", J.minimal), _probes, J):
+        for images in _yoneda_maps(category, J, generator, c):
+            if not _is_monic(images) and not _kernel_pair_is_supercompact(
+                category, J, d, c, images
+            ):
                 return ProbeVerdict(
                     False, False, witness=("kernel-pair", category.objects[d])
                 )
@@ -341,15 +399,19 @@ def rep_is_regular(category, J, c):
 
 
 def _probes(category, J):
-    """The (d, R_d) that `rep_is_regular` probes, d ascending: l(d)
-    supercompact, and R_d not subterminal, as every map out of a subterminal
-    presheaf is monic."""
+    """The (d, generator of R_d) that `rep_is_regular` probes, d ascending:
+    l(d) supercompact, and R_d not subterminal, as every map out of a
+    subterminal presheaf is monic.  R_d(e_j) has one element per bit of
+    Fix_j & maximal(d)."""
+    blocks, _ = _blocks(category, J)
     return tuple(
-        (d, R)
+        (d, generator)
         for d in range(len(category.objects))
-        if rep_is_supercompact(category, J, d)
-        for R in [restricted_representable(category, J, d)]
-        if max(R.sizes, default=0) > 1
+        for generator in [_generator(category, J, d)]
+        if generator is not None
+        and any(
+            (fix & category.maximal_sieve(d)).bit_count() > 1 for _, _, fix in blocks
+        )
     )
 
 
@@ -364,8 +426,185 @@ def rep_is_coherent(category, J, c):
 
 
 # ---------------------------------------------------------------------------
-# The presheaf site E_D and the report's per-object checks on it (module
-# docstring).
+# The report's per-object checks, read off C's arrows, and the presheaf site
+# E_D where a hom count or a kernel pair needs it (module docstring).
+
+
+def _blocks(category, J):
+    """Per retract class k in D, in the order of E_D's objects: (a_k, e_k,
+    Fix_k) for its least idempotent e_k: a_k -> a_k and the mask Fix_k of the
+    arrows x out of a_k with x.e_k = x; and Fix_D, the union of the Fix_k.
+    Memoised on the category per topology."""
+    return fact(category, ("blocks", J.minimal), _fixed_arrows, J)
+
+
+def _fixed_arrows(category, J):
+    classes = _retract_classes(category)
+    table = category.table
+    blocks = tuple(
+        (a, e, sum(1 << x for x in category.outof(a) if table[x, e] == x))
+        for a, e in (classes.least[k] for k in bits(classes.downset(J.minimal)))
+    )
+    return blocks, reduce(or_, (fix for _, _, fix in blocks), 0)
+
+
+def representable_properties(category, J, c):
+    """The atom, indecomposable and supercompact verdicts of the sheafified
+    representable at c, read off the orbit masks principal(x) & Fix_D of
+    the x in G_c, the arrows under the elements of R_c (module docstring)."""
+    _, fixed = _blocks(category, J)
+    G = fixed & category.maximal_sieve(c)
+    orbits = [category.principal_sieve(x) & fixed for x in bits(G)]
+    return {
+        "atom": bool(G) and all(orbit == G for orbit in orbits),
+        "indecomposable": overlap_connected(orbits, G),
+        "supercompact": G in orbits,
+    }
+
+
+def terminal_is_indecomposable(category, J):
+    """The terminal sheaf is indecomposable: E_D is nonempty and connected,
+    that is, the domains of its idempotents are connected through nonempty
+    hom-sets of C (module docstring)."""
+    blocks, _ = _blocks(category, J)
+    domains = sorted({a for a, _, _ in blocks})
+    return overlap_connected(
+        [
+            sum(1 << b for b in domains if category.hom(a, b) or category.hom(b, a))
+            for a in domains
+        ],
+        sum(1 << a for a in domains),
+    )
+
+
+def _generator(category, J, d):
+    """Where l(d) is supercompact, (k, walk) for the first x0 in G_d whose
+    principal sieve holds M_d, in the first block k with x0.e_k = x0: the
+    element x0 of R_d(e_k) generates R_d.  Per block j, walk lists the
+    pairs (s, x0.s) over the distinct s = w.e_j for w: a_j -> a_k.  None
+    where l(d) is not supercompact.  Memoised on the category per topology
+    and object."""
+    return fact(category, ("generator", J.minimal, d), _find_generator, J, d)
+
+
+def _find_generator(category, J, d):
+    blocks, fixed = _blocks(category, J)
+    M = J.minimal[d]
+    for x0 in bits(fixed & category.maximal_sieve(d)):
+        if not M & ~category.principal_sieve(x0):
+            break
+    else:
+        return None
+    k = next(k for k, (_, _, fix) in enumerate(blocks) if fix >> x0 & 1)
+    table = category.table
+    return k, tuple(
+        tuple(
+            (s, table[x0, s])
+            for s in dict.fromkeys(table[w, e] for w in category.hom(a, blocks[k][0]))
+        )
+        for a, e, _ in blocks
+    )
+
+
+def _yoneda_maps(category, J, generator, c):
+    """The natural maps R_d -> R_c, for the generator (k, walk) of R_d: one
+    per y in R_c(e_k) for which x0.s |-> y.s is well defined on every block
+    (module docstring), as the per-block dicts from the elements of R_d to
+    their images in R_c, both as arrows of C.  Ascending by y."""
+    k, walk = generator
+    blocks, _ = _blocks(category, J)
+    table = category.table
+    for y in bits(blocks[k][2] & category.maximal_sieve(c)):
+        images = tuple(_image(table, y, pairs) for pairs in walk)
+        if None not in images:
+            yield images
+
+
+def _image(table, y, pairs):
+    """The dict z |-> y.s over the (s, z) pairs, or None where one z meets
+    two images."""
+    image = {}
+    for s, z in pairs:
+        v = table[y, s]
+        if image.setdefault(z, v) != v:
+            return None
+    return image
+
+
+def _is_monic(images):
+    """Injective on every block, hence monic (module docstring)."""
+    return all(len(set(image.values())) == len(image) for image in images)
+
+
+def _kernel_pair_fits(category, J, images):
+    """|W| <= |into_E(e_i)| for some e_i where the kernel pair W is
+    nonempty, which every supercompact W meets.  |W| is the sum over the
+    blocks of the squared fibre sizes of the map (module docstring)."""
+    size = sum(n * n for image in images for n in Counter(image.values()).values())
+    into = fact(category, ("into-sizes", J.minimal), _into_sizes, J)
+    return size <= max(n for n, image in zip(into, images) if image)
+
+
+def _into_sizes(category, J):
+    """|into_E(e_i)| per block i: the u: a_j -> a_i with u.e_j = u and
+    e_i.u = u, summed over the blocks j."""
+    blocks, _ = _blocks(category, J)
+    table = category.table
+    sizes = []
+    for a, e, _ in blocks:
+        onto = sum(1 << u for u in category.into(a) if table[e, u] == u)
+        sizes.append(sum((fix & onto).bit_count() for _, _, fix in blocks))
+    return tuple(sizes)
+
+
+def _kernel_pair_is_supercompact(category, J, d, c, images):
+    """The kernel pair of the map R_d -> R_c with these images is
+    supercompact: refused by count, else built on E_D and decided there."""
+    if not _kernel_pair_fits(category, J, images):
+        return False
+    W, _, _ = kernel_pair(_natural_map(category, J, d, c, images))
+    return _properties(W)["supercompact"]
+
+
+def _natural_map(category, J, d, c, images):
+    """The map R_d -> R_c on E_D whose per-block images are given as arrows
+    of C; the elements of R_d(e_j) and R_c(e_j) are ascending arrows."""
+    blocks, _ = _blocks(category, J)
+    components = []
+    for (_, _, fix), image in zip(blocks, images):
+        index = {x: i for i, x in enumerate(bits(fix & category.maximal_sieve(c)))}
+        components.append(tuple(index[image[z]] for z in sorted(image)))
+    return NatTransformation._trusted(
+        restricted_representable(category, J, d),
+        restricted_representable(category, J, c),
+        tuple(components),
+    )
+
+
+def representable_sizes(category, J, c):
+    """The value sizes of the sheafified representable at c: hom(d, c) where
+    M_d is maximal, otherwise the number of natural maps R_d -> R_c."""
+    return tuple(
+        len(category.hom(d, c))
+        if M == category.maximal_sieve(d)
+        else _count_maps(category, J, d, c)
+        for d, M in enumerate(J.minimal)
+    )
+
+
+def _count_maps(category, J, d, c):
+    """The number of natural maps R_d -> R_c: read off a generator of R_d
+    where there is one, else counted on E_D with the compatible-family
+    solver."""
+    generator = _generator(category, J, d)
+    if generator is None:
+        return len(
+            presheaf_homs(
+                restricted_representable(category, J, d),
+                restricted_representable(category, J, c),
+            )
+        )
+    return sum(1 for _ in _yoneda_maps(category, J, generator, c))
 
 
 def presheaf_site(category, J):
@@ -377,18 +616,17 @@ def presheaf_site(category, J):
 
 
 def _presheaf_site(category, J):
-    classes = _retract_classes(category)
-    idempotents = [classes.least[k] for k in bits(classes.downset(J.minimal))]
+    blocks, _ = _blocks(category, J)
     table = category.table
     morphisms = [
         (u, j, k)
-        for k, (b, ek) in enumerate(idempotents)
-        for j, (a, ej) in enumerate(idempotents)
+        for k, (b, ek, _) in enumerate(blocks)
+        for j, (a, ej, _) in enumerate(blocks)
         for u in category.hom(a, b)
         if table[u, ej] == u and table[ek, u] == u
     ]
     index = {m: f for f, m in enumerate(morphisms)}
-    into = [[] for _ in idempotents]
+    into = [[] for _ in blocks]
     for f, (_, _, k) in enumerate(morphisms):
         into[k].append(f)
     composites = {
@@ -398,11 +636,11 @@ def _presheaf_site(category, J):
         for u, j, _ in [morphisms[f]]
     }
     return FiniteCategory(
-        [e for _, e in idempotents],
+        [e for _, e, _ in blocks],
         morphisms,
         [j for _, j, _ in morphisms],
         [k for _, _, k in morphisms],
-        [index[e, k, k] for k, (_, e) in enumerate(idempotents)],
+        [index[e, k, k] for k, (_, e, _) in enumerate(blocks)],
         composites,
     )
 
@@ -442,44 +680,14 @@ def restrict(category, J, A):
     return Presheaf._trusted(E, tuple(map(len, values)), actions)
 
 
-def _connected(P):
-    """P is nonempty and its category of elements connected: indecomposable
-    in a presheaf topos.  The component of the first element is its orbit
-    grown by every orbit that meets it."""
-    start, orbits = P._orbits
-    return overlap_connected(orbits, (1 << start[-1]) - 1)
-
-
 def _properties(R):
     """The atom, indecomposable and supercompact verdicts of a presheaf R on
-    E_D (module docstring)."""
+    E_D (module docstring).  The component of the first element is its
+    orbit grown by every orbit that meets it."""
     start, orbits = R._orbits
     full = (1 << start[-1]) - 1
     return {
         "atom": bool(full) and all(orbit == full for orbit in orbits),
-        "indecomposable": _connected(R),
+        "indecomposable": overlap_connected(orbits, full),
         "supercompact": full in orbits,
     }
-
-
-def representable_properties(category, J, c):
-    """The atom, indecomposable and supercompact verdicts of the sheafified
-    representable at c, decided on R_c."""
-    return _properties(restricted_representable(category, J, c))
-
-
-def representable_sizes(category, J, c):
-    """The value sizes of the sheafified representable at c: hom(d, c) where
-    M_d is maximal, otherwise the number of natural maps R_d -> R_c."""
-    R = restricted_representable(category, J, c)
-    return tuple(
-        len(category.hom(d, c))
-        if M == category.maximal_sieve(d)
-        else len(presheaf_homs(restricted_representable(category, J, d), R))
-        for d, M in enumerate(J.minimal)
-    )
-
-
-def terminal_is_indecomposable(category, J):
-    """The terminal sheaf is indecomposable: E_D is nonempty and connected."""
-    return _connected(terminal_presheaf(presheaf_site(category, J)))

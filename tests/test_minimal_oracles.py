@@ -98,6 +98,17 @@ are compared with the walks on sheafified random presheaves, and the
 projective test with the section-and-retraction search, on split retracts
 of representables too.
 
+The report now reads those checks off the category's own arrows, and the
+E_D forms are kept here as their references: the verdicts of R_c as a
+presheaf, the terminal presheaf's connectedness, the solver's count of
+the maps R_d -> R_c, and the regular probe that finds its maps with the
+solver and builds the kernel pair of every map that is not monic.  They
+are compared on the same sites and on the monoids with a terminal object
+added, map by map: the maps read off a generator of R_d are the solver's,
+monicity agrees, each kernel pair has its counted size, and each one the
+count refuses is not supercompact.  T_4 under the trivial topology keeps
+its report bytes with `kernel_pair` made to raise.
+
 `random_presheaf` finds the tables that composites force with a worklist;
 the fill it replaced, which rescans the whole composition table to a fixed
 point after every draw, is kept here.  The two draw equal presheaves, raise
@@ -105,6 +116,7 @@ alike and leave the rng in equal states, on every oracle category and on
 an 8-object chain.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -118,6 +130,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from finsite import objects
 from finsite.category import (
     CartesianReport,
     FiniteCategory,
@@ -132,6 +145,7 @@ from finsite.category import (
     bits,
     full_subcategory_from_mask,
     has_right_ore,
+    overlap_connected,
     is_cauchy_complete,
     subcategory_from_masks,
     validate_category,
@@ -189,6 +203,7 @@ from finsite.objects import (
     rep_is_regular,
     rep_is_supercompact,
     representable_properties,
+    representable_sizes,
     restrict,
     restricted_representable,
     subobjects,
@@ -2704,6 +2719,153 @@ def test_t4_sub7_subobjects_finish():
             if (E.cod[u], x) in S
         )
     assert len(lat) == closed == 16
+
+
+# The report's per-object checks read off C's arrows, against the forms on
+# E_D they replaced: the verdicts of R_c as a presheaf, the terminal
+# presheaf's connectedness, and the regular probe that finds its maps with
+# the solver and builds the kernel pair of every map that is not monic.
+
+
+def connected(P):
+    """P is nonempty and its category of elements connected: the component
+    of the first element is its orbit grown by every orbit that meets it."""
+    start, orbits = P._orbits
+    return overlap_connected(orbits, (1 << start[-1]) - 1)
+
+
+def presheaf_site_probes(cat, J):
+    """(d, R_d) for l(d) supercompact and R_d not subterminal, d
+    ascending."""
+    return [
+        (d, R)
+        for d in range(len(cat.objects))
+        if rep_is_supercompact(cat, J, d)
+        for R in [restricted_representable(cat, J, d)]
+        if max(R.sizes, default=0) > 1
+    ]
+
+
+def presheaf_site_rep_is_regular(cat, J, c):
+    """The regular probe on E_D: the solver's maps R_d -> R_c, and the
+    kernel pair of each one that is not monic, built and decided on E_D."""
+    if not rep_is_supercompact(cat, J, c):
+        return ProbeVerdict(False, False, witness=("supercompact", cat.objects[c]))
+    target = restricted_representable(cat, J, c)
+    for d, source in presheaf_site_probes(cat, J):
+        for t in presheaf_homs(source, target):
+            if t.is_componentwise_injective():
+                continue
+            W, _, _ = kernel_pair(t)
+            if not _properties(W)["supercompact"]:
+                return ProbeVerdict(
+                    False, False, witness=("kernel-pair", cat.objects[d])
+                )
+    return ProbeVerdict(True, False)
+
+
+def presheaf_site_sizes(cat, J, c):
+    """hom(d, c) where M_d is maximal, else the solver's count of the maps
+    R_d -> R_c."""
+    return tuple(
+        len(cat.hom(d, c))
+        if M == cat.maximal_sieve(d)
+        else len(
+            presheaf_homs(
+                restricted_representable(cat, J, d),
+                restricted_representable(cat, J, c),
+            )
+        )
+        for d, M in enumerate(J.minimal)
+    )
+
+
+def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
+    """On every site of `site_cases` and under every topology of the fake
+    square, its reversal and the monoids with a terminal object added, the
+    verdicts read off the orbit masks, the terminal sheaf's connectedness
+    through hom-sets, the sizes and the regular probe agree with their
+    forms on E_D.  For every d with l(d) supercompact and every c, the maps
+    read off the generator of R_d are the solver's maps R_d -> R_c and
+    agree on monicity.  Every kernel pair has the counted size, and every
+    one the count refuses is built here and is not supercompact.  Both the
+    refusing and the building branch are taken; the fake square is where a
+    kernel pair passes the count."""
+    seen = Counter()
+    extra = [fake_square(), reversed_lists(fake_square())] + [
+        with_terminal(p.values[0]) for p in MONOID_CATEGORIES
+    ]
+    extra_cases = ((cat, J) for cat in extra for J in lattice(cat).elements)
+    for cat, J in itertools.chain(site_cases(), extra_cases):
+        n = len(cat.objects)
+        assert terminal_is_indecomposable(cat, J) == connected(
+            terminal_presheaf(presheaf_site(cat, J))
+        )
+        assert objects._probes(cat, J) == tuple(
+            (d, objects._generator(cat, J, d)) for d, _ in presheaf_site_probes(cat, J)
+        )
+        for c in range(n):
+            props = representable_properties(cat, J, c)
+            assert props == _properties(restricted_representable(cat, J, c))
+            assert props["supercompact"] == rep_is_supercompact(cat, J, c)
+            assert rep_is_regular(cat, J, c) == presheaf_site_rep_is_regular(cat, J, c)
+            assert representable_sizes(cat, J, c) == presheaf_site_sizes(cat, J, c)
+        for d in range(n):
+            generator = objects._generator(cat, J, d)
+            assert (generator is not None) == rep_is_supercompact(cat, J, d)
+            if generator is None:
+                continue
+            source = restricted_representable(cat, J, d)
+            for c in range(n):
+                maps = {
+                    t.components: t
+                    for t in presheaf_homs(source, restricted_representable(cat, J, c))
+                }
+                read = list(objects._yoneda_maps(cat, J, generator, c))
+                built = [objects._natural_map(cat, J, d, c, images) for images in read]
+                assert len(read) == len(maps)
+                assert {t.components for t in built} == set(maps)
+                for images, t in zip(read, built):
+                    check_natural(t)
+                    monic = objects._is_monic(images)
+                    assert monic == maps[t.components].is_componentwise_injective()
+                    seen["maps"] += 1
+                    if monic:
+                        continue
+                    W, _, _ = kernel_pair(t)
+                    assert sum(W.sizes) == sum(
+                        n * n for image in images for n in Counter(image.values()).values()
+                    )
+                    if objects._kernel_pair_fits(cat, J, images):
+                        seen["built"] += 1
+                        seen["built", _properties(W)["supercompact"]] += 1
+                    else:
+                        assert not _properties(W)["supercompact"]
+                        seen["refused"] += 1
+        seen["sites"] += 1
+    assert seen["sites"] == 1034 and seen["maps"] >= 4000, seen
+    assert seen["refused"] >= 800, seen
+    assert seen["built", True] >= 4 and seen["built", False] >= 12, seen
+
+
+def t4():
+    """The full transformation monoid on 4 points, 256 arrows."""
+    return map_monoid(generated_monoid(4, list(itertools.product(range(4), repeat=4))))
+
+
+def test_t4_trivial_report_refuses_its_kernel_pairs_by_count(monkeypatch):
+    """The report of T_4 under the trivial topology, whose first non-monic
+    probe has a kernel pair of 65,536 elements, keeps the bytes it had when
+    it built that kernel pair.  It builds no kernel pair, searches no hom-set
+    and builds no E_D."""
+    cat = t4()
+    assert len(cat.morphisms) == 256
+    for name in ("kernel_pair", "presheaf_homs", "_presheaf_site"):
+        monkeypatch.setattr(objects, name, raiser(name))
+    report = canonical_json(classify_report(cat, trivial_topology(cat)))
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "142c874c759b6eafa5241ebf58fe0fb87f64c39d1694ec10d70348c0fd62d154"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,13 @@ topologies of C finer than J equals the number of topologies of E_D.  The
 two counts come from enumerations on different categories, so neither
 checks itself.
 
+Order.  The correspondence is an order isomorphism, and it is explicit on
+the idempotents.  A finer K is J_D' for a retract-closed D' inside D, and a
+topology of E_D is read off its own set of idempotents.  D' goes to the
+idempotents u: e_j -> e_j of E_D, idempotents of C themselves, that lie in
+D'.  Each side is ordered by inclusion of these sets, the reverse of the
+inclusion of least sieves.
+
 Double negation.  J_nn covers a sieve S on c when every f: d -> c has some
 g with f.g in S.  It is computed here from that definition, and:
 
@@ -49,17 +56,55 @@ from finsite.topology import atomic_topology, enumerate_topologies
 from test_minimal_oracles import oracle_categories
 
 
+def idempotents(cat):
+    return [
+        e
+        for e in range(len(cat.morphisms))
+        if cat.dom[e] == cat.cod[e] and cat.compose(e, e) == e
+    ]
+
+
+def idempotents_in(cat, minimal):
+    """D = {e idempotent : e in M_dom(e)} of the topology with these least
+    sieves, as a set of arrows."""
+    return frozenset(e for e in idempotents(cat) if minimal[cat.dom[e]] >> e & 1)
+
+
+def finer_or_equal(K, L):
+    """K's least sieves lie in L's: K has every covering sieve of L."""
+    return all(k & ~m == 0 for k, m in zip(K.minimal, L.minimal))
+
+
 def assert_subtopos_counts(cat):
-    """Assert, under each topology J of cat, that the topologies finer than J
-    are as many as the topologies of its presheaf site.  Returns the number
-    of topologies of cat."""
+    """Assert, under each topology J = J_D of cat, that its subtoposes, the
+    topologies K = J_D' finer than J, correspond to the topologies of its
+    presheaf site E_D by an order isomorphism: D' goes to the idempotents
+    u: e_j -> e_j of E_D with u in D'.  The map is a bijection onto the sets
+    of idempotents of E_D's topologies, and it preserves and reflects the
+    order: K is finer than K' exactly when D' lies in the other's, and then
+    exactly when the image of K is finer than that of K'.  Returns the
+    number of topologies of cat."""
     lattice = enumerate_topologies(cat).elements
     for J in lattice:
-        finer = sum(
-            all(k & ~j == 0 for k, j in zip(K.minimal, J.minimal)) for K in lattice
-        )
-        site_topologies = enumerate_topologies(presheaf_site(cat, J)).elements
-        assert finer == len(site_topologies), (cat.morphisms, J.minimal)
+        finer = [K for K in lattice if finer_or_equal(K, J)]
+        E = presheaf_site(cat, J)
+        on_site = {
+            idempotents_in(E, T.minimal): T for T in enumerate_topologies(E).elements
+        }
+        loops = idempotents(E)
+        image = []
+        for K in finer:
+            D = idempotents_in(cat, K.minimal)
+            image.append(frozenset(f for f in loops if E.morphisms[f][0] in D))
+        assert len(set(image)) == len(finer), (cat.morphisms, J.minimal)
+        assert set(image) == set(on_site), (cat.morphisms, J.minimal)
+        for K1, D1 in zip(finer, image):
+            for K2, D2 in zip(finer, image):
+                assert (
+                    finer_or_equal(K1, K2)
+                    == (D1 <= D2)
+                    == finer_or_equal(on_site[D1], on_site[D2])
+                ), (cat.morphisms, J.minimal, K1.minimal, K2.minimal)
     return len(lattice)
 
 
