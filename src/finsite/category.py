@@ -74,13 +74,13 @@ def fact(category, key, compute, *args):
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
     `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, the
     sheafified representables of `sheaf.representable_sheaf`, and in
-    `objects.py` the fixed-arrow masks of the report's checks, the
-    generators of the R_d and the regular probe's sources, and the presheaf
-    site with its restricted representables.  The first caller computes a fact under
-    the category's own lock while callers on other threads wait for it; the
-    lock is reentrant, as one fact reads others of the same category.  A
-    compute function must take no other lock, nor read the facts of another
-    category.
+    `objects.py` the fixed-arrow masks of the report's checks, the supports
+    of the R_d, their generators and the regular probe's sources, and the
+    presheaf site with its restricted representables.  The first caller
+    computes a fact under the category's own lock while callers on other
+    threads wait for it; the lock is reentrant, as one fact reads others of
+    the same category.  A compute function must take no other lock, nor
+    read the facts of another category.
     """
     facts = category._facts
     if key in facts:

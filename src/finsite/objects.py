@@ -99,15 +99,16 @@ x, and every subpresheaf is the union of the orbits of its elements.
 - Values: a(y c)(d) = Nat(y d, a(y c)) = Nat(a(y d), a(y c)) =
   Nat(R_d, R_c), since y(1_d)|E_D = R_d.  Where M_d is maximal both plus
   units are bijective at d (`sheaf.py`), so the value is hom(d, c).
-  Otherwise the natural maps are read off a generator of R_d where there
-  is one (below), and counted with the compatible-family solver on E_D
-  where there is none.
+  Otherwise, where R_c is subterminal, the value is 0 or 1 by the supports
+  of R_d and R_c (below).  Where it is not, the natural maps are read off
+  a generator of R_d where there is one (below), and counted with the
+  compatible-family solver on E_D where there is none.
 - Regular probe: the maps a(y d) -> a(y c) are the natural maps
   R_d -> R_c.  Monos and kernel pairs are limits, kept by the equivalence
   and taken objectwise on E_D, so a map injective at every e is monic, and
   a kernel pair is supercompact when one element generates it.  Every map
   out of a subterminal R_d, one with at most one element at every e, is
-  monic, so such d are skipped.
+  monic, so such d are skipped before a generator is looked for.
 - Indecomposable projective, under the trivial topology: every idempotent
   lies in D, so E_D is a skeleton of Kar(C).  Kar(C) is Cauchy complete, so
   a retract of a representable of [Kar(C)^op, Set] is representable, and
@@ -119,8 +120,8 @@ x, and every subpresheaf is the union of the orbits of its elements.
 
 The report decides these questions on C's composition table and its
 principal sieves, and builds E_D and R_c only where the solver must count
-the maps into R_c from an R_d with no generator, or where a kernel pair
-passes the size bound below.  Let Fix_k be the arrows x out of dom e_k
+the maps from an R_d with no generator into an R_c that is not
+subterminal, or where a kernel pair passes the size bound below.  Let Fix_k be the arrows x out of dom e_k
 with x.e_k = x, Fix_D their union, and G_c = Fix_D & maximal(c).  The
 elements of R_c(e_k) are the arrows of Fix_k into c, so G_c is the set of
 arrows that underlie the elements of R_c.  One arrow x may lie in several
@@ -154,6 +155,19 @@ Fix_k; write (k, x) for its element in R_c(e_k).
   connected exactly when the domains of the e_k are connected through
   nonempty hom-sets of C, taken in either direction; two idempotents on
   one object are joined by e_k.e_j.
+- Maps into a subterminal presheaf.  Let T have at most one element at
+  every e.  Then Nat(S, T) has one element when every e with S(e)
+  nonempty has T(e) nonempty, and none otherwise.  Proof: a map t has one
+  component t_e: S(e) -> T(e) per e.  Where S(e) is empty, t_e is the
+  empty function.  Where S(e) is nonempty, t_e exists only if T(e) is
+  nonempty, and is then the constant map onto its one element.  So there
+  is at most one family of components, and there is one exactly when the
+  supports nest.  It is natural: for u: e_j -> e_k and s in S(e_k), both
+  T(u)t(s) and t(S(u)s) lie in T(e_j), which has at most one element.
+  R_x(e_j) has one element per arrow of Fix_j & maximal(x), so the support
+  of R_x, the blocks j with R_x(e_j) nonempty, and whether R_x is
+  subterminal are read off those masks (`_supports`).  A count of the maps
+  R_d -> R_c into a subterminal R_c is then one mask inclusion.
 - Yoneda for a cyclic source.  Where R_d is supercompact, take x0 in G_d
   with principal(x0) = M_d, and k with x0 in Fix_k.  The orbit of (k, x0)
   is all of R_d, so u |-> x0.u maps E(-, e_k) onto R_d.  A natural map t:
@@ -400,18 +414,16 @@ def rep_is_regular(category, J, c):
 
 def _probes(category, J):
     """The (d, generator of R_d) that `rep_is_regular` probes, d ascending:
-    l(d) supercompact, and R_d not subterminal, as every map out of a
-    subterminal presheaf is monic.  R_d(e_j) has one element per bit of
-    Fix_j & maximal(d)."""
-    blocks, _ = _blocks(category, J)
+    R_d not subterminal, as every map out of a subterminal presheaf is
+    monic, and l(d) supercompact.  A subterminal R_d is skipped before its
+    generator is looked for."""
+    supports = _supports(category, J)
     return tuple(
         (d, generator)
-        for d in range(len(category.objects))
+        for d, (_, subterminal) in enumerate(supports)
+        if not subterminal
         for generator in [_generator(category, J, d)]
         if generator is not None
-        and any(
-            (fix & category.maximal_sieve(d)).bit_count() > 1 for _, _, fix in blocks
-        )
     )
 
 
@@ -446,6 +458,25 @@ def _fixed_arrows(category, J):
         for a, e in (classes.least[k] for k in bits(classes.downset(J.minimal)))
     )
     return blocks, reduce(or_, (fix for _, _, fix in blocks), 0)
+
+
+def _supports(category, J):
+    """Per object x, (supp, subterminal): the mask of the blocks j where
+    R_x(e_j), one element per bit of Fix_j & maximal(x), is nonempty, and
+    whether R_x is subterminal, no R_x(e_j) holding two elements.
+    Memoised on the category per topology."""
+    return fact(category, ("supports", J.minimal), _block_supports, J)
+
+
+def _block_supports(category, J):
+    blocks, _ = _blocks(category, J)
+    supports = []
+    for x in range(len(category.objects)):
+        sizes = [(fix & category.maximal_sieve(x)).bit_count() for _, _, fix in blocks]
+        supports.append(
+            (sum(1 << j for j, n in enumerate(sizes) if n), max(sizes, default=0) < 2)
+        )
+    return tuple(supports)
 
 
 def representable_properties(category, J, c):
@@ -583,7 +614,8 @@ def _natural_map(category, J, d, c, images):
 
 def representable_sizes(category, J, c):
     """The value sizes of the sheafified representable at c: hom(d, c) where
-    M_d is maximal, otherwise the number of natural maps R_d -> R_c."""
+    M_d is maximal, otherwise the number of natural maps R_d -> R_c, which
+    is 0 or 1 where R_c is subterminal (`_count_maps`)."""
     return tuple(
         len(category.hom(d, c))
         if M == category.maximal_sieve(d)
@@ -593,9 +625,15 @@ def representable_sizes(category, J, c):
 
 
 def _count_maps(category, J, d, c):
-    """The number of natural maps R_d -> R_c: read off a generator of R_d
-    where there is one, else counted on E_D with the compatible-family
-    solver."""
+    """The number of natural maps R_d -> R_c.  Where R_c is subterminal it
+    is 1 if the support of R_d lies in that of R_c and 0 otherwise (module
+    docstring).  Else it is read off a generator of R_d where there is one,
+    and counted on E_D with the compatible-family solver where there is
+    none."""
+    supports = _supports(category, J)
+    target, subterminal = supports[c]
+    if subterminal:
+        return int(not supports[d][0] & ~target)
     generator = _generator(category, J, d)
     if generator is None:
         return len(

@@ -119,6 +119,7 @@ an 8-object chain.
 import hashlib
 import itertools
 import json
+import os
 import random
 import sys
 import time
@@ -2790,7 +2791,11 @@ def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
     agree on monicity.  Every kernel pair has the counted size, and every
     one the count refuses is built here and is not supercompact.  Both the
     refusing and the building branch are taken; the fake square is where a
-    kernel pair passes the count."""
+    kernel pair passes the count.  Each count of the maps R_d -> R_c with
+    M_d not maximal equals the solver's, and is tallied by the branch that
+    decided it: support inclusion, Yoneda walk or E_D solver; all three are
+    taken.  `_supports` marks the nonzero sizes of each R_x, and calls it
+    subterminal exactly when no size exceeds 1."""
     seen = Counter()
     extra = [fake_square(), reversed_lists(fake_square())] + [
         with_terminal(p.values[0]) for p in MONOID_CATEGORIES
@@ -2804,12 +2809,28 @@ def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
         assert objects._probes(cat, J) == tuple(
             (d, objects._generator(cat, J, d)) for d, _ in presheaf_site_probes(cat, J)
         )
+        supports = objects._supports(cat, J)
+        for x, (support, subterminal) in enumerate(supports):
+            sizes = restricted_representable(cat, J, x).sizes
+            assert support == sum(1 << j for j, m in enumerate(sizes) if m)
+            assert subterminal == all(m <= 1 for m in sizes)
         for c in range(n):
             props = representable_properties(cat, J, c)
             assert props == _properties(restricted_representable(cat, J, c))
             assert props["supercompact"] == rep_is_supercompact(cat, J, c)
             assert rep_is_regular(cat, J, c) == presheaf_site_rep_is_regular(cat, J, c)
-            assert representable_sizes(cat, J, c) == presheaf_site_sizes(cat, J, c)
+            sizes = presheaf_site_sizes(cat, J, c)
+            assert representable_sizes(cat, J, c) == sizes
+            for d, M in enumerate(J.minimal):
+                if M == cat.maximal_sieve(d):
+                    continue
+                assert objects._count_maps(cat, J, d, c) == sizes[d]
+                if supports[c][1]:
+                    seen["count", "support"] += 1
+                elif objects._generator(cat, J, d) is not None:
+                    seen["count", "yoneda"] += 1
+                else:
+                    seen["count", "solver"] += 1
         for d in range(n):
             generator = objects._generator(cat, J, d)
             assert (generator is not None) == rep_is_supercompact(cat, J, d)
@@ -2846,6 +2867,69 @@ def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
     assert seen["sites"] == 1034 and seen["maps"] >= 4000, seen
     assert seen["refused"] >= 800, seen
     assert seen["built", True] >= 4 and seen["built", False] >= 12, seen
+    assert seen["count", "support"] >= 3000, seen
+    assert seen["count", "yoneda"] >= 100 and seen["count", "solver"] >= 100, seen
+
+
+def is_thin(cat):
+    """Every hom-set has at most one arrow."""
+    return len(set(zip(cat.dom, cat.cod))) == len(cat.morphisms)
+
+
+def test_thin_reports_find_no_generator_and_build_no_presheaf_site(
+    monkeypatch, tmp_path, capsys
+):
+    """Over a thin category every R_c is subterminal, so the report counts
+    its maps by support inclusion and probes no source.  With E_D, the
+    solver and the generator search made to raise, the report of every thin
+    category of `site_cases` under each of its topologies has the bytes it
+    had before, and the CLI reports the golden vee-cover site byte for
+    byte."""
+    cases = [(cat, J) for cat, J in site_cases() if is_thin(cat)]
+    want = [canonical_json(classify_report(cat, J)) for cat, J in cases]
+    for name in ("_presheaf_site", "presheaf_homs", "_find_generator"):
+        monkeypatch.setattr(objects, name, raiser(name))
+    for (cat, J), report in zip(cases, want):
+        fresh = fresh_copy(cat)
+        got = classify_report(fresh, GrothendieckTopology(fresh, J.minimal))
+        assert canonical_json(got) == report
+    assert len(cases) == 562
+    site = tmp_path / "vee-cover.json"
+    site.write_text(serialize_site(named_site("vee-cover")), encoding="ascii")
+    capsys.readouterr()
+    assert main(["report", str(site)]) == 0
+    golden = os.path.join(os.path.dirname(__file__), "golden", "vee-cover.report.json")
+    with open(golden, encoding="ascii") as fh:
+        assert capsys.readouterr().out == fh.read()
+
+
+def test_subcanonical_reads_off_the_arrows_and_the_representable_sizes():
+    """The criterion that deciding the sheaf condition on E_D would use for
+    representables: J is subcanonical exactly when, for every c and every x
+    with M_x not maximal, u |-> (u.g for g in G_x) is injective on
+    hom(x, c) and |hom(x, c)| is the value at x of the sheafified
+    representable at c.  G_x = Fix_D & maximal(x) are the arrows under the
+    elements of R_x, and the unit of y(c) at x sends u to the map
+    R_x -> R_c that composes with u, so the two ask that it be bijective.
+    Checked under every topology of the oracle categories, the monoids
+    among them."""
+    seen = Counter()
+    for cat in oracle_categories():
+        for J in lattice(cat).elements:
+            _, fixed = objects._blocks(cat, J)
+            holds = True
+            for c in range(len(cat.objects)):
+                sizes = representable_sizes(cat, J, c)
+                for x, M in enumerate(J.minimal):
+                    if M == cat.maximal_sieve(x):
+                        continue
+                    G = list(bits(fixed & cat.maximal_sieve(x)))
+                    hom = cat.hom(x, c)
+                    images = {tuple(cat.compose(u, g) for g in G) for u in hom}
+                    holds = holds and len(images) == len(hom) == sizes[x]
+            assert holds == bool(_is_subcanonical(cat, J)), (cat.morphisms, J.minimal)
+            seen[holds] += 1
+    assert seen == {True: 762, False: 4960}
 
 
 def t4():
