@@ -14,7 +14,7 @@ from collections import namedtuple
 from types import MappingProxyType, SimpleNamespace
 
 from .classify import classify_report
-from .density import is_dense, topologies_with_dense
+from .density import _qualifying_sieves, is_dense, topologies_with_dense
 from .errors import (
     FinsiteError,
     ParseError,
@@ -140,7 +140,8 @@ def cmd_dense(args):
     site = load_site(args.file)
     J = _require_topology(site)
     sub = _named(site, "subcategory", site.subcategories, args.sub)
-    verdict = is_dense(site.category, J, sub)
+    sieves = _qualifying_sieves(site.category, sub)
+    verdict = is_dense(site.category, J, sub, sieves)
     data = {
         "site": site.name,
         "sub": args.sub,
@@ -148,10 +149,10 @@ def cmd_dense(args):
         "failures": [f._asdict() for f in verdict.failures],
     }
     if args.enumerate:
-        family = topologies_with_dense(site.category, sub)
+        family = topologies_with_dense(site.category, sub, sieves)
         data["family"] = {
             "size": len(family.member_indices),
-            "of": len(family.lattice.elements),
+            "of": len(family.lattice),
             "members": list(family.member_indices),
             "minimum_index": family.minimum_index,
             "minimum": family.minimum.describe(),

@@ -1,22 +1,45 @@
 """Dense subcategories and the family of topologies making one dense.
 
-A subcategory D is dense for a topology J when
+A subcategory S is dense for a topology J when
   (i)  every object has a covering sieve generated by arrows whose domains
-       lie in D, and
-  (ii) for every arrow f landing in a D-object there is a covering sieve on
-       its domain generated by arrows g with f-after-g a D-arrow.
+       lie in S, and
+  (ii) for every arrow f landing in an S-object there is a covering sieve on
+       its domain generated by arrows g with f-after-g an S-arrow.
 
 Since the covering sieves are the sieves containing the least one, M_c,
 each condition asks whether M_c lies inside the sieve generated by all the
 qualifying arrows: that sieve then covers and is generated by its own
 qualifying members.  Those sieves depend on the subcategory alone, so the
 family of topologies making it dense checks one mask per object.
+
+The family is read off the retract classes (`topology._RetractClasses`).
+Let N_c be the intersection of the condition (i) sieve on c with the
+condition (ii) sieves of the arrows f with dom f = c, N the union of the
+N_c, one arrow mask, and A the set of classes k whose generated mask G_k
+lies inside N.
+
+Fact 1.  J_D makes the subcategory dense exactly when D lies inside A.
+Proof.  By the above J_D makes it dense exactly when M_c(D) lies inside
+N_c for every c.  N_c holds only arrows into c, so N_c is the part of N
+inside maximal(c), and M_c(D) is the part of the union of the G_k, k in D,
+inside maximal(c).  So the condition holds at every c exactly when every
+G_k with k in D lies inside N, that is when D lies inside A.
+
+Fact 2.  A is a down-set, and the least topology of the family is J_A,
+so D* = {k : down[k] inside A}, the largest down-set inside A, is A.
+Proof.  If class j lies below k, e_j = r.e_k.s for some arrows r and s, so
+g.e_j = (g.r).e_k.s lies in the sieve generated by (g.r).e_k for every g
+out of dom e_j: G_j lies inside G_k, and j is in A when k is.  So J_A is
+in the family by fact 1, and any member J_D has D inside A, hence
+J_A <= J_D.
 """
 
 from collections import namedtuple
+from functools import reduce
+from operator import or_
 
 from .sieves import generate_mask
-from .topology import enumerate_topologies
+from .topology import GrothendieckTopology, _retract_classes, enumerate_topologies
 
 
 # condition "i" or "ii", kind "object" or "morphism", witness the object or
@@ -50,9 +73,10 @@ def _qualifying_sieves(category, sub):
     return objects, arrows
 
 
-def is_dense(category, J, sub):
-    """DensityVerdict for the subcategory, with every failing witness listed."""
-    objects, arrows = _qualifying_sieves(category, sub)
+def is_dense(category, J, sub, sieves=None):
+    """DensityVerdict for the subcategory, with every failing witness listed;
+    `sieves` are its `_qualifying_sieves` when the caller has them."""
+    objects, arrows = _qualifying_sieves(category, sub) if sieves is None else sieves
     M = J.minimal
     failures = [
         DensityFailure("i", "object", category.objects[c])
@@ -77,27 +101,27 @@ class DenseFamily(namedtuple("DenseFamily", "lattice member_indices minimum_inde
 
     @property
     def minimum(self):
-        return self.lattice.elements[self.minimum_index]
+        lat = self.lattice
+        return GrothendieckTopology(lat.category, lat.minimals[self.minimum_index])
 
 
-def topologies_with_dense(category, sub):
+def topologies_with_dense(category, sub, sieves=None):
     """All topologies making the subcategory dense, plus their minimum.
 
     Every topology is enumerated under `enumerate_topologies`'s bound.  The
-    family is closed upward and under meets, so the minimum is the meet of
-    all members.  It is never empty: the maximal topology, whose empty
-    sieves cover, makes every subcategory dense.
+    members are the J_D with D inside A and the minimum is J_A (facts 1
+    and 2 of the module docstring); `sieves` are the subcategory's
+    `_qualifying_sieves` when the caller has them.  The family is never
+    empty: the maximal topology, whose empty sieves cover, makes every
+    subcategory dense.
     """
     lattice = enumerate_topologies(category)
-    need, arrows = _qualifying_sieves(category, sub)
+    objects, arrows = _qualifying_sieves(category, sub) if sieves is None else sieves
+    need = list(objects)
     for f, Q in arrows:
         need[category.dom[f]] &= Q
-    members = tuple(
-        i
-        for i, J in enumerate(lattice.elements)
-        if not any(m & ~q for m, q in zip(J.minimal, need))
-    )
-    low = members[0]
-    for i in members[1:]:
-        low = lattice.meet(low, i)
-    return DenseFamily(lattice, members, low)
+    N = reduce(or_, need, 0)
+    classes = _retract_classes(category)
+    A = sum(1 << k for k, G in enumerate(classes.generated) if not G & ~N)
+    members = tuple(i for i, D in enumerate(lattice.downsets) if not D & ~A)
+    return DenseFamily(lattice, members, lattice._of_downset(A))

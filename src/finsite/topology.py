@@ -41,7 +41,8 @@ topologies reverse, J_D <= J_D' exactly when D' lies in D.
 
 So the topologies are the down-sets of the retract classes (mutual
 retracts, such as the two constant self-maps of a two-point set, form one
-class); M_c(D) is the OR of per-class sieves computed once per category.
+class); M(D), on every object at once, is the OR of one arrow mask per
+class computed once per category.
 D also gives each topology a second site: Sh(C, J_D) is the presheaf topos
 on the least idempotents of the classes in D, where the report decides its
 per-object checks (proof in the `objects.py` docstring).
@@ -223,25 +224,30 @@ def _scan_axioms(category, cov, sets):
     return TopologyVerdict(True)
 
 
-class _RetractClasses(namedtuple("_RetractClasses", "n_obj least down sieves")):
+class _RetractClasses(namedtuple("_RetractClasses", "maximal least down generated")):
     """The idempotents of a category up to mutual retracts, retracts first.
 
-    n_obj: the number of objects of the category.
+    maximal: per object c, the mask of the arrows into c.
     least: per class, (dom e, e) for its least idempotent e.
     down: per class, the mask over classes of the classes at or below it.
-    sieves: per class, (c, the sieve on c generated by the arrows g.e with
-        g: dom e -> c) for each object c that dom e has an arrow to.
+    generated: per class, one arrow mask: the sieves generated by the arrows
+        g.e, g out of dom e, on every object at once.
+
+    A sieve on c holds only arrows into c, so sieves on different objects
+    share no arrow, and a set of sieves, one per object, is one mask: its
+    sieve on c is the mask's part inside maximal(c).  The sieves M_c(D) of
+    all objects are the union over k in D of the generated masks, which is
+    all `minimal` computes, and a test of M(D) against a sieve per object is
+    one mask test against their union (`generated_topology`,
+    `density.topologies_with_dense`).
     """
 
     __slots__ = ()
 
     def minimal(self, D):
         """Least covering sieves M_c(D) of J_D; D is a mask over classes."""
-        M = [0] * self.n_obj
-        for k in bits(D):
-            for c, mask in self.sieves[k]:
-                M[c] |= mask
-        return tuple(M)
+        G = reduce(or_, map(self.generated.__getitem__, bits(D)), 0)
+        return tuple(map(G.__and__, self.maximal))
 
     def downset(self, minimal):
         """The mask over classes of D = {e : e in M_dom(e)}."""
@@ -256,29 +262,33 @@ def _retract_classes(category):
 
 
 def _retracts(cat):
-    idempotents = [f for f in range(len(cat.morphisms)) if cat.table.get((f, f)) == f]
-    on = {}
+    table, dom, outof, principal = cat.table, cat.dom, cat._outof, cat._principal
+    idempotents = [f for f in range(len(cat.morphisms)) if table.get((f, f)) == f]
+    marked = reduce(or_, (1 << e for e in idempotents), 0)
+    generated, classes = {}, {}
     for e in idempotents:
-        on.setdefault(cat.dom[e], []).append(e)
-    sieves, classes = {}, {}
-    for e in idempotents:
-        generated = {}
-        for g in cat.outof(cat.dom[e]):
-            c = cat.cod[g]
-            generated[c] = generated.get(c, 0) | cat.principal_sieve(cat.compose(g, e))
-        sieves[e] = tuple(sorted(generated.items()))
-        # the retracts of e: the same for a mutual retract, fewer for a strict one
-        below = frozenset(
-            x for c, mask in generated.items() for x in on.get(c, ()) if mask >> x & 1
-        )
-        classes.setdefault(below, []).append(e)
-    order = sorted(classes.items(), key=lambda item: (len(item[0]), item[1][0]))
+        row = 0
+        for g in outof[dom[e]]:
+            row |= principal[table[g, e]]
+        generated[e] = row
+        # the retracts of e, the idempotents in its sieves: the same for a
+        # mutual retract, fewer for a strict one
+        classes.setdefault(row & marked, []).append(e)
+    order = sorted(classes.items(), key=lambda item: (item[0].bit_count(), item[1][0]))
     position = {e: k for k, (_, members) in enumerate(order) for e in members}
+    down = []
+    for below, _ in order:
+        D = 0
+        while below:
+            low = below & -below
+            D |= 1 << position[low.bit_length() - 1]
+            below ^= low
+        down.append(D)
     return _RetractClasses(
-        len(cat.objects),
-        tuple((cat.dom[members[0]], members[0]) for _, members in order),
-        tuple(reduce(or_, (1 << position[x] for x in below), 0) for below, _ in order),
-        tuple(sieves[members[0]] for _, members in order),
+        cat._maximal,
+        tuple((dom[members[0]], members[0]) for _, members in order),
+        tuple(down),
+        tuple(generated[members[0]] for _, members in order),
     )
 
 
@@ -351,7 +361,8 @@ def generated_topology(category, families):
     families: mapping object index -> iterable of arrow-index families.
     It is J_D for the largest retract-closed D with M_c(D) inside every
     generated sieve R on c: the idempotents e with g.e in R for every such R
-    and every g: dom e -> c.
+    and every g: dom e -> c.  The intersections of the R on each c form one
+    arrow mask, and a class is in D when its generated mask lies inside it.
     """
     allowed = [category.maximal_sieve(c) for c in range(len(category.objects))]
     for c, fams in families.items():
@@ -364,10 +375,8 @@ def generated_topology(category, families):
                     )
             allowed[c] &= generate_mask(category, fam)
     classes = _retract_classes(category)
-    D = 0
-    for k, sieves in enumerate(classes.sieves):
-        if not any(mask & ~allowed[c] for c, mask in sieves):
-            D |= 1 << k
+    inside = reduce(or_, allowed, 0)
+    D = sum(1 << k for k, G in enumerate(classes.generated) if not G & ~inside)
     return GrothendieckTopology(category, classes.minimal(D))
 
 
@@ -422,48 +431,69 @@ class TopologyLattice:
 
     Elements are sorted by their minimal sieves, which is the order of their
     covering tuples (M_c is the first mask of covering[c]), so indices are
-    stable across runs; `bottom` is the trivial topology and `top` the
-    maximal one.  No table is built up front: J_i <= J_j when M_j lies inside
-    M_i at every object, and the meet takes the objectwise unions.  With
-    J_i = J_(D_i), the join is J with D_i & D_j, and the Heyting implication
-    i => j is J with the retract closure of D_j minus D_i.
+    stable across runs.  The lattice keeps, per element, its least sieves
+    `minimals` and the down-set of retract classes D with J = J_D
+    (`downsets`); the topologies themselves are built when `elements` is
+    first read.  Every M_c lies between the empty sieve and the maximal one,
+    so `top`, the maximal topology, sorts first and `bottom`, the trivial
+    one, last.  No table is built up front: J_D <= J_D' when D' lies inside
+    D, the meet is J with D | D' (M(D | D') is the objectwise union), the
+    join is J with D & D', and the Heyting implication i => j is J with the
+    retract closure of D_j minus D_i.
+
+    `pairs`, when given, are the (minimal, downset) pairs of the elements,
+    sorted; `elements` is then empty and built from them.
     """
 
-    def __init__(self, category, elements):
+    def __init__(self, category, elements, pairs=None):
+        if pairs is None:
+            elements = sorted(elements, key=lambda J: J.minimal)
+            downset = _retract_classes(category).downset
+            pairs = [(J.minimal, downset(J.minimal)) for J in elements]
+            self._elements = tuple(elements)
+        else:
+            self._elements = None
         self.category = category
-        self.elements = tuple(sorted(elements, key=lambda J: J.minimal))
-        self._index = {J.minimal: i for i, J in enumerate(self.elements)}
-        self.bottom = self._index[trivial_topology(category).minimal]
-        self.top = self._index[maximal_topology(category).minimal]
+        self.minimals = tuple([M for M, _ in pairs])
+        self.downsets = tuple([D for _, D in pairs])
+        self._index = {D: i for i, D in enumerate(self.downsets)}
+        self.top, self.bottom = 0, len(pairs) - 1
+
+    @property
+    def elements(self):
+        # two threads reading it first may each build the tuple; they are equal
+        if self._elements is None:
+            category = self.category
+            self._elements = tuple(
+                [GrothendieckTopology(category, M) for M in self.minimals]
+            )
+        return self._elements
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.minimals)
 
     def index_of(self, J):
-        try:
-            return self._index[J.minimal]
-        except KeyError:
-            raise KeyError("topology is not an element of this lattice") from None
+        M = J.minimal
+        i = self._index.get(_retract_classes(self.category).downset(M))
+        if i is None or self.minimals[i] != M:
+            raise KeyError("topology is not an element of this lattice")
+        return i
 
     def leq(self, i, j):
-        return self.elements[i].leq(self.elements[j])
+        return not self.downsets[j] & ~self.downsets[i]
 
     def meet(self, i, j):
-        pairs = zip(self.elements[i].minimal, self.elements[j].minimal)
-        return self._index[tuple(a | b for a, b in pairs)]
-
-    def _downset(self, i):
-        return _retract_classes(self.category).downset(self.elements[i].minimal)
+        return self._of_downset(self.downsets[i] | self.downsets[j])
 
     def _of_downset(self, D):
-        return self._index[_retract_classes(self.category).minimal(D)]
+        return self._index[D]
 
     def join(self, i, j):
-        return self._of_downset(self._downset(i) & self._downset(j))
+        return self._of_downset(self.downsets[i] & self.downsets[j])
 
     def implication(self, i, j):
         down = _retract_classes(self.category).down
-        missing = self._downset(j) & ~self._downset(i)
+        missing = self.downsets[j] & ~self.downsets[i]
         return self._of_downset(reduce(or_, (down[k] for k in bits(missing)), 0))
 
 
@@ -485,19 +515,22 @@ def enumerate_topologies(category, max_assignments=None):
 
     The classes are decided in a linear extension of the retract order on an
     explicit stack, and one is taken in only once every class below it is
-    in, so every branch ends in a down-set, held as one mask.  Raises
+    in, so every branch ends in a down-set, held as one mask over classes
+    beside one arrow mask, its least sieves on every object
+    (`_RetractClasses`).  The per-object tuples are split off the arrow
+    masks once the search ends, and sorted once with their down-sets.  Raises
     SizeBoundExceeded once the nodes visited, the root included, pass the
     bound (argument, FINSITE_MAX_ASSIGNMENTS, or the default 2^16).
     """
     bound = _resolve_bound(max_assignments)
     classes = _retract_classes(category)
-    n = len(classes.down)
+    n, generated = len(classes.down), classes.generated
     strictly_below = [D & ~(1 << k) for k, D in enumerate(classes.down)]
     tried = 0
     found = []
-    stack = [(0, 0)]
+    stack = [(0, 0, 0)]
     while stack:
-        k, D = stack.pop()
+        k, D, G = stack.pop()
         tried += 1
         if tried > bound:
             raise SizeBoundExceeded(
@@ -505,11 +538,11 @@ def enumerate_topologies(category, max_assignments=None):
                 "visited exceed the bound %d" % (tried, bound), tried, bound
             )
         if k == n:
-            found.append(D)
+            found.append((D, G))
             continue
-        stack.append((k + 1, D))
+        stack.append((k + 1, D, G))
         if not strictly_below[k] & ~D:
-            stack.append((k + 1, D | 1 << k))
-    return TopologyLattice(
-        category, [GrothendieckTopology(category, classes.minimal(D)) for D in found]
-    )
+            stack.append((k + 1, D | 1 << k, G | generated[k]))
+    maximal = category._maximal
+    pairs = sorted([(tuple(map(G.__and__, maximal)), D) for D, G in found])
+    return TopologyLattice(category, (), pairs=pairs)

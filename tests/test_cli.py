@@ -16,6 +16,8 @@ from finsite.corpus import corpus, named_site, poset_category
 from finsite.siteio import SiteFile, load_site, save_site, serialize_site
 from finsite.topology import enumerate_topologies, generated_topology
 
+from test_minimal_oracles import filtered_dense_family
+
 HERE = os.path.dirname(__file__)
 SQUARE = os.path.join(HERE, "sites", "square-gen.site.json")
 
@@ -322,6 +324,30 @@ def test_topologies_on_a_fan_are_refused_from_15_legs(capsys, tmp_path, unlisted
             assert "candidate assignments" in err
         else:
             assert json.loads(out)["count"] == 1 << (legs + 1)
+
+
+def test_dense_family_on_a_fan_at_the_edge_of_the_bound(capsys, tmp_path, unlisted_sieves):
+    # 14 legs take 2^16 - 1 search nodes, the most the default bound admits;
+    # the legs are dense under the J_D with D inside the legs' classes
+    site = fan_site(14)
+    members, low = filtered_dense_family(enumerate_topologies(site.category),
+                                         site.subcategories["legs"])
+    outcome = {}
+    for legs in (14, 15):
+        path = str(tmp_path / ("fan%d.json" % legs))
+        save_site(fan_site(legs), path)
+        outcome[legs] = run(capsys, "--format", "json", "dense", path,
+                            "--sub", "legs", "--enumerate")
+    code, _, err = outcome[15]
+    assert code == 2 and "candidate assignments" in err
+    code, out, _ = outcome[14]
+    assert code == 0
+    family = json.loads(out)["family"]
+    assert family["of"] == 1 << 15
+    assert family["size"] == len(members) == 1 << 14
+    assert family["members"] == list(members)
+    assert family["minimum_index"] == low
+    assert family["minimum"] == json.loads(json.dumps(site.topology.describe()))
 
 
 def test_generate_topology_file_round(capsys):

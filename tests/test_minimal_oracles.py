@@ -150,6 +150,7 @@ from finsite.category import (
     is_cauchy_complete,
     subcategory_from_masks,
     validate_category,
+    whole_subcategory,
 )
 from finsite.corpus import (
     corpus,
@@ -172,7 +173,7 @@ from finsite.classify import (
     j_irreducible_objects,
 )
 from finsite.cli import _strided_map, main
-from finsite.density import is_dense
+from finsite.density import _qualifying_sieves, is_dense, topologies_with_dense
 from finsite.errors import (
     CategoryLawError,
     FinsiteError,
@@ -257,6 +258,7 @@ from finsite.topology import (
     TopologyVerdict,
     _least_if_topology,
     _resolve_bound,
+    _retract_classes,
     _scan_axioms,
     atomic_topology,
     enumerate_topologies,
@@ -3765,3 +3767,102 @@ def test_random_presheaf_draws_as_the_fixed_point_fill_does():
         if isinstance(got[0], str):
             failed.append(seed)
     assert failed == [0, 4, 25]
+
+
+# ---------------------------------------------------------------------------
+# The dense family and the enumeration read off down-sets of retract
+# classes, against the per-topology filter and the per-object sieves.
+
+
+def filtered_dense_family(lat, sub):
+    """(member indices, minimum index) of the dense family, each topology
+    tested object by object against the qualifying sieves and the minimum
+    the meet of all members, each meet the objectwise union of least
+    sieves."""
+    cat = lat.category
+    need, arrows = _qualifying_sieves(cat, sub)
+    for f, Q in arrows:
+        need[cat.dom[f]] &= Q
+    minimals = [J.minimal for J in lat.elements]
+    members = tuple(
+        i for i, M in enumerate(minimals) if not any(m & ~q for m, q in zip(M, need))
+    )
+    low = minimals[members[0]]
+    for i in members[1:]:
+        low = tuple(a | b for a, b in zip(low, minimals[i]))
+    return members, minimals.index(low)
+
+
+def _dense_family_cases():
+    """(category, subcategory): every oracle category with each one-object
+    and each all-but-one-object full subcategory (the empty one on one
+    object; on two objects they are the one-object ones) and the whole
+    category, then each subcategory of the corpus of seeds 0-3."""
+    for cat in oracle_categories():
+        n = len(cat.objects)
+        full = (1 << n) - 1
+        for c in range(n):
+            yield cat, full_subcategory_from_mask(cat, 1 << c)
+            if n != 2:
+                yield cat, full_subcategory_from_mask(cat, full & ~(1 << c))
+        yield cat, whole_subcategory(cat)
+    for seed in range(4):
+        for site in corpus(seed):
+            for sub in site.subcategories.values():
+                yield site.category, sub
+
+
+def test_dense_family_matches_the_per_topology_filter():
+    checked = Counter()
+    for cat, sub in _dense_family_cases():
+        family = topologies_with_dense(cat, sub)
+        members, low = filtered_dense_family(lattice(cat), sub)
+        assert family.member_indices == members
+        assert family.minimum_index == low
+        assert family.minimum.covering == lattice(cat).elements[low].covering
+        checked["cases"] += 1
+        checked["proper"] += len(members) < len(lattice(cat))
+    assert checked == {"cases": 2700, "proper": 2164}
+
+
+def per_object_sieves(cat, e):
+    """{c: the sieve on c generated by the g.e with g: dom e -> c}."""
+    generated = {}
+    for g in cat.outof(cat.dom[e]):
+        c = cat.cod[g]
+        generated[c] = generated.get(c, 0) | cat.principal_sieve(cat.compose(g, e))
+    return generated
+
+
+def per_object_minimal(cat, classes, D):
+    """M(D) as the per-object sieves of each class's least idempotent,
+    ORed object by object."""
+    M = [0] * len(cat.objects)
+    for k in bits(D):
+        for c, mask in per_object_sieves(cat, classes.least[k][1]).items():
+            M[c] |= mask
+    return tuple(M)
+
+
+def count_downsets(down):
+    """The number of down-sets of the classes, one class decided at a time."""
+    sets = [0]
+    for k, below in enumerate(down):
+        strictly = below & ~(1 << k)
+        sets += [D | 1 << k for D in sets if not strictly & ~D]
+    return len(sets)
+
+
+def test_one_mask_minimal_matches_the_per_object_sieves():
+    elements = 0
+    for cat in oracle_categories():
+        classes = _retract_classes(cat)
+        lat = lattice(cat)
+        assert len(lat) == len(lat.downsets) == count_downsets(classes.down)
+        for i, D in enumerate(lat.downsets):
+            M = classes.minimal(D)
+            assert M == per_object_minimal(cat, classes, D)
+            assert lat.minimals[i] == lat.elements[i].minimal == M
+            assert lat.downsets[i] == classes.downset(M)
+            elements += 1
+    assert elements == 5722
