@@ -70,12 +70,13 @@ def fact(category, key, compute, *args):
 
     The site facts several report tasks read are memoised here: the
     category's `is_cartesian`, `has_right_ore`, `is_cauchy_complete` and
-    the retract classes of its idempotents (`topology._retract_classes`),
+    the retract classes of its idempotents (`topology._retract_classes`);
+    per subcategory the qualifying sieves of `density._qualifying_sieves`;
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
     `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, the
     sheafified representables of `sheaf.representable_sheaf`, and in
-    `objects.py` the fixed-arrow masks of the report's checks, the supports
-    of the R_d, their generators and the regular probe's sources, and the
+    `objects.py` the blocks of the report's checks with the supports of the
+    R_d, their generators and the regular probe's sources, and the
     presheaf site with its restricted representables.  The first caller
     computes a fact under the category's own lock while callers on other
     threads wait for it; the lock is reentrant, as one fact reads others of

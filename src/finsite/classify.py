@@ -373,12 +373,14 @@ def _object_properties(category, J, c):
     # is the restricted one and no sheaf is built (see `objects.py`)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
+    props = representable_properties(category, J, c)
     return {
-        **representable_properties(category, J, c),
+        **props,
         # covering sieves of a finite category are finite
         "compact": {"holds": True, "degenerate": True},
         "irreducible": rep_is_irreducible(category, J, c),
-        "supercompact_by_sieves": rep_is_supercompact(category, J, c),
+        # the orbit verdict is `rep_is_supercompact` (objects.py)
+        "supercompact_by_sieves": props["supercompact"],
         "coherent": {
             "holds": bool(coh),
             "degenerate": coh.degenerate,

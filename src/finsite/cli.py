@@ -14,7 +14,7 @@ from collections import namedtuple
 from types import MappingProxyType, SimpleNamespace
 
 from .classify import classify_report
-from .density import _qualifying_sieves, is_dense, topologies_with_dense
+from .density import is_dense, topologies_with_dense
 from .errors import (
     FinsiteError,
     ParseError,
@@ -140,8 +140,7 @@ def cmd_dense(args):
     site = load_site(args.file)
     J = _require_topology(site)
     sub = _named(site, "subcategory", site.subcategories, args.sub)
-    sieves = _qualifying_sieves(site.category, sub)
-    verdict = is_dense(site.category, J, sub, sieves)
+    verdict = is_dense(site.category, J, sub)
     data = {
         "site": site.name,
         "sub": args.sub,
@@ -149,7 +148,7 @@ def cmd_dense(args):
         "failures": [f._asdict() for f in verdict.failures],
     }
     if args.enumerate:
-        family = topologies_with_dense(site.category, sub, sieves)
+        family = topologies_with_dense(site.category, sub)
         data["family"] = {
             "size": len(family.member_indices),
             "of": len(family.lattice),

@@ -38,7 +38,7 @@ from collections import namedtuple
 from functools import reduce
 from operator import or_
 
-from .sieves import generate_mask
+from .category import fact
 from .topology import GrothendieckTopology, _retract_classes, enumerate_topologies
 
 
@@ -58,25 +58,37 @@ def _qualifying_sieves(category, sub):
     """The sieves generated by the qualifying arrows: per object c, by the
     arrows into c from objects of the subcategory (condition i), and per
     arrow f landing in the subcategory, in index order, the pair of f and
-    the sieve on dom f generated by the g with f-after-g in it (condition ii)."""
-    cat = category
-    objects = [
-        generate_mask(cat, [f for f in cat.into(c) if sub.has_object(cat.dom[f])])
-        for c in range(len(cat.objects))
-    ]
+    the sieve on dom f generated by the g with f-after-g in it (condition ii).
+    Memoised on the category per subcategory, so `is_dense` and
+    `topologies_with_dense` share them."""
+    key = ("qualifying", sub.objects_mask, sub.morphisms_mask)
+    return fact(category, key, _qualifying, sub)
+
+
+def _qualifying(cat, sub):
+    table, dom, into, principal = cat.table, cat.dom, cat._into, cat._principal
+    inside, kept = sub.objects_mask, sub.morphisms_mask
+    objects = []
+    for incoming in into:
+        mask = 0
+        for f in incoming:
+            if inside >> dom[f] & 1:
+                mask |= principal[f]
+        objects.append(mask)
     arrows = []
-    for f in range(len(cat.morphisms)):
-        if sub.has_object(cat.cod[f]):
-            into = cat.into(cat.dom[f])
-            keep = [g for g in into if sub.has_morphism(cat.compose(f, g))]
-            arrows.append((f, generate_mask(cat, keep)))
-    return objects, arrows
+    for f, b in enumerate(cat.cod):
+        if inside >> b & 1:
+            mask = 0
+            for g in into[dom[f]]:
+                if kept >> table[f, g] & 1:
+                    mask |= principal[g]
+            arrows.append((f, mask))
+    return tuple(objects), tuple(arrows)
 
 
-def is_dense(category, J, sub, sieves=None):
-    """DensityVerdict for the subcategory, with every failing witness listed;
-    `sieves` are its `_qualifying_sieves` when the caller has them."""
-    objects, arrows = _qualifying_sieves(category, sub) if sieves is None else sieves
+def is_dense(category, J, sub):
+    """DensityVerdict for the subcategory, with every failing witness listed."""
+    objects, arrows = _qualifying_sieves(category, sub)
     M = J.minimal
     failures = [
         DensityFailure("i", "object", category.objects[c])
@@ -105,18 +117,17 @@ class DenseFamily(namedtuple("DenseFamily", "lattice member_indices minimum_inde
         return GrothendieckTopology(lat.category, lat.minimals[self.minimum_index])
 
 
-def topologies_with_dense(category, sub, sieves=None):
+def topologies_with_dense(category, sub):
     """All topologies making the subcategory dense, plus their minimum.
 
     Every topology is enumerated under `enumerate_topologies`'s bound.  The
     members are the J_D with D inside A and the minimum is J_A (facts 1
-    and 2 of the module docstring); `sieves` are the subcategory's
-    `_qualifying_sieves` when the caller has them.  The family is never
-    empty: the maximal topology, whose empty sieves cover, makes every
-    subcategory dense.
+    and 2 of the module docstring).  The family is never empty: the
+    maximal topology, whose empty sieves cover, makes every subcategory
+    dense.
     """
     lattice = enumerate_topologies(category)
-    objects, arrows = _qualifying_sieves(category, sub) if sieves is None else sieves
+    objects, arrows = _qualifying_sieves(category, sub)
     need = list(objects)
     for f, Q in arrows:
         need[category.dom[f]] &= Q

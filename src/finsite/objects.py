@@ -121,11 +121,14 @@ x, and every subpresheaf is the union of the orbits of its elements.
 The report decides these questions on C's composition table and its
 principal sieves, and builds E_D and R_c only where the solver must count
 the maps from an R_d with no generator into an R_c that is not
-subterminal, or where a kernel pair passes the size bound below.  Let Fix_k be the arrows x out of dom e_k
-with x.e_k = x, Fix_D their union, and G_c = Fix_D & maximal(c).  The
-elements of R_c(e_k) are the arrows of Fix_k into c, so G_c is the set of
-arrows that underlie the elements of R_c.  One arrow x may lie in several
-Fix_k; write (k, x) for its element in R_c(e_k).
+subterminal, or where a kernel pair passes the size bound below.  Let
+a_k = dom e_k, Fix_k the arrows x out of a_k with x.e_k = x
+(`_RetractClasses.fixed`), Fix_D their union, and G_c = Fix_D & maximal(c).
+Every w.e_k with w out of a_k lies in Fix_k, as e_k.e_k = e_k, and each x
+in Fix_k is x.e_k.  So R_x(e_j) = Fix_j & maximal(x), read as arrows, is
+also the set of the distinct w.e_j for w: a_j -> x, and G_c is the set of
+arrows under the elements of R_c.  One arrow x may lie in several Fix_k;
+write (k, x) for its element in R_c(e_k).
 
 - G_c generates M_c.  Each x in G_c is x.e_k with e_k in D, so lies in
   M_c.  M_c is generated by the g.e_k with g: dom e_k -> c, one least
@@ -149,12 +152,13 @@ Fix_k; write (k, x) for its element in R_c(e_k).
   M_c inside principal(f).  Each x in G_c is in M_c.  Conversely such an f
   is x.h for some x in G_c, and principal(x) holds principal(f), which
   holds M_c.  Then principal(x) = M_c, as x is in M_c.
-- E_D has an arrow e_j -> e_k exactly when hom(dom e_j, dom e_k) is
-  nonempty.  Each arrow e_j -> e_k is an arrow of C between those domains,
-  and each w: dom e_j -> dom e_k gives the arrow e_k.w.e_j.  So E_D is
-  connected exactly when the domains of the e_k are connected through
-  nonempty hom-sets of C, taken in either direction; two idempotents on
-  one object are joined by e_k.e_j.
+- E_D's arrows e_j -> e_k are the u in R_{a_k}(e_j) with e_k.u = u, as
+  e_k.u.e_j = u means u.e_j = u = e_k.u.  Each u in R_{a_k}(e_j) gives
+  e_k.u in E(e_j, e_k), as e_k.u.e_j = e_k.u and e_k.e_k = e_k.  So the
+  support of R_{a_k} (below) is the set of the j with an arrow e_j -> e_k,
+  k among them, and E_D is nonempty and connected exactly when these
+  supports, grown by overlap from the first, cover every block: two of
+  them meet only at a block with arrows into both of their blocks.
 - Maps into a subterminal presheaf.  Let T have at most one element at
   every e.  Then Nat(S, T) has one element when every e with S(e)
   nonempty has T(e) nonempty, and none otherwise.  Proof: a map t has one
@@ -166,7 +170,7 @@ Fix_k; write (k, x) for its element in R_c(e_k).
   T(u)t(s) and t(S(u)s) lie in T(e_j), which has at most one element.
   R_x(e_j) has one element per arrow of Fix_j & maximal(x), so the support
   of R_x, the blocks j with R_x(e_j) nonempty, and whether R_x is
-  subterminal are read off those masks (`_supports`).  A count of the maps
+  subterminal are read off those masks (`_blocks`).  A count of the maps
   R_d -> R_c into a subterminal R_c is then one mask inclusion.
 - Yoneda for a cyclic source.  Where R_d is supercompact, take x0 in G_d
   with principal(x0) = M_d, and k with x0 in Fix_k.  The orbit of (k, x0)
@@ -176,15 +180,17 @@ Fix_k; write (k, x) for its element in R_c(e_k).
   implies y.u = y.u' for all u, u': e_j -> e_k, and the map is natural as
   (x0.u).v = x0.(u.v).  For w: dom e_j -> dom e_k the arrows s = w.e_j
   give x0.s = x0.(e_k.w.e_j) and y.s = y.(e_k.w.e_j), and each u is such
-  an s, so the walk runs over the distinct s.  t is monic when it is
-  injective on every R_d(e_j).  Its kernel pair W has W(e_j) the pairs of
-  elements of R_d(e_j) with one image, so |W| is the sum over j and over
-  the images v of n_(j,v)^2, where n_(j,v) elements of R_d(e_j) go to v.
+  an s, so the walk runs over the s in Fix_j & maximal(a_k).  t is monic
+  when it is injective on every R_d(e_j).  Its kernel pair W has W(e_j)
+  the pairs of elements of R_d(e_j) with one image, so |W| is the sum over
+  j and over the images v of n_(j,v)^2, where n_(j,v) elements of R_d(e_j)
+  go to v.
   If W is supercompact, one element w in some W(e_i) has orbit W, and
   u |-> w.u maps E(-, e_i) onto W.  So |W| is at most the number of
   arrows of E_D into e_i, for an e_i with W(e_i), equivalently R_d(e_i),
-  nonempty.  A W larger than that for every such e_i is not supercompact
-  and is refused without being built.
+  nonempty, listed off the masks as above without building E_D.  A W
+  larger than that for every such e_i is not supercompact and is refused
+  without being built.
 """
 
 from collections import Counter, namedtuple
@@ -417,10 +423,9 @@ def _probes(category, J):
     R_d not subterminal, as every map out of a subterminal presheaf is
     monic, and l(d) supercompact.  A subterminal R_d is skipped before its
     generator is looked for."""
-    supports = _supports(category, J)
     return tuple(
         (d, generator)
-        for d, (_, subterminal) in enumerate(supports)
+        for d, (_, subterminal) in enumerate(_blocks(category, J)[2])
         if not subterminal
         for generator in [_generator(category, J, d)]
         if generator is not None
@@ -445,81 +450,57 @@ def rep_is_coherent(category, J, c):
 def _blocks(category, J):
     """Per retract class k in D, in the order of E_D's objects: (a_k, e_k,
     Fix_k) for its least idempotent e_k: a_k -> a_k and the mask Fix_k of the
-    arrows x out of a_k with x.e_k = x; and Fix_D, the union of the Fix_k.
-    Memoised on the category per topology."""
-    return fact(category, ("blocks", J.minimal), _fixed_arrows, J)
+    arrows x out of a_k with x.e_k = x (`_RetractClasses.fixed`); Fix_D, the
+    union of the Fix_k; and per object x, (supp, subterminal): the mask of
+    the blocks j where R_x(e_j), one element per bit of Fix_j & maximal(x),
+    is nonempty, and whether no R_x(e_j) holds two elements.  Memoised on
+    the category per topology."""
+    return fact(category, ("blocks", J.minimal), _read_blocks, J)
 
 
-def _fixed_arrows(category, J):
+def _read_blocks(category, J):
     classes = _retract_classes(category)
-    table = category.table
-    blocks = tuple(
-        (a, e, sum(1 << x for x in category.outof(a) if table[x, e] == x))
-        for a, e in (classes.least[k] for k in bits(classes.downset(J.minimal)))
-    )
-    return blocks, reduce(or_, (fix for _, _, fix in blocks), 0)
-
-
-def _supports(category, J):
-    """Per object x, (supp, subterminal): the mask of the blocks j where
-    R_x(e_j), one element per bit of Fix_j & maximal(x), is nonempty, and
-    whether R_x is subterminal, no R_x(e_j) holding two elements.
-    Memoised on the category per topology."""
-    return fact(category, ("supports", J.minimal), _block_supports, J)
-
-
-def _block_supports(category, J):
-    blocks, _ = _blocks(category, J)
+    D = bits(classes.downset(J.minimal))
+    blocks = tuple((*classes.least[k], classes.fixed[k]) for k in D)
     supports = []
-    for x in range(len(category.objects)):
-        sizes = [(fix & category.maximal_sieve(x)).bit_count() for _, _, fix in blocks]
+    for into in classes.maximal:
+        sizes = [(fix & into).bit_count() for _, _, fix in blocks]
         supports.append(
             (sum(1 << j for j, n in enumerate(sizes) if n), max(sizes, default=0) < 2)
         )
-    return tuple(supports)
+    return blocks, reduce(or_, (fix for _, _, fix in blocks), 0), tuple(supports)
 
 
 def representable_properties(category, J, c):
     """The atom, indecomposable and supercompact verdicts of the sheafified
     representable at c, read off the orbit masks principal(x) & Fix_D of
     the x in G_c, the arrows under the elements of R_c (module docstring)."""
-    _, fixed = _blocks(category, J)
+    fixed = _blocks(category, J)[1]
     G = fixed & category.maximal_sieve(c)
-    orbits = [category.principal_sieve(x) & fixed for x in bits(G)]
-    return {
-        "atom": bool(G) and all(orbit == G for orbit in orbits),
-        "indecomposable": overlap_connected(orbits, G),
-        "supercompact": G in orbits,
-    }
+    return _verdicts([category.principal_sieve(x) & fixed for x in bits(G)], G)
 
 
 def terminal_is_indecomposable(category, J):
     """The terminal sheaf is indecomposable: E_D is nonempty and connected,
-    that is, the domains of its idempotents are connected through nonempty
-    hom-sets of C (module docstring)."""
-    blocks, _ = _blocks(category, J)
-    domains = sorted({a for a, _, _ in blocks})
-    return overlap_connected(
-        [
-            sum(1 << b for b in domains if category.hom(a, b) or category.hom(b, a))
-            for a in domains
-        ],
-        sum(1 << a for a in domains),
-    )
+    blocks j and k joined where R_{a_k}(e_j) or R_{a_j}(e_k) is nonempty,
+    as the supports of the R_{a_k} record (module docstring)."""
+    blocks, _, supports = _blocks(category, J)
+    support = [supports[a][0] for a, _, _ in blocks]
+    return overlap_connected(support, (1 << len(blocks)) - 1)
 
 
 def _generator(category, J, d):
     """Where l(d) is supercompact, (k, walk) for the first x0 in G_d whose
     principal sieve holds M_d, in the first block k with x0.e_k = x0: the
     element x0 of R_d(e_k) generates R_d.  Per block j, walk lists the
-    pairs (s, x0.s) over the distinct s = w.e_j for w: a_j -> a_k.  None
-    where l(d) is not supercompact.  Memoised on the category per topology
-    and object."""
+    pairs (s, x0.s) over the s in Fix_j & maximal(a_k), the distinct
+    s = w.e_j for w: a_j -> a_k.  None where l(d) is not supercompact.
+    Memoised on the category per topology and object."""
     return fact(category, ("generator", J.minimal, d), _find_generator, J, d)
 
 
 def _find_generator(category, J, d):
-    blocks, fixed = _blocks(category, J)
+    blocks, fixed, _ = _blocks(category, J)
     M = J.minimal[d]
     for x0 in bits(fixed & category.maximal_sieve(d)):
         if not M & ~category.principal_sieve(x0):
@@ -527,13 +508,9 @@ def _find_generator(category, J, d):
     else:
         return None
     k = next(k for k, (_, _, fix) in enumerate(blocks) if fix >> x0 & 1)
-    table = category.table
+    table, into = category.table, category.maximal_sieve(blocks[k][0])
     return k, tuple(
-        tuple(
-            (s, table[x0, s])
-            for s in dict.fromkeys(table[w, e] for w in category.hom(a, blocks[k][0]))
-        )
-        for a, e, _ in blocks
+        tuple((s, table[x0, s]) for s in bits(fix & into)) for _, _, fix in blocks
     )
 
 
@@ -543,9 +520,8 @@ def _yoneda_maps(category, J, generator, c):
     (module docstring), as the per-block dicts from the elements of R_d to
     their images in R_c, both as arrows of C.  Ascending by y."""
     k, walk = generator
-    blocks, _ = _blocks(category, J)
     table = category.table
-    for y in bits(blocks[k][2] & category.maximal_sieve(c)):
+    for y in bits(_blocks(category, J)[0][k][2] & category.maximal_sieve(c)):
         images = tuple(_image(table, y, pairs) for pairs in walk)
         if None not in images:
             yield images
@@ -572,20 +548,8 @@ def _kernel_pair_fits(category, J, images):
     nonempty, which every supercompact W meets.  |W| is the sum over the
     blocks of the squared fibre sizes of the map (module docstring)."""
     size = sum(n * n for image in images for n in Counter(image.values()).values())
-    into = fact(category, ("into-sizes", J.minimal), _into_sizes, J)
-    return size <= max(n for n, image in zip(into, images) if image)
-
-
-def _into_sizes(category, J):
-    """|into_E(e_i)| per block i: the u: a_j -> a_i with u.e_j = u and
-    e_i.u = u, summed over the blocks j."""
-    blocks, _ = _blocks(category, J)
-    table = category.table
-    sizes = []
-    for a, e, _ in blocks:
-        onto = sum(1 << u for u in category.into(a) if table[e, u] == u)
-        sizes.append(sum((fix & onto).bit_count() for _, _, fix in blocks))
-    return tuple(sizes)
+    into = Counter(k for _, _, k in _site_arrows(category, J))
+    return size <= max(into[i] for i, image in enumerate(images) if image)
 
 
 def _kernel_pair_is_supercompact(category, J, d, c, images):
@@ -600,9 +564,8 @@ def _kernel_pair_is_supercompact(category, J, d, c, images):
 def _natural_map(category, J, d, c, images):
     """The map R_d -> R_c on E_D whose per-block images are given as arrows
     of C; the elements of R_d(e_j) and R_c(e_j) are ascending arrows."""
-    blocks, _ = _blocks(category, J)
     components = []
-    for (_, _, fix), image in zip(blocks, images):
+    for (_, _, fix), image in zip(_blocks(category, J)[0], images):
         index = {x: i for i, x in enumerate(bits(fix & category.maximal_sieve(c)))}
         components.append(tuple(index[image[z]] for z in sorted(image)))
     return NatTransformation._trusted(
@@ -630,7 +593,7 @@ def _count_maps(category, J, d, c):
     docstring).  Else it is read off a generator of R_d where there is one,
     and counted on E_D with the compatible-family solver where there is
     none."""
-    supports = _supports(category, J)
+    supports = _blocks(category, J)[2]
     target, subterminal = supports[c]
     if subterminal:
         return int(not supports[d][0] & ~target)
@@ -653,16 +616,24 @@ def presheaf_site(category, J):
     return fact(category, ("presheaf-site", J.minimal), _presheaf_site, J)
 
 
-def _presheaf_site(category, J):
-    blocks, _ = _blocks(category, J)
+def _site_arrows(category, J):
+    """E_D's arrows u: e_j -> e_k as triples (u, j, k), ascending by k, then
+    j, then u: the u in R_{a_k}(e_j) = Fix_j & maximal(a_k) with e_k.u = u
+    (module docstring)."""
+    blocks = _blocks(category, J)[0]
     table = category.table
-    morphisms = [
+    return [
         (u, j, k)
         for k, (b, ek, _) in enumerate(blocks)
-        for j, (a, ej, _) in enumerate(blocks)
-        for u in category.hom(a, b)
-        if table[u, ej] == u and table[ek, u] == u
+        for j, (_, _, fix) in enumerate(blocks)
+        for u in bits(fix & category.maximal_sieve(b))
+        if table[ek, u] == u
     ]
+
+
+def _presheaf_site(category, J):
+    blocks, table = _blocks(category, J)[0], category.table
+    morphisms = _site_arrows(category, J)
     index = {m: f for f, m in enumerate(morphisms)}
     into = [[] for _ in blocks]
     for f, (_, _, k) in enumerate(morphisms):
@@ -691,11 +662,8 @@ def restricted_representable(category, J, c):
 
 def _restricted(category, J, c):
     E = presheaf_site(category, J)
-    table = category.table
-    values = [
-        tuple(x for x in category.hom(category.dom[e], c) if table[x, e] == x)
-        for e in E.objects
-    ]
+    table, into = category.table, category.maximal_sieve(c)
+    values = [tuple(bits(fix & into)) for _, _, fix in _blocks(category, J)[0]]
     index = [{x: i for i, x in enumerate(v)} for v in values]
     actions = tuple(
         tuple(index[j][table[x, u]] for x in values[k]) for u, j, k in E.morphisms
@@ -720,10 +688,16 @@ def restrict(category, J, A):
 
 def _properties(R):
     """The atom, indecomposable and supercompact verdicts of a presheaf R on
-    E_D (module docstring).  The component of the first element is its
-    orbit grown by every orbit that meets it."""
+    E_D, read off its orbits (`_verdicts`)."""
     start, orbits = R._orbits
-    full = (1 << start[-1]) - 1
+    return _verdicts(orbits, (1 << start[-1]) - 1)
+
+
+def _verdicts(orbits, full):
+    """The atom, indecomposable and supercompact verdicts of a presheaf on
+    E_D, read off the orbit masks of its elements and the mask `full` of
+    all of them (module docstring).  The component of the first element is
+    its orbit grown by every orbit that meets it."""
     return {
         "atom": bool(full) and all(orbit == full for orbit in orbits),
         "indecomposable": overlap_connected(orbits, full),

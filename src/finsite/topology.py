@@ -224,7 +224,9 @@ def _scan_axioms(category, cov, sets):
     return TopologyVerdict(True)
 
 
-class _RetractClasses(namedtuple("_RetractClasses", "maximal least down generated")):
+class _RetractClasses(
+    namedtuple("_RetractClasses", "maximal least down generated fixed")
+):
     """The idempotents of a category up to mutual retracts, retracts first.
 
     maximal: per object c, the mask of the arrows into c.
@@ -232,6 +234,8 @@ class _RetractClasses(namedtuple("_RetractClasses", "maximal least down generate
     down: per class, the mask over classes of the classes at or below it.
     generated: per class, one arrow mask: the sieves generated by the arrows
         g.e, g out of dom e, on every object at once.
+    fixed: per class, one arrow mask: the arrows g.e, g out of dom e, that
+        is the x out of dom e with x.e = x (`objects.py`).
 
     A sieve on c holds only arrows into c, so sieves on different objects
     share no arrow, and a set of sieves, one per object, is one mask: its
@@ -265,12 +269,14 @@ def _retracts(cat):
     table, dom, outof, principal = cat.table, cat.dom, cat._outof, cat._principal
     idempotents = [f for f in range(len(cat.morphisms)) if table.get((f, f)) == f]
     marked = reduce(or_, (1 << e for e in idempotents), 0)
-    generated, classes = {}, {}
+    generated, fixed, classes = {}, {}, {}
     for e in idempotents:
-        row = 0
+        row = fix = 0
         for g in outof[dom[e]]:
-            row |= principal[table[g, e]]
-        generated[e] = row
+            x = table[g, e]
+            row |= principal[x]
+            fix |= 1 << x
+        generated[e], fixed[e] = row, fix
         # the retracts of e, the idempotents in its sieves: the same for a
         # mutual retract, fewer for a strict one
         classes.setdefault(row & marked, []).append(e)
@@ -289,6 +295,7 @@ def _retracts(cat):
         tuple((dom[members[0]], members[0]) for _, members in order),
         tuple(down),
         tuple(generated[members[0]] for _, members in order),
+        tuple(fixed[members[0]] for _, members in order),
     )
 
 

@@ -2783,6 +2783,95 @@ def presheaf_site_sizes(cat, J, c):
     )
 
 
+# E_D read off one fixed-arrow mask per retract class, against the walks of
+# C's hom-sets it replaced: Fix_k walked per topology over the arrows out of
+# a_k, the generator walk over the distinct w.e_j, E_D's arrows and R_c's
+# values filtered out of hom-sets, and the terminal sheaf's connectedness
+# through nonempty hom-sets between the domains of the e_k.
+
+
+def walked_blocks(cat, J):
+    """(a_k, e_k, Fix_k) per class k in D, Fix_k walked over the arrows x
+    out of a_k with x.e_k = x."""
+    classes = _retract_classes(cat)
+    return tuple(
+        (a, e, sum(1 << x for x in cat.outof(a) if cat.table[x, e] == x))
+        for a, e in (classes.least[k] for k in bits(classes.downset(J.minimal)))
+    )
+
+
+def walked_generator(cat, J, d):
+    """(k, walk) for the first x0 of G_d whose principal sieve holds M_d, in
+    the first block k holding it, walk listing per block j the pairs
+    (s, x0.s) over the distinct s = w.e_j for w: a_j -> a_k; None if none."""
+    blocks, table = walked_blocks(cat, J), cat.table
+    fixed = reduce(or_, (fix for _, _, fix in blocks), 0)
+    M = J.minimal[d]
+    G = fixed & cat.maximal_sieve(d)
+    x0 = next((x for x in bits(G) if not M & ~cat.principal_sieve(x)), None)
+    if x0 is None:
+        return None
+    k = next(k for k, (_, _, fix) in enumerate(blocks) if fix >> x0 & 1)
+    return k, tuple(
+        tuple(
+            (s, table[x0, s])
+            for s in dict.fromkeys(table[w, e] for w in cat.hom(a, blocks[k][0]))
+        )
+        for a, e, _ in blocks
+    )
+
+
+def filtered_site_arrows(cat, J):
+    """E_D's arrows (u, j, k), ascending by k, j, u: the u in
+    hom(a_j, a_k) with u.e_j = u and e_k.u = u."""
+    blocks, table = walked_blocks(cat, J), cat.table
+    return [
+        (u, j, k)
+        for k, (b, ek, _) in enumerate(blocks)
+        for j, (a, ej, _) in enumerate(blocks)
+        for u in cat.hom(a, b)
+        if table[u, ej] == u and table[ek, u] == u
+    ]
+
+
+def walked_into_sizes(cat, J):
+    """|into_E(e_i)| per block i: the u into a_i with e_i.u = u whose domain
+    is some a_j with u.e_j = u, one per such j."""
+    blocks, table = walked_blocks(cat, J), cat.table
+    sizes = []
+    for a, e, _ in blocks:
+        onto = sum(1 << u for u in cat.into(a) if table[e, u] == u)
+        sizes.append(sum((fix & onto).bit_count() for _, _, fix in blocks))
+    return tuple(sizes)
+
+
+def filtered_restricted(cat, J, c):
+    """R_c on E_D with its values R_c(e_k) filtered out of hom(a_k, c): the
+    x with x.e_k = x, ascending, u acting by x |-> x.u."""
+    E, table = presheaf_site(cat, J), cat.table
+    values = [
+        tuple(x for x in cat.hom(cat.dom[e], c) if table[x, e] == x) for e in E.objects
+    ]
+    index = [{x: i for i, x in enumerate(v)} for v in values]
+    actions = tuple(
+        tuple(index[j][table[x, u]] for x in values[k]) for u, j, k in E.morphisms
+    )
+    return Presheaf._trusted(E, tuple(map(len, values)), actions)
+
+
+def hom_connected_terminal(cat, J):
+    """E_D is nonempty and the domains of its idempotents are connected
+    through nonempty hom-sets of C, taken in either direction."""
+    domains = sorted({a for a, _, _ in walked_blocks(cat, J)})
+    return overlap_connected(
+        [
+            sum(1 << b for b in domains if cat.hom(a, b) or cat.hom(b, a))
+            for a in domains
+        ],
+        sum(1 << a for a in domains),
+    )
+
+
 def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
     """On every site of `site_cases` and under every topology of the fake
     square, its reversal and the monoids with a terminal object added, the
@@ -2796,8 +2885,11 @@ def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
     kernel pair passes the count.  Each count of the maps R_d -> R_c with
     M_d not maximal equals the solver's, and is tallied by the branch that
     decided it: support inclusion, Yoneda walk or E_D solver; all three are
-    taken.  `_supports` marks the nonzero sizes of each R_x, and calls it
-    subterminal exactly when no size exceeds 1."""
+    taken.  `_blocks` marks the nonzero sizes of each R_x, and calls it
+    subterminal exactly when no size exceeds 1.  Fix_k, the generator walk,
+    E_D's arrows, the kernel-pair bound, R_c and the terminal sheaf's
+    connectedness, read off one mask per retract class, match the walks of
+    C's hom-sets they replaced."""
     seen = Counter()
     extra = [fake_square(), reversed_lists(fake_square())] + [
         with_terminal(p.values[0]) for p in MONOID_CATEGORIES
@@ -2805,13 +2897,28 @@ def test_object_checks_read_off_the_arrows_match_the_presheaf_site():
     extra_cases = ((cat, J) for cat in extra for J in lattice(cat).elements)
     for cat, J in itertools.chain(site_cases(), extra_cases):
         n = len(cat.objects)
+        blocks = objects._blocks(cat, J)[0]
+        assert blocks == walked_blocks(cat, J)
+        arrows = objects._site_arrows(cat, J)
+        assert arrows == filtered_site_arrows(cat, J)
+        into = Counter(k for _, _, k in arrows)
+        assert tuple(into[i] for i in range(len(blocks))) == walked_into_sizes(cat, J)
+        for d in range(n):
+            generator = objects._generator(cat, J, d)
+            walked = walked_generator(cat, J, d)
+            assert (generator is None) == (walked is None)
+            if generator is not None:
+                assert generator[0] == walked[0]
+                assert list(map(sorted, generator[1])) == list(map(sorted, walked[1]))
+            assert restricted_representable(cat, J, d) == filtered_restricted(cat, J, d)
+        assert terminal_is_indecomposable(cat, J) == hom_connected_terminal(cat, J)
         assert terminal_is_indecomposable(cat, J) == connected(
             terminal_presheaf(presheaf_site(cat, J))
         )
         assert objects._probes(cat, J) == tuple(
             (d, objects._generator(cat, J, d)) for d, _ in presheaf_site_probes(cat, J)
         )
-        supports = objects._supports(cat, J)
+        supports = objects._blocks(cat, J)[2]
         for x, (support, subterminal) in enumerate(supports):
             sizes = restricted_representable(cat, J, x).sizes
             assert support == sum(1 << j for j, m in enumerate(sizes) if m)
@@ -2883,13 +2990,13 @@ def test_thin_reports_find_no_generator_and_build_no_presheaf_site(
 ):
     """Over a thin category every R_c is subterminal, so the report counts
     its maps by support inclusion and probes no source.  With E_D, the
-    solver and the generator search made to raise, the report of every thin
-    category of `site_cases` under each of its topologies has the bytes it
-    had before, and the CLI reports the golden vee-cover site byte for
-    byte."""
+    lister of its arrows, the solver and the generator search made to
+    raise, the report of every thin category of `site_cases` under each of
+    its topologies has the bytes it had before, and the CLI reports the
+    golden vee-cover site byte for byte."""
     cases = [(cat, J) for cat, J in site_cases() if is_thin(cat)]
     want = [canonical_json(classify_report(cat, J)) for cat, J in cases]
-    for name in ("_presheaf_site", "presheaf_homs", "_find_generator"):
+    for name in ("_presheaf_site", "_site_arrows", "presheaf_homs", "_find_generator"):
         monkeypatch.setattr(objects, name, raiser(name))
     for (cat, J), report in zip(cases, want):
         fresh = fresh_copy(cat)
@@ -2918,7 +3025,7 @@ def test_subcanonical_reads_off_the_arrows_and_the_representable_sizes():
     seen = Counter()
     for cat in oracle_categories():
         for J in lattice(cat).elements:
-            _, fixed = objects._blocks(cat, J)
+            _, fixed, _ = objects._blocks(cat, J)
             holds = True
             for c in range(len(cat.objects)):
                 sizes = representable_sizes(cat, J, c)
@@ -3780,7 +3887,8 @@ def filtered_dense_family(lat, sub):
     the meet of all members, each meet the objectwise union of least
     sieves."""
     cat = lat.category
-    need, arrows = _qualifying_sieves(cat, sub)
+    sieves, arrows = _qualifying_sieves(cat, sub)
+    need = list(sieves)
     for f, Q in arrows:
         need[cat.dom[f]] &= Q
     minimals = [J.minimal for J in lat.elements]

@@ -70,7 +70,8 @@ def _cases():
         Case(GrothendieckTopology, (cat, J.minimal),
              {"minimal": trivial_topology(cat).minimal}),
         Case(TopologyVerdict, (False, "stability", (0, 1, 2)), {"ok": True}, ("", ())),
-        Case(_RetractClasses, ((1, 2), ((0, 0),), (1,), (1,)), {"maximal": (1, 2, 4)}),
+        Case(_RetractClasses, ((1, 2), ((0, 0),), (1,), (1,), (1,)),
+             {"maximal": (1, 2, 4)}),
         Case(Presheaf, (cat, P.sizes, P.actions),
              {"sizes": T.sizes, "actions": T.actions}),
         Case(NatTransformation, (P, P, identity),
