@@ -74,10 +74,11 @@ def fact(category, key, compute, *args):
     per subcategory the qualifying sieves of `density._qualifying_sieves`;
     and per topology, keyed by its least sieves, `j_irreducible_objects`,
     `is_rigid`, `is_subcanonical`, the plus frame of `sheaf._plus`, the
-    sheafified representables of `sheaf.representable_sheaf`, and in
-    `objects.py` the blocks of the report's checks with the supports of the
-    R_d, their generators and the regular probe's sources, and the
-    presheaf site with its restricted representables.  The first caller
+    sheafified representables of `sheaf.representable_sheaf`, in `sheaf.py`
+    the blocks of the presheaf site with the supports of the R_d, their
+    generators, the sizes of the sheafified representables, and the
+    presheaf site with its restricted representables, and the regular
+    probe's sources of `objects.py`.  The first caller
     computes a fact under the category's own lock while callers on other
     threads wait for it; the lock is reentrant, as one fact reads others of
     the same category.  A compute function must take no other lock, nor

@@ -41,11 +41,10 @@ from .objects import (
     rep_is_regular,
     rep_is_supercompact,
     representable_properties,
-    representable_sizes,
     terminal_is_indecomposable,
 )
 from .presheaf import Presheaf, presheaf_homs, yoneda
-from .sheaf import is_subcanonical, sheafify
+from .sheaf import is_subcanonical, representable_sizes, sheafify
 from .sieves import generate_mask, is_sieve_connected
 from .topology import atomic_topology, induced_topology
 
@@ -370,7 +369,7 @@ TRANSFERS = (
 
 def _object_properties(category, J, c):
     # decided on the presheaf site E_D, where the sheafified representable
-    # is the restricted one and no sheaf is built (see `objects.py`)
+    # is the restricted one and no sheaf is built (see `sheaf.py`)
     coh = rep_is_coherent(category, J, c)
     reg = rep_is_regular(category, J, c)
     props = representable_properties(category, J, c)

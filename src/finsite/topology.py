@@ -45,7 +45,7 @@ class); M(D), on every object at once, is the OR of one arrow mask per
 class computed once per category.
 D also gives each topology a second site: Sh(C, J_D) is the presheaf topos
 on the least idempotents of the classes in D, where the report decides its
-per-object checks (proof in the `objects.py` docstring).
+per-object checks (proof in the `sheaf.py` docstring).
 """
 
 import os
@@ -235,7 +235,7 @@ class _RetractClasses(
     generated: per class, one arrow mask: the sieves generated by the arrows
         g.e, g out of dom e, on every object at once.
     fixed: per class, one arrow mask: the arrows g.e, g out of dom e, that
-        is the x out of dom e with x.e = x (`objects.py`).
+        is the x out of dom e with x.e = x (`sheaf.py`).
 
     A sieve on c holds only arrows into c, so sieves on different objects
     share no arrow, and a set of sieves, one per object, is one mask: its

@@ -137,19 +137,25 @@ TRIVIAL_SITES = ("arrow-j2", "vee-cover", "idem-e", "square-cover")
 
 
 def test_trivial_topology_is_subcanonical_without_representables(monkeypatch):
-    # every M_c is maximal, so no representable has a sieve to check
+    # every M_c is maximal, so no representable has a sieve to check: the
+    # check builds no representable and reads no block of the presheaf site
     calls = Counter()
-    original = importlib.import_module("finsite.sheaf").yoneda
+    for attr in ("yoneda", "_blocks"):
+        original = getattr(importlib.import_module("finsite.sheaf"), attr)
 
-    def counted(*args):
-        calls["yoneda"] += 1
-        return original(*args)
+        def counted(*args, _original=original, _attr=attr):
+            calls[_attr] += 1
+            return _original(*args)
 
-    monkeypatch.setattr("finsite.sheaf.yoneda", counted)
+        monkeypatch.setattr("finsite.sheaf." + attr, counted)
     for name in TRIVIAL_SITES:
         cat = named_site(name).category
         assert is_subcanonical(cat, trivial_topology(cat))
-    assert calls["yoneda"] == 0
+    assert calls == {}
+    # the counter sees the reads under a topology that is not trivial
+    vee = named_site("vee-cover")
+    assert is_subcanonical(vee.category, vee.topology)
+    assert calls["_blocks"] > 0 and calls["yoneda"] == 0
 
 
 def test_trivial_topology_scans_no_covering_set():
@@ -471,6 +477,7 @@ FACTS = (
     ("finsite.classify", "_j_irreducible_objects"),
     ("finsite.classify", "_is_rigid"),
     ("finsite.sheaf", "_is_subcanonical"),
+    ("finsite.sheaf", "_representable_sizes"),
 )
 
 
@@ -494,6 +501,9 @@ def test_classify_report_decides_each_fact_once(monkeypatch, name, jobs):
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             first = classify_report(cat, J, mapper=pool.map)
     once = {attr: 1 for _, attr in FACTS}
+    # the sizes are one fact per object, which the values field and the
+    # subcanonical check share
+    once["_representable_sizes"] = len(cat.objects)
     assert calls == once
     # a second report on the same category reads every fact from the memo
     assert classify_report(cat, J) == first

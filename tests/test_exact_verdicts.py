@@ -42,7 +42,7 @@ from collections import Counter
 
 from finsite.classify import classify_report
 from finsite.corpus import corpus
-from finsite.objects import presheaf_site
+from finsite.sheaf import presheaf_site
 from finsite.topology import enumerate_topologies
 
 from test_minimal_oracles import oracle_categories

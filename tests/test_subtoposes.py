@@ -49,7 +49,7 @@ from functools import reduce
 from operator import and_
 
 from finsite.category import has_right_ore
-from finsite.objects import presheaf_site
+from finsite.sheaf import presheaf_site
 from finsite.sieves import sieve_masks_on
 from finsite.topology import atomic_topology, enumerate_topologies
 
